@@ -14,7 +14,6 @@ from tempcast import (
     GridSpec,
     clean_report,
     grid_search,
-    hw_fit,
     hw_forecast,
     next_calendar_day,
     parse_cdo_csv,
@@ -37,10 +36,9 @@ print(
     f"beta={fit.params.beta:.3f} gamma={fit.params.gamma:.3f}"
 )
 
-state = hw_fit(series, fit.params)
 print("\nnext week:")
 day = series.end_date
 for m in range(1, 8):
     day = next_calendar_day(day)
-    kelvin = hw_forecast(state, m, fit.params)
+    kelvin = hw_forecast(fit.state, m, fit.params)
     print(f"  {day}  {kelvin:6.2f} K  ({kelvin - 273.15:+5.1f} C)")

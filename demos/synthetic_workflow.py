@@ -17,7 +17,6 @@ from tempcast import (
     GridSpec,
     TimeSeries,
     grid_search,
-    hw_fit,
     hw_forecast,
     run_backtest,
     split_at_origin,
@@ -46,10 +45,9 @@ print(
     f"({fit.evaluations} objective evaluations)"
 )
 
-state = hw_fit(train, fit.params)
 print("\nlead  forecast   actual")
 for m in range(1, 15):
-    predicted = hw_forecast(state, m, fit.params)
+    predicted = hw_forecast(fit.state, m, fit.params)
     actual = series.values[3 * 365 + m - 1]
     print(f"{m:>4}  {predicted:8.2f}  {actual:7.2f}")
 

@@ -51,7 +51,13 @@ from .series import (
     split_at_origin,
     validate_series,
 )
-from .tuning import FitResult, GridSpec, grid_search, one_step_rmse
+from .tuning import (
+    FitResult,
+    GridSpec,
+    grid_search,
+    grid_search_windows,
+    one_step_rmse,
+)
 
 __all__ = [
     "__version__",
@@ -92,5 +98,6 @@ __all__ = [
     "FitResult",
     "GridSpec",
     "grid_search",
+    "grid_search_windows",
     "one_step_rmse",
 ]

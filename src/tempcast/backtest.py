@@ -18,14 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, OutOfRangeError
-from .models import (
-    average_forecast,
-    hw_fit,
-    hw_forecast,
-    persistence_forecast,
-)
+from .models import average_forecast, hw_forecast, persistence_forecast
 from .series import TimeSeries, split_at_origin, validate_series
-from .tuning import FitResult, GridSpec, grid_search
+from .tuning import FitResult, GridSpec, grid_search, grid_search_windows
 
 # "proposed" is the tuned seasonal smoother, kept under the name it
 # carries in comparison tables; the other two are its baselines.
@@ -133,13 +128,20 @@ def _training_window(series: TimeSeries, origin: int, config: BacktestConfig) ->
 
 
 def run_experiment(
-    series: TimeSeries, origin: int, config: BacktestConfig
+    series: TimeSeries,
+    origin: int,
+    config: BacktestConfig,
+    fit: FitResult | None = None,
 ) -> ExperimentResult:
     """Forecast every requested (model, lead) pair from one origin.
 
     Models see only the trailing ``train_length`` observations before
-    the origin. The smoother is re-tuned from scratch here, one fit
-    shared by all leads of this experiment.
+    the origin. The smoother forecasts every lead from ``fit.state``;
+    ``fit`` must come from tuning this origin's training window under
+    ``config``, as :func:`run_backtest` does for all origins at once.
+    When it is omitted the window is tuned here with
+    :func:`~tempcast.tuning.grid_search`. It is ignored when
+    ``"proposed"`` is not among the requested models.
     """
     max_lead = max(config.leads)
     prefix, test = split_at_origin(series, origin, max_lead)
@@ -151,12 +153,13 @@ def run_experiment(
     window = _training_window(series, origin, config)
 
     errors: dict[str, dict[int, float]] = {}
-    fit = None
-    if "proposed" in config.models:
-        fit = grid_search(window, config.grid, config.season_length)
-        state = hw_fit(window, fit.params)
+    if "proposed" not in config.models:
+        fit = None
+    else:
+        if fit is None:
+            fit = grid_search(window, config.grid, config.season_length)
         errors["proposed"] = {
-            m: hw_forecast(state, m, fit.params) - float(test[m - 1])
+            m: hw_forecast(fit.state, m, fit.params) - float(test[m - 1])
             for m in config.leads
         }
     if "persistence" in config.models:
@@ -198,9 +201,20 @@ def collect_report(
 
 
 def run_backtest(series: TimeSeries, config: BacktestConfig) -> BacktestReport:
-    """Run the full protocol: validate, sample origins, run every
-    experiment, pool. Deterministic given (series, config)."""
+    """Run the full protocol: validate, sample origins, tune every
+    origin's window in one :func:`~tempcast.tuning.grid_search_windows`
+    call, run every experiment, pool. Deterministic given
+    (series, config)."""
     validate_series(series)
-    origins = select_origins(len(series), config)
-    results = [run_experiment(series, int(o), config) for o in origins]
+    origins = [int(o) for o in select_origins(len(series), config)]
+    fits: tuple[FitResult | None, ...] = (None,) * len(origins)
+    if "proposed" in config.models:
+        fits = grid_search_windows(
+            [series.values[o - config.train_length : o] for o in origins],
+            config.grid,
+            config.season_length,
+        )
+    results = [
+        run_experiment(series, o, config, fit) for o, fit in zip(origins, fits)
+    ]
     return collect_report(config, results)

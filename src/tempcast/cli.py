@@ -25,7 +25,13 @@ from .backtest import MODEL_NAMES, BacktestConfig, BacktestReport, run_backtest
 from .errors import MalformedDateError, MalformedRowError, TempcastError
 from .ingest import UNITS, CleanConfig, clean_report, parse_cdo_csv
 from .models import SmoothingParams, hw_fit, hw_forecast
-from .series import ForecastSet, TimeSeries, drop_leap_days, next_calendar_day
+from .series import (
+    ForecastSet,
+    TimeSeries,
+    drop_leap_days,
+    next_calendar_day,
+    validate_series,
+)
 from .tuning import GridSpec, grid_search
 
 GRID_PRESETS = {
@@ -107,7 +113,7 @@ def _read_series_csv(path: Path) -> TimeSeries:
             values.append(float(row[1]))
         except ValueError:
             raise MalformedRowError(line, f"not a number: {row[1]!r}") from None
-    return drop_leap_days(dates, values, station_id=path.stem)
+    return validate_series(drop_leap_days(dates, values, station_id=path.stem))
 
 
 def build_parser() -> _Parser:
@@ -351,12 +357,13 @@ def _cmd_forecast(args) -> int:
             params = SmoothingParams(*explicit, season_length=args.season)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
+        state = hw_fit(series, params)
         tuned = None
     else:
         tuned = grid_search(series, GridSpec.default(), season_length=args.season)
         params = tuned.params
+        state = tuned.state
 
-    state = hw_fit(series, params)
     leads = tuple(range(1, args.horizon + 1))
     forecasts = ForecastSet(
         origin_index=len(series),

@@ -175,7 +175,14 @@ def hw_update(
 
 def hw_fit(train, params: SmoothingParams) -> HWState:
     """Initialize on the training window, then fold every observation
-    through :func:`hw_update` in order. Deterministic."""
+    through :func:`hw_update` in order. Deterministic.
+
+    Tuned fits never come through here: ``FitResult.state`` already
+    holds the winner's state, computed by the tuning kernel with the
+    same arithmetic. This per-step path serves explicit coefficients
+    (``tempcast forecast --alpha/--beta/--gamma``) and is the tests'
+    reference for that state.
+    """
     values = _train_values(train)
     state = init_state(values, params)
     for observation in values.tolist():

@@ -6,20 +6,39 @@ forecasts made once the first two seasons have passed are scored against
 the actuals. Coefficients are picked by exhaustive grid evaluation
 followed by a few rounds of local re-gridding around the incumbent.
 
-Grid points are independent of one another, so the sweep is evaluated as
-one vectorized pass over the window with all candidate triples in
-lockstep; the reduction to a winner is deterministic regardless of how
-the evaluations would be scheduled.
+Additive Holt-Winters is a linear innovations state-space model, so
+every (window, coefficient triple) pair is an independent column of one
+recursion. :func:`_one_step_errors_batch` is the only implementation of
+that recursion here: one in-place pass over ``k`` equal-length windows
+times ``W`` triples, returning each column's RMSE together with its
+final level, trend and seasonal ring. The winner's fitted state
+therefore comes out of the sweep itself; no replay is needed.
+
+:func:`grid_search_windows` tunes many windows together, round by
+round: round ``r`` runs for every window before round ``r + 1`` starts,
+because each window's refined grid depends on its incumbent. Within a
+round the windows' sweeps are packed greedily, in window order, into
+chunks; each sweep is padded to the chunk's widest by repeating its last
+triple, and a chunk's padded column count may not exceed the first-round
+width (the product of the axis cardinalities). Refined grids are never
+wider than that, so every sweep fits, and the seasonal ring, allocated
+once per call and reused by every chunk, never exceeds season length ×
+first-round width floats. Padding is sliced off before a winner is
+picked and before ``evaluations`` is counted, and each column's
+arithmetic does not depend on its neighbours, so packing changes no
+result. :func:`grid_search` and :func:`one_step_rmse` are one-window
+calls of the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TooShortError
-from .models import SmoothingParams, _initial_components, _train_values
+from .errors import LengthMismatchError, NonFiniteError, TooShortError
+from .models import HWState, SmoothingParams, _initial_components, _train_values
 
 
 @dataclass(frozen=True)
@@ -73,11 +92,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Winning coefficients with their objective value and search cost."""
+    """Winning coefficients with their objective value and search cost.
+
+    ``state`` is the smoother after the winner has consumed the whole
+    training window, equal to ``hw_fit(train, params)``; it takes no
+    part in equality.
+    """
 
     params: SmoothingParams
     in_sample_rmse: float
     evaluations: int
+    state: HWState = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.in_sample_rmse < 0.0:
@@ -95,46 +120,91 @@ def _require_scorable(n: int, season_length: int) -> None:
         )
 
 
+def _require_finite(values: np.ndarray) -> None:
+    """Raise on the first NaN or infinity of a (k, n) window stack."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        window, index = (int(i) for i in bad[0])
+        raise NonFiniteError(
+            f"window {window} value {index} is not finite: {values[window, index]!r}"
+        )
+
+
 def _one_step_errors_batch(
     values: np.ndarray,
     season_length: int,
     alphas: np.ndarray,
     betas: np.ndarray,
     gammas: np.ndarray,
-) -> np.ndarray:
-    """One-step RMSE for many coefficient triples in one window sweep.
+    ring: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One-step RMSE and final state for k windows × W triples in one sweep.
 
-    Per triple this performs bit-for-bit the same arithmetic as folding
-    ``hw_update`` one observation at a time and scoring each pre-update
-    lead-1 forecast from the third season onward.
+    ``values`` is (k, n), one equal-length window per row; ``alphas``,
+    ``betas`` and ``gammas`` are (k, W), row ``i`` holding the triples
+    scored on window ``i``. ``ring`` is an optional flat float64 buffer
+    of at least ``season_length * k * W`` elements to work in.
+
+    Returns ``(rmse, level, trend, ring)``: the first three are (k, W),
+    the ring is (season_length, k, W) with ``ring[p]`` the correction for
+    phase ``p`` (a view into the buffer, overwritten by the next call
+    that reuses it). Per column this performs bit-for-bit the same
+    arithmetic as folding ``hw_update`` one observation at a time and
+    scoring each pre-update lead-1 forecast from the third season
+    onward, so the column's final state equals ``hw_fit``'s.
     """
     L = season_length
-    n = values.size
-    level0, trend0, seasonal0 = _initial_components(values, L)
-    width = alphas.size
-
-    level = np.full(width, level0)
-    trend = np.full(width, trend0)
-    ring = np.tile(seasonal0[:, None], (1, width))  # (L, width) phase rows
+    k, n = values.shape
+    shape = alphas.shape
+    if ring is None:
+        ring = np.empty(L * alphas.size)
+    ring = ring[: L * alphas.size].reshape(L, *shape)
+    level = np.empty(shape)
+    trend = np.empty(shape)
+    for i in range(k):
+        level[i], trend[i], seasonal = _initial_components(values[i], L)
+        ring[:, i, :] = seasonal[:, None]
 
     one_m_alpha = 1.0 - alphas
     one_m_beta = 1.0 - betas
     one_m_gamma = 1.0 - gammas
 
     warmup = 2 * L
-    sq_sum = np.zeros(width)
-    obs_list = values.tolist()
+    sq_sum = np.zeros(shape)
+    level_trend = np.empty(shape)
+    new_level = np.empty(shape)
+    scratch = np.empty(shape)
+    observations = np.ascontiguousarray(values.T)[:, :, None]  # (n, k, 1)
     for t in range(n):
-        obs = obs_list[t]
+        obs = observations[t]
         row = ring[t % L]
+        np.add(level, trend, out=level_trend)
         if t >= warmup:
-            err = level + trend + row - obs
-            sq_sum += err * err
-        new_level = alphas * (obs - row) + one_m_alpha * (level + trend)
-        trend = betas * (new_level - level) + one_m_beta * trend
-        ring[t % L] = gammas * (obs - new_level) + one_m_gamma * row
-        level = new_level
-    return np.sqrt(sq_sum / (n - warmup))
+            np.add(level_trend, row, out=scratch)
+            scratch -= obs
+            scratch *= scratch
+            sq_sum += scratch
+        # level' = alpha * (a - c_old) + (1 - alpha) * (level + trend)
+        np.subtract(obs, row, out=new_level)
+        new_level *= alphas
+        np.multiply(one_m_alpha, level_trend, out=scratch)
+        new_level += scratch
+        # trend' = beta * (level' - level) + (1 - beta) * trend; the old
+        # level is not needed after the difference, so its buffer holds
+        # it. Operands appear in another order than in hw_update, which
+        # is exact: IEEE addition and multiplication are commutative.
+        np.subtract(new_level, level, out=level)
+        level *= betas
+        trend *= one_m_beta
+        trend += level
+        # c_new = gamma * (a - level') + (1 - gamma) * c_old
+        np.subtract(obs, new_level, out=scratch)
+        scratch *= gammas
+        row *= one_m_gamma
+        row += scratch
+        level, new_level = new_level, level
+    sq_sum /= n - warmup
+    return np.sqrt(sq_sum, out=sq_sum), level, trend, ring
 
 
 def one_step_rmse(train, params: SmoothingParams) -> float:
@@ -142,17 +212,19 @@ def one_step_rmse(train, params: SmoothingParams) -> float:
 
     The first two seasons only warm the state up, so the window must
     extend at least one observation past the initialization span.
+    Raises :class:`NonFiniteError` on a NaN or infinite value.
     """
-    values = _train_values(train)
-    _require_scorable(values.size, params.season_length)
-    scores = _one_step_errors_batch(
+    values = _stack_windows([train])
+    _require_scorable(values.shape[1], params.season_length)
+    _require_finite(values)
+    scores, _, _, _ = _one_step_errors_batch(
         values,
         params.season_length,
-        np.array([params.alpha]),
-        np.array([params.beta]),
-        np.array([params.gamma]),
+        np.array([[params.alpha]]),
+        np.array([[params.beta]]),
+        np.array([[params.gamma]]),
     )
-    return float(scores[0])
+    return float(scores[0, 0])
 
 
 def _axis_spacing(axis: np.ndarray) -> float:
@@ -161,15 +233,146 @@ def _axis_spacing(axis: np.ndarray) -> float:
     return float(axis[-1] - axis[0]) / (axis.size - 1)
 
 
+def _mesh(axis_a, axis_b, axis_g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    mesh = np.meshgrid(axis_a, axis_b, axis_g, indexing="ij")
+    return tuple(m.ravel() for m in mesh)
+
+
 def _best_of_batch(
     scores: np.ndarray, a: np.ndarray, b: np.ndarray, g: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Lowest score; exact ties go to the smallest (alpha, beta, gamma)."""
-    minimum = scores.min()
-    tied = np.flatnonzero(scores == minimum)
+) -> int:
+    """Index of the lowest score; exact ties go to the smallest
+    (alpha, beta, gamma)."""
+    tied = np.flatnonzero(scores == scores.min())
     order = np.lexsort((g[tied], b[tied], a[tied]))
-    i = int(tied[order[0]])
-    return float(scores[i]), float(a[i]), float(b[i]), float(g[i])
+    return int(tied[order[0]])
+
+
+def _refine(center, cardinalities, spacings, shrink):
+    """Axes of the next refinement round around ``center`` and the
+    spacings they leave behind."""
+    refined = []
+    next_spacings = []
+    for axis_index in range(3):
+        n_points = cardinalities[axis_index]
+        half = spacings[axis_index] * shrink
+        if n_points == 1 or half == 0.0:
+            refined.append(np.array([center[axis_index]]))
+            next_spacings.append(0.0)
+            continue
+        points = np.linspace(
+            center[axis_index] - half, center[axis_index] + half, n_points
+        )
+        refined.append(np.unique(np.clip(points, 0.0, 1.0)))
+        next_spacings.append(2.0 * half / (n_points - 1))
+    return refined, next_spacings
+
+
+def _pack(widths: list[int], budget: int) -> list[list[int]]:
+    """Group sweeps, in order, into chunks whose padded column count
+    (sweeps × widest sweep) stays within ``budget``."""
+    chunks: list[list[int]] = []
+    widest = 0
+    for index, width in enumerate(widths):
+        if chunks and (len(chunks[-1]) + 1) * max(widest, width) <= budget:
+            chunks[-1].append(index)
+            widest = max(widest, width)
+        else:
+            chunks.append([index])
+            widest = width
+    return chunks
+
+
+def _stack_windows(windows) -> np.ndarray:
+    rows = [np.atleast_1d(_train_values(window)) for window in windows]
+    for row in rows:
+        if row.ndim != 1:
+            raise ValueError("each window must be one-dimensional")
+        if row.size != rows[0].size:
+            raise LengthMismatchError(
+                f"windows must share one length, got {rows[0].size} and {row.size}"
+            )
+    return np.stack(rows) if rows else np.empty((0, 0))
+
+
+def grid_search_windows(
+    windows, spec: GridSpec, season_length: int = 365
+) -> tuple[FitResult, ...]:
+    """:func:`grid_search` on each of several equal-length windows,
+    sweeping them together.
+
+    Returns one result per window, in input order, each identical to
+    ``grid_search(window, spec, season_length)``. Raises
+    :class:`NonFiniteError` on a NaN or infinite value in any window,
+    :class:`LengthMismatchError` when lengths differ.
+    """
+    values = _stack_windows(windows)
+    k, n = values.shape
+    if k == 0:
+        return ()
+    _require_scorable(n, season_length)
+    _require_finite(values)
+
+    axes = [
+        np.asarray(spec.alpha_grid, dtype=np.float64),
+        np.asarray(spec.beta_grid, dtype=np.float64),
+        np.asarray(spec.gamma_grid, dtype=np.float64),
+    ]
+    cardinalities = [axis.size for axis in axes]
+    budget = math.prod(cardinalities)
+    ring = np.empty(season_length * budget)
+
+    sweeps = [_mesh(*axes)] * k
+    spacings = [[_axis_spacing(axis) for axis in axes]] * k
+    evaluations = [0] * k
+    best: list[tuple[float, float, float, float] | None] = [None] * k
+    states: list[HWState | None] = [None] * k
+
+    for round_index in range(spec.refine_rounds + 1):
+        if round_index:
+            for i in range(k):
+                refined, spacings[i] = _refine(
+                    best[i][1:], cardinalities, spacings[i], spec.refine_shrink
+                )
+                sweeps[i] = _mesh(*refined)
+        for chunk in _pack([sweep[0].size for sweep in sweeps], budget):
+            width = max(sweeps[i][0].size for i in chunk)
+            padded = np.empty((3, len(chunk), width))
+            for row, i in enumerate(chunk):
+                for axis, points in enumerate(sweeps[i]):
+                    padded[axis, row, : points.size] = points
+                    padded[axis, row, points.size :] = points[-1]
+            scores, level, trend, final_ring = _one_step_errors_batch(
+                values[chunk], season_length, *padded, ring=ring
+            )
+            for row, i in enumerate(chunk):
+                a, b, g = sweeps[i]
+                j = _best_of_batch(scores[row, : a.size], a, b, g)
+                evaluations[i] += a.size
+                candidate = (
+                    float(scores[row, j]), float(a[j]), float(b[j]), float(g[j])
+                )
+                # (score, alpha, beta, gamma) order: lower score wins,
+                # exact ties go to the smaller triple
+                if best[i] is None or candidate < best[i]:
+                    best[i] = candidate
+                    states[i] = HWState(
+                        level=float(level[row, j]),
+                        trend=float(trend[row, j]),
+                        seasonal=final_ring[:, row, j],
+                        phase=n % season_length,
+                        steps_seen=n,
+                    )
+
+    return tuple(
+        FitResult(
+            params=SmoothingParams(alpha, beta, gamma, season_length=season_length),
+            in_sample_rmse=value,
+            evaluations=count,
+            state=state,
+        )
+        for (value, alpha, beta, gamma), count, state in zip(best, evaluations, states)
+    )
 
 
 def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
@@ -179,54 +382,7 @@ def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
     Deterministic: identical inputs give identical results, including
     the evaluation count. Refinement rounds never worsen the incumbent
     (its point stays in every refined grid, or it simply keeps the
-    title). Non-uniform axes refine by their average spacing.
+    title). Non-uniform axes refine by their average spacing. Raises
+    :class:`NonFiniteError` on a NaN or infinite value.
     """
-    values = _train_values(train)
-    _require_scorable(values.size, season_length)
-
-    axes = [
-        np.asarray(spec.alpha_grid, dtype=np.float64),
-        np.asarray(spec.beta_grid, dtype=np.float64),
-        np.asarray(spec.gamma_grid, dtype=np.float64),
-    ]
-    cardinalities = [axis.size for axis in axes]
-    spacings = [_axis_spacing(axis) for axis in axes]
-
-    evaluations = 0
-    best: tuple[float, float, float, float] | None = None
-
-    def sweep(axis_a, axis_b, axis_g):
-        nonlocal evaluations, best
-        mesh = np.meshgrid(axis_a, axis_b, axis_g, indexing="ij")
-        a, b, g = (m.ravel() for m in mesh)
-        scores = _one_step_errors_batch(values, season_length, a, b, g)
-        evaluations += scores.size
-        candidate = _best_of_batch(scores, a, b, g)
-        if (
-            best is None
-            or candidate[0] < best[0]
-            or (candidate[0] == best[0] and candidate[1:] < best[1:])
-        ):
-            best = candidate
-
-    sweep(*axes)
-    for _ in range(spec.refine_rounds):
-        refined = []
-        next_spacings = []
-        for axis_index in range(3):
-            center = best[1 + axis_index]
-            n_points = cardinalities[axis_index]
-            half = spacings[axis_index] * spec.refine_shrink
-            if n_points == 1 or half == 0.0:
-                refined.append(np.array([center]))
-                next_spacings.append(0.0)
-                continue
-            points = np.linspace(center - half, center + half, n_points)
-            refined.append(np.unique(np.clip(points, 0.0, 1.0)))
-            next_spacings.append(2.0 * half / (n_points - 1))
-        sweep(*refined)
-        spacings = next_spacings
-
-    value, alpha, beta, gamma = best
-    params = SmoothingParams(alpha, beta, gamma, season_length=season_length)
-    return FitResult(params=params, in_sample_rmse=value, evaluations=evaluations)
+    return grid_search_windows([train], spec, season_length)[0]

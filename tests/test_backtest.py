@@ -1,20 +1,25 @@
 import datetime as dt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tempcast import (
     BacktestConfig,
+    CleanConfig,
     GridSpec,
     TimeSeries,
+    clean,
     collect_report,
     run_backtest,
+    parse_cdo_csv,
     run_experiment,
     select_origins,
 )
 from tempcast.errors import InsufficientDataError
 
 JAN1 = dt.date(2015, 1, 1)
+STATION_CSV = Path(__file__).parent / "data" / "synthetic_station_daily.csv"
 
 
 def small_config(**overrides):
@@ -132,6 +137,13 @@ class TestRunExperiment:
         assert result.fit is not None
         assert result.fit.evaluations >= 12
 
+    def test_precomputed_fit_gives_the_same_result(self):
+        series = noisy_series(40, seed=2)
+        config = small_config()
+        tuned_here = run_experiment(series, 25, config)
+        given = run_experiment(series, 25, config, tuned_here.fit)
+        assert given == tuned_here
+
 
 class TestRunBacktest:
     def test_single_experiment_cells_are_absolute_errors(self):
@@ -189,6 +201,30 @@ class TestRunBacktest:
             for lead in config.leads:
                 np.testing.assert_array_equal(
                     reassembled.errors[model][lead], report.errors[model][lead]
+                )
+
+    def test_batched_tuning_matches_per_origin_experiments(self, rng):
+        text = STATION_CSV.read_text(encoding="utf-8")
+        series = clean(parse_cdo_csv(text, unit="celsius"), CleanConfig())
+        config = BacktestConfig(
+            train_length=800,
+            n_experiments=6,
+            seed=2,
+            grid=GridSpec((0.0, 0.5, 1.0), (0.0, 0.5), (0.0, 0.5), refine_rounds=2),
+        )
+        report = run_backtest(series, config)
+        shuffled = list(report.origins)
+        rng.shuffle(shuffled)
+        expected = collect_report(
+            config, [run_experiment(series, o, config) for o in shuffled]
+        )
+        assert report.origins == expected.origins
+        assert report.rmse == expected.rmse
+        assert report.fits == expected.fits
+        for model in config.models:
+            for lead in config.leads:
+                assert np.array_equal(
+                    report.errors[model][lead], expected.errors[model][lead]
                 )
 
     def test_persistence_errors_by_direct_indexing(self):

@@ -224,6 +224,19 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [["forecast", "--auto", "--horizon", "1", "--output", "f.csv"],
+         ["backtest", "--out-dir", "out"]],
+    )
+    def test_non_finite_series_value_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("date,kelvin\n2015-01-01,280.0\n2015-01-02,nan\n")
+        argv = [str(tmp_path / a) if a in ("f.csv", "out") else a for a in command]
+        code = main(argv[:1] + ["--series", str(bad)] + argv[1:])
+        assert code == 2
+        assert "nan" in capsys.readouterr().err
+
     def test_malformed_series_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,kelvin\n2015-01-01,cold\n")

@@ -9,13 +9,15 @@ from tempcast import (
     GridSpec,
     SmoothingParams,
     grid_search,
+    grid_search_windows,
     hw_fit,
     hw_forecast,
     hw_update,
     init_state,
     one_step_rmse,
 )
-from tempcast.errors import TooShortError
+from tempcast.errors import LengthMismatchError, NonFiniteError, TooShortError
+from tempcast.tuning import _pack
 
 
 def fold_scored_rmse(values, params):
@@ -179,3 +181,107 @@ class TestGridSearch:
         )
         refined = grid_search(values, coarse, season_length=10)
         assert refined.in_sample_rmse <= base.in_sample_rmse
+
+
+def assert_state_is_hw_fit(state, values, params):
+    expected = hw_fit(values, params)
+    assert state.level == expected.level
+    assert state.trend == expected.trend
+    assert state.seasonal.tobytes() == expected.seasonal.tobytes()
+    assert state.phase == expected.phase
+    assert state.steps_seen == expected.steps_seen
+
+
+class TestFittedState:
+    def test_grid_search_state_is_the_winners_hw_fit(self, rng):
+        values = 280.0 + 6 * np.sin(np.arange(60) * 2 * np.pi / 7) + rng.normal(0, 1, 60)
+        spec = GridSpec((0.0, 0.4, 0.8), (0.0, 0.5), (0.2, 0.9), refine_rounds=2)
+        fit = grid_search(values, spec, season_length=7)
+        assert_state_is_hw_fit(fit.state, values, fit.params)
+        assert hw_forecast(fit.state, 3, fit.params) == hw_forecast(
+            hw_fit(values, fit.params), 3, fit.params
+        )
+
+
+boundary_axis = st.lists(
+    st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), max_size=3, unique=True
+).map(lambda inner: tuple(sorted({0.0, 1.0, *inner})))
+
+
+class TestGridSearchWindows:
+    @given(
+        season_length=st.sampled_from([2, 3, 5]),
+        n_windows=st.integers(min_value=2, max_value=5),
+        extra=st.integers(min_value=1, max_value=12),
+        axes=st.tuples(boundary_axis, boundary_axis, boundary_axis),
+        refine_rounds=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_packing_does_not_change_results(
+        self, season_length, n_windows, extra, axes, refine_rounds, seed
+    ):
+        gen = np.random.default_rng(seed)
+        n = 2 * season_length + extra
+        cycle = 5 * np.sin(np.arange(n) * 2 * np.pi / season_length)
+        windows = 280.0 + cycle + gen.normal(0, gen.uniform(0, 4), (n_windows, n))
+        spec = GridSpec(*axes, refine_rounds=refine_rounds)
+        many = grid_search_windows(windows, spec, season_length)
+        assert len(many) == n_windows
+        for window, fit in zip(windows, many):
+            alone = grid_search(window, spec, season_length)
+            assert fit.params == alone.params
+            assert fit.in_sample_rmse == alone.in_sample_rmse
+            assert fit.evaluations == alone.evaluations
+            assert_state_is_hw_fit(fit.state, window, fit.params)
+
+    def test_pack_respects_budget_and_order(self):
+        widths = [396, 396, 1331, 396, 6, 36, 396, 396, 396, 396]
+        chunks = _pack(widths, 1331)
+        assert [i for chunk in chunks for i in chunk] == list(range(len(widths)))
+        for chunk in chunks:
+            assert len(chunk) * max(widths[i] for i in chunk) <= 1331
+        assert chunks == [[0, 1], [2], [3, 4, 5], [6, 7, 8], [9]]
+
+    def test_accepts_time_series_windows(self, make_series, rng):
+        values = 280.0 + rng.normal(0, 2, (2, 20))
+        spec = GridSpec((0.0, 0.5, 1.0), (0.0, 0.5), (0.5,), refine_rounds=1)
+        from_series = grid_search_windows([make_series(v) for v in values], spec, 4)
+        assert from_series == grid_search_windows(values, spec, 4)
+
+    def test_no_windows_gives_no_results(self):
+        assert grid_search_windows([], GridSpec.coarse(), season_length=4) == ()
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(LengthMismatchError):
+            grid_search_windows(
+                [np.full(20, 280.0), np.full(21, 280.0)], GridSpec.coarse(), 4
+            )
+
+    def test_too_short_propagates(self):
+        with pytest.raises(TooShortError):
+            grid_search_windows([np.full(8, 280.0)] * 2, GridSpec.coarse(), 4)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_grid_search_rejects(self, bad):
+        values = np.full(20, 280.0)
+        values[11] = bad
+        with pytest.raises(NonFiniteError, match="value 11"):
+            grid_search(values, GridSpec.coarse(), season_length=4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_grid_search_windows_rejects(self, bad):
+        windows = np.full((3, 20), 280.0)
+        windows[2, 5] = bad
+        with pytest.raises(NonFiniteError, match="window 2 value 5"):
+            grid_search_windows(windows, GridSpec.coarse(), season_length=4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_step_rmse_rejects(self, bad):
+        values = np.full(20, 280.0)
+        values[0] = bad
+        params = SmoothingParams(0.3, 0.2, 0.7, season_length=4)
+        with pytest.raises(NonFiniteError):
+            one_step_rmse(values, params)
