@@ -13,9 +13,9 @@ from tempcast import (
     CleanConfig,
     GridSpec,
     clean_report,
+    calendar_dates,
     grid_search,
     hw_forecast,
-    next_calendar_day,
     parse_cdo_csv,
 )
 
@@ -37,8 +37,7 @@ print(
 )
 
 print("\nnext week:")
-day = series.end_date
-for m in range(1, 8):
-    day = next_calendar_day(day)
+days = calendar_dates(series.start_date, len(series), len(series) + 7)
+for m, day in enumerate(days, start=1):
     kelvin = hw_forecast(fit.state, m, fit.params)
     print(f"  {day}  {kelvin:6.2f} K  ({kelvin - 273.15:+5.1f} C)")

@@ -24,7 +24,6 @@ from .ingest import (
     UNITS,
     CleanConfig,
     CleanStats,
-    RawRecord,
     RawRecordSet,
     clean,
     clean_report,
@@ -44,6 +43,7 @@ from .models import (
 from .series import (
     ForecastSet,
     TimeSeries,
+    calendar_dates,
     drop_leap_days,
     is_leap_day,
     next_calendar_day,
@@ -73,7 +73,6 @@ __all__ = [
     "UNITS",
     "CleanConfig",
     "CleanStats",
-    "RawRecord",
     "RawRecordSet",
     "clean",
     "clean_report",
@@ -89,6 +88,7 @@ __all__ = [
     "persistence_forecast",
     "ForecastSet",
     "TimeSeries",
+    "calendar_dates",
     "drop_leap_days",
     "is_leap_day",
     "next_calendar_day",

@@ -28,8 +28,8 @@ from .models import SmoothingParams, hw_fit, hw_forecast
 from .series import (
     ForecastSet,
     TimeSeries,
+    calendar_dates,
     drop_leap_days,
-    next_calendar_day,
     validate_series,
 )
 from .tuning import GridSpec, grid_search
@@ -81,17 +81,28 @@ def _date_flag(raw: str, flag: str) -> dt.date:
         raise _UsageError(f"{flag} expects YYYY-MM-DD, got {raw!r}") from None
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 input file's text, without the byte-order mark some editors add."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # Offsets are into exc.object, which omits a leading mark.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise MalformedRowError(
+            line, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        ) from None
+
+
 def _series_to_csv(series: TimeSeries) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date", "kelvin"])
-    for day, value in zip(series.dates(), series.values):
-        writer.writerow([day.isoformat(), repr(float(value))])
-    return out.getvalue()
+    # Neither an ISO date nor a float repr ever needs CSV quoting.
+    rows = zip(series.dates(), series.values.tolist())
+    return "date,kelvin\n" + "".join(
+        f"{day.isoformat()},{value!r}\n" for day, value in rows
+    )
 
 
 def _read_series_csv(path: Path) -> TimeSeries:
-    reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
+    reader = csv.reader(io.StringIO(_read_text(path)))
     try:
         header = next(reader)
     except StopIteration:
@@ -161,7 +172,7 @@ def build_parser() -> _Parser:
 
 def _cmd_ingest(args) -> int:
     input_path = Path(args.input)
-    text = input_path.read_text(encoding="utf-8")
+    text = _read_text(input_path)
     try:
         records = parse_cdo_csv(
             text, unit=args.unit, tmax_tmin_fallback=args.tmax_tmin_fallback
@@ -326,17 +337,19 @@ def _cmd_backtest(args) -> int:
 def _forecast_rows(
     series: TimeSeries, forecasts: ForecastSet, params: SmoothingParams
 ) -> str:
-    context = min(len(series), params.season_length)
+    first = len(series) - min(len(series), params.season_length)
+    days = calendar_dates(
+        series.start_date, first, len(series) + len(forecasts.predictions)
+    )
+    cells = [(repr(value), "") for value in series.values[first:].tolist()]
+    cells += [("", repr(value)) for value in forecasts.predictions.tolist()]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["date", "actual", "forecast"])
-    day = series.date_at(len(series) - context)
-    for value in series.values[len(series) - context :]:
-        writer.writerow([day.isoformat(), repr(float(value)), ""])
-        day = next_calendar_day(day)
-    for prediction in forecasts.predictions:
-        writer.writerow([day.isoformat(), "", repr(float(prediction))])
-        day = next_calendar_day(day)
+    writer.writerows(
+        (day.isoformat(), actual, forecast)
+        for day, (actual, forecast) in zip(days, cells)
+    )
     return out.getvalue()
 
 

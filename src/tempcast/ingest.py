@@ -2,8 +2,10 @@
 
 Handles the export format as downloaded: a header row naming columns in
 any order (STATION, DATE and TAVG are used, anything else ignored),
-RFC-4180 quoting, empty cells for missing values. The cleaning pass
-filters, converts the declared unit to Kelvin, linearly fills short
+RFC-4180 quoting, empty cells for missing values. Parsing checks each
+row and stores the rows as columns (:class:`RawRecordSet`). The cleaning
+pass works on whole arrays: it filters, sorts and rejects duplicate
+dates, converts the declared unit to Kelvin, linearly fills short
 interior gaps, drops February 29, and returns a validated series.
 
 Units are declared by the caller rather than sniffed: Celsius and
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +34,7 @@ from .errors import (
     MultipleStationsError,
     NonFiniteError,
 )
-from .series import TimeSeries, drop_leap_days, is_leap_day, validate_series
+from .series import TimeSeries, series_from_ordinals, validate_series
 
 UNIT_CELSIUS = "celsius"
 UNIT_FAHRENHEIT = "fahrenheit"
@@ -40,37 +43,41 @@ UNITS = (UNIT_CELSIUS, UNIT_FAHRENHEIT, UNIT_TENTHS_CELSIUS)
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One parsed export row; ``tavg`` is None when the cell was empty."""
-
-    station: str
-    date: dt.date
-    tavg: float | None
-
-
-@dataclass(frozen=True)
 class RawRecordSet:
-    """Parsed rows plus the unit they were exported in."""
+    """Parsed rows as three equal-length columns, plus their unit.
 
-    records: tuple[RawRecord, ...]
+    Row ``i`` is ``stations[i]``, ``dates[i]`` and ``tavg[i]``, the last
+    being None when the cell was empty.
+    """
+
+    stations: tuple[str, ...]
+    dates: tuple[dt.date, ...]
+    tavg: tuple[float | None, ...]
     unit: str
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        for name in ("stations", "dates", "tavg"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not len(self.stations) == len(self.dates) == len(self.tavg):
+            raise ValueError(
+                f"column lengths differ: {len(self.stations)} stations, "
+                f"{len(self.dates)} dates, {len(self.tavg)} values"
+            )
         if self.unit not in UNITS:
             raise ValueError(f"unknown unit {self.unit!r}; expected one of {UNITS}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.dates)
 
     def to_csv(self) -> str:
         """Serialize back to the three-column export format."""
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["STATION", "DATE", "TAVG"])
-        for record in self.records:
-            value = "" if record.tavg is None else repr(record.tavg)
-            writer.writerow([record.station, record.date.isoformat(), value])
+        writer.writerows(
+            (station, date.isoformat(), "" if value is None else repr(value))
+            for station, date, value in zip(self.stations, self.dates, self.tavg)
+        )
         return out.getvalue()
 
 
@@ -150,7 +157,9 @@ def parse_cdo_csv(
     i_tmax = column("TMAX", required=True) if tmax_tmin_fallback else None
     i_tmin = column("TMIN", required=True) if tmax_tmin_fallback else None
 
-    records: list[RawRecord] = []
+    stations: list[str] = []
+    dates: list[dt.date] = []
+    tavg: list[float | None] = []
     for line, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -162,16 +171,25 @@ def parse_cdo_csv(
             date = dt.date.fromisoformat(row[i_date].strip())
         except ValueError:
             raise MalformedDateError(line) from None
-        tavg = None if i_tavg is None else _parse_temperature(row[i_tavg], line)
-        if tavg is None and tmax_tmin_fallback:
+        value = None if i_tavg is None else _parse_temperature(row[i_tavg], line)
+        if value is None and tmax_tmin_fallback:
             tmax = _parse_temperature(row[i_tmax], line)
             tmin = _parse_temperature(row[i_tmin], line)
             if tmax is not None and tmin is not None:
-                tavg = (tmax + tmin) / 2.0
-        records.append(
-            RawRecord(station=row[i_station].strip(), date=date, tavg=tavg)
-        )
-    return RawRecordSet(records=tuple(records), unit=unit)
+                value = (tmax + tmin) / 2.0
+        stations.append(row[i_station].strip())
+        dates.append(date)
+        tavg.append(value)
+    return RawRecordSet(stations, dates, tavg, unit)
+
+
+def _kelvin(value, unit: str):
+    """Unit conversion on a float or an array, in one expression order."""
+    if unit == UNIT_CELSIUS:
+        return value + 273.15
+    if unit == UNIT_FAHRENHEIT:
+        return (value - 32.0) * 5.0 / 9.0 + 273.15
+    return value / 10.0 + 273.15
 
 
 def to_kelvin(value: float, unit: str) -> float:
@@ -180,11 +198,7 @@ def to_kelvin(value: float, unit: str) -> float:
         raise ValueError(f"unknown unit {unit!r}; expected one of {UNITS}")
     if not math.isfinite(value):
         raise NonFiniteError(f"temperature is not finite: {value!r}")
-    if unit == UNIT_CELSIUS:
-        return value + 273.15
-    if unit == UNIT_FAHRENHEIT:
-        return (value - 32.0) * 5.0 / 9.0 + 273.15
-    return value / 10.0 + 273.15
+    return _kelvin(value, unit)
 
 
 def clean(records: RawRecordSet, config: CleanConfig | None = None) -> TimeSeries:
@@ -198,61 +212,75 @@ def clean_report(
 ) -> tuple[TimeSeries, CleanStats]:
     """Like :func:`clean`, also returning the pass's bookkeeping."""
     config = config or CleanConfig()
-    rows = [
-        r
-        for r in records.records
-        if (config.station_filter is None or r.station == config.station_filter)
-        and (config.start is None or r.date >= config.start)
-        and (config.end is None or r.date <= config.end)
-    ]
-    if not rows:
+    ordinals = np.fromiter(
+        map(dt.date.toordinal, records.dates), dtype=np.int64, count=len(records)
+    )
+    keep = np.ones(len(records), dtype=bool)
+    if config.station_filter is not None:
+        keep &= np.array(records.stations, dtype=object) == config.station_filter
+    if config.start is not None:
+        keep &= ordinals >= config.start.toordinal()
+    if config.end is not None:
+        keep &= ordinals <= config.end.toordinal()
+    rows = np.flatnonzero(keep)
+    if not rows.size:
         raise EmptyAfterFilterError("no rows left after station/date filtering")
-    stations = sorted({r.station for r in rows})
+    stations = sorted(set(itertools.compress(records.stations, keep)))
     if len(stations) > 1:
         raise MultipleStationsError(stations)
 
-    rows.sort(key=lambda r: r.date)
-    for previous, current in zip(rows, rows[1:]):
-        if current.date == previous.date:
-            raise DuplicateDateError(current.date)
+    rows = rows[np.argsort(ordinals[rows], kind="stable")]
+    ordinals = ordinals[rows]
+    duplicate = np.flatnonzero(ordinals[1:] == ordinals[:-1])
+    if duplicate.size:
+        raise DuplicateDateError(records.dates[rows[duplicate[0] + 1]])
 
-    observed = {r.date: r.tavg for r in rows if r.tavg is not None}
-    if not observed:
+    # An empty cell is missing; a NaN cell is present, so it is rejected
+    # here instead of becoming a gap.
+    tavg = [records.tavg[i] for i in rows.tolist()]
+    present = np.array([value is not None for value in tavg])
+    if not present.any():
         raise EmptyAfterFilterError("no usable temperature values after filtering")
+    values = np.array([value for value in tavg if value is not None], dtype=np.float64)
+    non_finite = np.flatnonzero(~np.isfinite(values))
+    if non_finite.size:
+        value = float(values[non_finite[0]])
+        raise NonFiniteError(f"temperature is not finite: {value!r}")
 
     # Leading/trailing missing days are trimmed here by spanning only the
     # observed range; anything missing inside it is an interior gap.
-    first = min(observed)
-    last = max(observed)
-    day_count = (last - first).days + 1
-    dates = [first + dt.timedelta(days=i) for i in range(day_count)]
-    kelvin = np.full(day_count, np.nan)
-    for date, value in observed.items():
-        kelvin[(date - first).days] = to_kelvin(value, records.unit)
+    first = int(ordinals[present][0])
+    offsets = ordinals[present] - first
+    day_count = int(offsets[-1]) + 1
+    have = np.zeros(day_count, dtype=bool)
+    have[offsets] = True
 
-    have = np.isfinite(kelvin)
-    missing = int(day_count - have.sum())
-    index = 0
-    while index < day_count:
-        if have[index]:
-            index += 1
-            continue
-        run_start = index
-        while not have[index]:
-            index += 1
-        run_length = index - run_start
-        if run_length > config.max_gap:
-            raise GapTooLargeError(dates[run_start], run_length)
-    positions = np.arange(day_count, dtype=np.float64)
-    filled = np.interp(positions, positions[have], kelvin[have])
+    # Both span ends are observed, so missing runs are interior and the
+    # mask's falling and rising edges pair up in order.
+    edges = np.diff(have.view(np.int8))
+    run_starts = np.flatnonzero(edges == -1) + 1
+    run_lengths = np.flatnonzero(edges == 1) + 1 - run_starts
+    too_long = np.flatnonzero(run_lengths > config.max_gap)
+    if too_long.size:
+        run = too_long[0]
+        start = dt.date.fromordinal(first + int(run_starts[run]))
+        raise GapTooLargeError(start, int(run_lengths[run]))
+    # A huge Fahrenheit value overflows to inf here; it stays present, so
+    # validation rejects it instead of interpolating over it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        filled = np.interp(
+            np.arange(day_count, dtype=np.float64),
+            offsets.astype(np.float64),
+            _kelvin(values, records.unit),
+        )
 
-    leap_days = sum(1 for d in dates if is_leap_day(d))
-    series = drop_leap_days(dates, filled, station_id=stations[0])
+    span = first + np.arange(day_count, dtype=np.int64)
+    series = series_from_ordinals(span, filled, station_id=stations[0])
     stats = CleanStats(
-        raw_rows=len(records.records),
-        kept_rows=len(rows),
-        observed_days=len(observed),
-        interpolated_days=missing,
-        leap_days_dropped=leap_days,
+        raw_rows=len(records),
+        kept_rows=int(rows.size),
+        observed_days=int(offsets.size),
+        interpolated_days=day_count - int(offsets.size),
+        leap_days_dropped=day_count - len(series),
     )
     return validate_series(series), stats

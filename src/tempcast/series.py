@@ -5,6 +5,14 @@ the ingest layer's job. A series stores its first calendar date plus one
 value per day in a fixed 365-day year: February 29 never appears, so
 index arithmetic is gap-free by construction and a whole number of years
 is always a whole number of seasons.
+
+Calendar arithmetic is closed-form, with no per-day loop: a date's
+365-day ordinal is its year times 365 plus its day of the year counted
+without February 29, so :func:`calendar_dates` turns any range of
+offsets into dates with array arithmetic, and :func:`drop_leap_days`
+checks and filters dated input on an array of day ordinals.
+:func:`next_calendar_day` and :func:`is_leap_day` stay as the per-step
+reference that tests fold against.
 """
 
 from __future__ import annotations
@@ -29,9 +37,55 @@ KELVIN_MAX = 350.0
 
 _ONE_DAY = dt.timedelta(days=1)
 
+# Days before the first of each month in a year without February 29.
+_MONTH_STARTS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
+# Zero-based day of the year of February 29 in a leap year.
+_FEB_29 = 31 + 28
+# Proleptic Gregorian ordinal (``date.toordinal()``) of datetime64 day 0.
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
 
 def is_leap_day(day: dt.date) -> bool:
     return day.month == 2 and day.day == 29
+
+
+def _is_leap_year(year):
+    """Gregorian leap-year rule, elementwise over an integer array."""
+    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+
+
+def leap_day_mask(ordinals: np.ndarray) -> np.ndarray:
+    """Which day ordinals (``date.toordinal()``) fall on February 29."""
+    days = (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+    year_start = days.astype("datetime64[Y]")
+    day_of_year = days - year_start.astype("datetime64[D]")
+    year = year_start.astype(np.int64) + 1970
+    return (day_of_year.astype(np.int64) == _FEB_29) & _is_leap_year(year)
+
+
+def calendar_dates(start: dt.date, first: int, stop: int) -> list[dt.date]:
+    """Dates at 365-day-calendar offsets ``first .. stop - 1`` from ``start``.
+
+    Offset 0 is ``start`` itself; February 29 is skipped, exactly as
+    folding :func:`next_calendar_day` would. Offsets may run past the
+    end of any series (forecast targets). Raises ``OverflowError``, as
+    date arithmetic does, when a date would fall outside years 1-9999.
+    """
+    if is_leap_day(start):
+        raise ValidationError(
+            0, "non-consecutive", "the 365-day calendar has no February 29"
+        )
+    if stop <= first:
+        return []
+    start_365 = start.year * 365 + _MONTH_STARTS[start.month - 1] + start.day - 1
+    year, day_of_year = np.divmod(
+        np.arange(start_365 + first, start_365 + stop, dtype=np.int64), 365
+    )
+    if year[0] < dt.MINYEAR or year[-1] > dt.MAXYEAR:
+        raise OverflowError("date value out of range")
+    day_of_year += _is_leap_year(year) & (day_of_year >= _FEB_29)
+    days = (year - 1970).astype("datetime64[Y]").astype("datetime64[D]") + day_of_year
+    return days.tolist()
 
 
 def next_calendar_day(day: dt.date) -> dt.date:
@@ -75,10 +129,7 @@ class TimeSeries:
             raise OutOfRangeError(
                 f"index {index} outside series of length {len(self)}"
             )
-        day = self.start_date
-        for _ in range(index):
-            day = next_calendar_day(day)
-        return day
+        return calendar_dates(self.start_date, index, index + 1)[0]
 
     @property
     def end_date(self) -> dt.date:
@@ -88,20 +139,16 @@ class TimeSeries:
 
     def dates(self) -> list[dt.date]:
         """Implied calendar dates, one per value, skipping February 29."""
-        out: list[dt.date] = []
-        day = self.start_date
-        for _ in range(len(self)):
-            out.append(day)
-            day = next_calendar_day(day)
-        return out
+        return calendar_dates(self.start_date, 0, len(self))
 
 
 @dataclass(frozen=True)
 class ForecastSet:
     """Predictions issued from one origin, one value per requested lead.
 
-    ``origin_index`` is the position of the last observation used; lead
-    ``m`` targets the ``m``-th day after it.
+    ``origin_index`` is the number of observations used, so the last one
+    sits at index ``origin_index - 1`` and lead ``m`` targets index
+    ``origin_index + m - 1``.
     """
 
     origin_index: int
@@ -167,21 +214,31 @@ def drop_leap_days(
     if not dates:
         raise EmptyInputError("no dated observations")
 
-    kept_dates: list[dt.date] = []
-    kept_values: list[float] = []
-    for i, day in enumerate(dates):
-        if i:
-            prev = dates[i - 1]
-            step = (day - prev).days
-            skips_leap_day = step == 2 and is_leap_day(prev + _ONE_DAY)
-            if step != 1 and not skips_leap_day:
-                raise ValidationError(i, "non-consecutive")
-        if not is_leap_day(day):
-            kept_dates.append(day)
-            kept_values.append(float(arr[i]))
-    if not kept_dates:
+    ordinals = np.fromiter(
+        (day.toordinal() for day in dates), dtype=np.int64, count=len(dates)
+    )
+    step = np.diff(ordinals)
+    skips_leap_day = (step == 2) & leap_day_mask(ordinals[:-1] + 1)
+    bad = np.flatnonzero((step != 1) & ~skips_leap_day)
+    if bad.size:
+        raise ValidationError(int(bad[0]) + 1, "non-consecutive")
+    return series_from_ordinals(ordinals, arr, station_id)
+
+
+def series_from_ordinals(
+    ordinals: np.ndarray, values: np.ndarray, station_id: str = ""
+) -> TimeSeries:
+    """Build a TimeSeries from day ordinals and values, removing February 29.
+
+    ``ordinals`` are ``date.toordinal()`` values that the caller has
+    already checked to advance one day at a time, apart from steps over
+    February 29; :func:`drop_leap_days` is the checking entry point.
+    """
+    keep = ~leap_day_mask(ordinals)
+    if not keep.any():
         raise EmptyInputError("every observation fell on February 29")
-    return TimeSeries(kept_dates[0], np.array(kept_values), station_id)
+    start = dt.date.fromordinal(int(ordinals[np.argmax(keep)]))
+    return TimeSeries(start, values[keep], station_id)
 
 
 def rmse(predicted, actual) -> float:

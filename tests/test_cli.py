@@ -78,6 +78,35 @@ class TestIngestCommand:
         assert code == 2
         assert "2015-03-05" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mark, newline",
+        [(b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n"), (b"\xef\xbb\xbf", b"\r")],
+    )
+    def test_byte_order_mark_and_line_endings_are_ignored(
+        self, tmp_path, capsys, mark, newline
+    ):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        export = tmp_path / "export.csv"
+        export.write_bytes(mark + GOLDEN_CSV.read_bytes().replace(b"\n", newline))
+        assert main(["ingest", "--input", str(GOLDEN_CSV), "--unit", "celsius",
+                     "--output", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["ingest", "--input", str(export), "--unit", "celsius",
+                     "--output", str(marked)]) == 0
+        assert capsys.readouterr().out == expected.replace(str(plain), str(marked))
+        assert marked.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+    def test_non_utf8_byte_is_data_error(self, tmp_path, capsys, mark):
+        lines = GOLDEN_CSV.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"USW", b"US\xff")
+        export = tmp_path / "export.csv"
+        export.write_bytes(mark + b"".join(lines))
+        code = main(["ingest", "--input", str(export), "--unit", "celsius",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "line 3: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
+
     def test_station_and_range_flags(self, tmp_path):
         out = tmp_path / "cut.csv"
         code = main(["ingest", "--input", str(GOLDEN_CSV), "--unit", "celsius",
@@ -236,6 +265,22 @@ class TestTopLevel:
         code = main(argv[:1] + ["--series", str(bad)] + argv[1:])
         assert code == 2
         assert "nan" in capsys.readouterr().err
+
+    def test_series_file_encoding(self, clean_series_file, tmp_path, capsys):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + clean_series_file.read_bytes())
+        plain_out, marked_out = tmp_path / "plain.out.csv", tmp_path / "marked.out.csv"
+        for series, out in ((clean_series_file, plain_out), (marked, marked_out)):
+            assert main(["forecast", "--series", str(series), "--horizon", "2",
+                         "--alpha", "0.3", "--beta", "0.0", "--gamma", "0.1",
+                         "--output", str(out)]) == 0
+        assert marked_out.read_bytes() == plain_out.read_bytes()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"date,kelvin\n2015-01-01,280.0\xe9\n")
+        code = main(["forecast", "--series", str(bad), "--horizon", "1",
+                     "--output", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert "line 2: not UTF-8 text (byte 0xe9)" in capsys.readouterr().err
 
     def test_malformed_series_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempcast import (
+    UNITS,
     CleanConfig,
-    RawRecord,
     RawRecordSet,
     clean,
     clean_report,
@@ -17,6 +17,7 @@ from tempcast import (
 from tempcast.errors import (
     DuplicateDateError,
     EmptyAfterFilterError,
+    EmptyInputError,
     GapTooLargeError,
     MalformedDateError,
     MalformedRowError,
@@ -31,9 +32,9 @@ HEADER = "STATION,DATE,TAVG\n"
 
 def record_set(*rows, unit="celsius"):
     return RawRecordSet(
-        records=tuple(
-            RawRecord("USW00099999", dt.date.fromisoformat(d), v) for d, v in rows
-        ),
+        stations=("USW00099999",) * len(rows),
+        dates=tuple(dt.date.fromisoformat(d) for d, _ in rows),
+        tavg=tuple(v for _, v in rows),
         unit=unit,
     )
 
@@ -42,14 +43,13 @@ class TestParse:
     def test_basic_row(self):
         rs = parse_cdo_csv(HEADER + "USW00094849,2015-01-01,-8.2\n", unit="celsius")
         assert len(rs) == 1
-        rec = rs.records[0]
-        assert rec.station == "USW00094849"
-        assert rec.date == dt.date(2015, 1, 1)
-        assert rec.tavg == -8.2
+        assert rs.stations[0] == "USW00094849"
+        assert rs.dates[0] == dt.date(2015, 1, 1)
+        assert rs.tavg[0] == -8.2
 
     def test_empty_tavg_becomes_missing(self):
         rs = parse_cdo_csv(HEADER + "USW00094849,2015-01-02,\n", unit="celsius")
-        assert rs.records[0].tavg is None
+        assert rs.tavg[0] is None
 
     def test_missing_tavg_column(self):
         with pytest.raises(MissingColumnError) as excinfo:
@@ -64,13 +64,13 @@ class TestParse:
     def test_header_case_and_order_free_with_extras(self):
         text = 'tavg,name,date,station\n-3.5,"SOMEWHERE, XX US",2015-02-01,ABC\n'
         rs = parse_cdo_csv(text, unit="celsius")
-        assert rs.records[0].station == "ABC"
-        assert rs.records[0].tavg == -3.5
+        assert rs.stations[0] == "ABC"
+        assert rs.tavg[0] == -3.5
 
     def test_quoted_comma_field_handled(self):
         text = 'STATION,NAME,DATE,TAVG\nABC,"TOWN, XX US",2015-02-01,4.0\n'
         rs = parse_cdo_csv(text, unit="celsius")
-        assert rs.records[0].tavg == 4.0
+        assert rs.tavg[0] == 4.0
 
     def test_malformed_date_names_line(self):
         text = HEADER + "A,2015-01-01,1.0\nA,01/02/2015,1.5\n"
@@ -97,7 +97,7 @@ class TestParse:
     def test_fallback_uses_tmax_tmin_midpoint(self):
         text = "STATION,DATE,TMAX,TMIN\nA,2015-01-01,10.0,2.0\n"
         rs = parse_cdo_csv(text, unit="celsius", tmax_tmin_fallback=True)
-        assert rs.records[0].tavg == 6.0
+        assert rs.tavg[0] == 6.0
 
     def test_fallback_requires_minmax_columns(self):
         with pytest.raises(MissingColumnError) as excinfo:
@@ -108,18 +108,54 @@ class TestParse:
     def test_fallback_prefers_explicit_tavg(self):
         text = "STATION,DATE,TAVG,TMAX,TMIN\nA,2015-01-01,5.0,10.0,2.0\n"
         rs = parse_cdo_csv(text, unit="celsius", tmax_tmin_fallback=True)
-        assert rs.records[0].tavg == 5.0
+        assert rs.tavg[0] == 5.0
 
     def test_fallback_partial_minmax_stays_missing(self):
         text = "STATION,DATE,TAVG,TMAX,TMIN\nA,2015-01-01,,10.0,\n"
         rs = parse_cdo_csv(text, unit="celsius", tmax_tmin_fallback=True)
-        assert rs.records[0].tavg is None
+        assert rs.tavg[0] is None
 
     def test_round_trip_through_serializer(self):
         text = HEADER + "A,2015-01-01,-8.2\nA,2015-01-02,\nA,2015-01-03,3.75\n"
         once = parse_cdo_csv(text, unit="fahrenheit")
         again = parse_cdo_csv(once.to_csv(), unit="fahrenheit")
         assert once == again
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(
+                    st.characters(blacklist_categories=("Cc", "Cs")), min_size=1
+                ).map(str.strip).filter(bool)
+                | st.sampled_from(['A,B', '"Q" US', 'X, "Y", Z']),
+                st.dates(),
+                st.none() | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=20,
+        ),
+        unit=st.sampled_from(UNITS),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_property(self, rows, unit):
+        rs = RawRecordSet(
+            stations=[station for station, _, _ in rows],
+            dates=[date for _, date, _ in rows],
+            tavg=[value for _, _, value in rows],
+            unit=unit,
+        )
+        assert parse_cdo_csv(rs.to_csv(), rs.unit) == rs
+
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError):
+            RawRecordSet(("A", "A"), (dt.date(2015, 1, 1),), (1.0,), "celsius")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_is_rejected_not_a_gap(self, cell):
+        text = HEADER + f"A,2015-01-01,1.0\nA,2015-01-02,{cell}\nA,2015-01-03,2.0\n"
+        rs = parse_cdo_csv(text, unit="celsius")
+        with pytest.raises(NonFiniteError) as excinfo:
+            clean(rs)
+        assert str(excinfo.value) == f"temperature is not finite: {float(cell)!r}"
 
 
 class TestToKelvin:
@@ -162,7 +198,8 @@ class TestClean:
         assert series.values[2] == pytest.approx(274.0, abs=1e-12)
 
     def test_gap_over_limit_rejected(self):
-        rs = record_set(("2015-01-01", 1.0), ("2015-01-12", 2.0))  # 10 missing days
+        # 10 missing days, then 17: the first run over the limit is reported
+        rs = record_set(("2015-01-01", 1.0), ("2015-01-12", 2.0), ("2015-01-30", 3.0))
         with pytest.raises(GapTooLargeError) as excinfo:
             clean(rs, CleanConfig(max_gap=7))
         assert excinfo.value.start == dt.date(2015, 1, 2)
@@ -209,11 +246,12 @@ class TestClean:
         assert len(series) == 2
 
     def test_multiple_stations_need_filter(self):
-        records = (
-            RawRecord("A", dt.date(2015, 1, 1), 1.0),
-            RawRecord("B", dt.date(2015, 1, 2), 2.0),
+        rs = RawRecordSet(
+            stations=("A", "B"),
+            dates=(dt.date(2015, 1, 1), dt.date(2015, 1, 2)),
+            tavg=(1.0, 2.0),
+            unit="celsius",
         )
-        rs = RawRecordSet(records=records, unit="celsius")
         with pytest.raises(MultipleStationsError):
             clean(rs)
         series = clean(rs, CleanConfig(station_filter="A"))
@@ -251,8 +289,97 @@ class TestClean:
             clean(rs)
         assert excinfo.value.rule == "range"
 
+    def test_conversion_overflow_is_rejected_not_interpolated(self):
+        rs = record_set(("2015-01-01", 40.0), ("2015-01-02", 1e308),
+                        ("2015-01-03", 41.0), unit="fahrenheit")
+        with pytest.raises(ValidationError) as excinfo:
+            clean(rs)
+        assert excinfo.value.index == 1
+
     def test_fahrenheit_unit_applied(self):
         rs = record_set(("2015-01-01", 32.0), ("2015-01-02", 50.0), unit="fahrenheit")
         series = clean(rs)
         assert series.values[0] == pytest.approx(273.15)
         assert series.values[1] == pytest.approx(283.15)
+
+
+def reference_missing_runs(have):
+    """(start, length) of each run of False in ``have``, by scanning."""
+    runs, index = [], 0
+    while index < len(have):
+        if have[index]:
+            index += 1
+            continue
+        start = index
+        while index < len(have) and not have[index]:
+            index += 1
+        runs.append((start, index - start))
+    return runs
+
+
+class TestCleaningProperty:
+    @given(
+        start=st.dates(dt.date(2014, 1, 1), dt.date(2021, 12, 31)),
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from(["value", "value", "value", "empty", "absent"]),
+                st.floats(min_value=-60.0, max_value=60.0),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        max_gap=st.integers(min_value=0, max_value=6),
+        bad=st.none() | st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gaps_fill_or_raise_like_a_scan(self, start, cells, max_gap, bad, data):
+        days = [start + dt.timedelta(days=i) for i in range(len(cells))]
+        rows = [
+            (day, value if kind == "value" else None)
+            for day, (kind, value) in zip(days, cells)
+            if kind != "absent"
+        ]
+        observed = {day: value for day, value in rows if value is not None}
+        if not observed:
+            return
+        if bad is not None:
+            spoiled = data.draw(st.sampled_from(sorted(observed)))
+            rows = [(d, bad if d == spoiled else v) for d, v in rows]
+        rows = data.draw(st.permutations(rows))
+        rs = RawRecordSet(
+            stations=["S"] * len(rows),
+            dates=[day for day, _ in rows],
+            tavg=[value for _, value in rows],
+            unit="celsius",
+        )
+        if bad is not None:
+            with pytest.raises(NonFiniteError) as excinfo:
+                clean_report(rs, CleanConfig(max_gap=max_gap))
+            assert str(excinfo.value) == f"temperature is not finite: {bad!r}"
+            return
+
+        first, last = min(observed), max(observed)
+        span = [first + dt.timedelta(days=i) for i in range((last - first).days + 1)]
+        runs = reference_missing_runs([day in observed for day in span])
+        too_long = [(s, n) for s, n in runs if n > max_gap]
+        if too_long:
+            with pytest.raises(GapTooLargeError) as excinfo:
+                clean_report(rs, CleanConfig(max_gap=max_gap))
+            assert excinfo.value.start == span[too_long[0][0]]
+            assert excinfo.value.length == too_long[0][1]
+            return
+        kept = [day for day in span if not (day.month == 2 and day.day == 29)]
+        if not kept:
+            with pytest.raises(EmptyInputError):
+                clean_report(rs, CleanConfig(max_gap=max_gap))
+            return
+        series, stats = clean_report(rs, CleanConfig(max_gap=max_gap))
+        assert series.dates() == kept
+        assert stats.kept_rows == len(rows)
+        assert stats.observed_days == len(observed)
+        assert stats.interpolated_days == sum(n for _, n in runs)
+        assert stats.leap_days_dropped == len(span) - len(kept)
+        for index, day in enumerate(kept):
+            if day in observed:
+                assert series.values[index] == observed[day] + 273.15

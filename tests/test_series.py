@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from tempcast import (
     TimeSeries,
     ForecastSet,
+    calendar_dates,
     drop_leap_days,
+    is_leap_day,
+    next_calendar_day,
     rmse,
     split_at_origin,
     validate_series,
@@ -88,7 +91,95 @@ class TestTimeSeries:
             series.date_at(2)
 
 
+def fold_calendar(start, n):
+    """The first ``n`` 365-day-calendar dates from ``start``, one step at a time."""
+    out = [start]
+    while len(out) < n:
+        out.append(next_calendar_day(out[-1]))
+    return out[:n]
+
+
+# Start dates either side of February 29 in century, 400-year and plain
+# leap years (1900 and 2100 have no February 29), plus arbitrary ones.
+near_leap_day = st.builds(
+    lambda year, shift: dt.date(year, 2, 26) + dt.timedelta(days=shift),
+    st.sampled_from([1900, 2000, 2020, 2100]),
+    st.integers(min_value=0, max_value=5),
+).filter(lambda day: not is_leap_day(day))
+calendar_starts = st.one_of(
+    near_leap_day,
+    st.dates(dt.date(1, 1, 1), dt.date(9990, 12, 31)).filter(
+        lambda day: not is_leap_day(day)
+    ),
+)
+
+
+class TestClosedFormCalendar:
+    @given(start=calendar_starts, n=st.integers(min_value=1, max_value=1500),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_folding_next_calendar_day(self, start, n, data):
+        series = TimeSeries(start, np.full(n, 280.0))
+        expected = fold_calendar(start, n)
+        assert series.dates() == expected
+        assert series.end_date == expected[-1]
+        index = data.draw(st.integers(min_value=0, max_value=n - 1))
+        assert series.date_at(index) == expected[index]
+        first = data.draw(st.integers(min_value=0, max_value=n))
+        assert calendar_dates(start, first, n) == expected[first:]
+
+    def test_past_year_9999_overflows_like_date_arithmetic(self):
+        series = TimeSeries(dt.date(9999, 12, 30), np.full(3, 280.0))
+        assert series.date_at(1) == dt.date(9999, 12, 31)
+        with pytest.raises(OverflowError):
+            next_calendar_day(dt.date(9999, 12, 31))
+        with pytest.raises(OverflowError):
+            series.end_date
+
+    def test_no_offsets_from_february_29(self):
+        with pytest.raises(ValidationError):
+            calendar_dates(dt.date(2016, 2, 29), 0, 1)
+
+
+def reference_non_consecutive_index(dates):
+    """Per-date loop over the rule in drop_leap_days' docstring."""
+    for i in range(1, len(dates)):
+        step = (dates[i] - dates[i - 1]).days
+        over_leap_day = step == 2 and is_leap_day(dates[i - 1] + dt.timedelta(days=1))
+        if step != 1 and not over_leap_day:
+            return i
+    return None
+
+
 class TestDropLeapDays:
+    @given(
+        start=st.one_of(near_leap_day, st.dates(dt.date(1800, 1, 1), dt.date(2200, 1, 1))),
+        steps=st.lists(
+            st.sampled_from([1, 1, 1, 1, 2, 0, -1, 3]), min_size=0, max_size=60
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_raises_where_the_reference_loop_does(self, start, steps):
+        dates = [start]
+        for step in steps:
+            dates.append(dates[-1] + dt.timedelta(days=step))
+        values = 280.0 + np.arange(len(dates), dtype=float)
+        bad = reference_non_consecutive_index(dates)
+        kept = [i for i, day in enumerate(dates) if not is_leap_day(day)]
+        if bad is not None:
+            with pytest.raises(ValidationError) as excinfo:
+                drop_leap_days(dates, values, "S")
+            assert excinfo.value.index == bad
+            assert excinfo.value.rule == "non-consecutive"
+        elif not kept:
+            with pytest.raises(EmptyInputError):
+                drop_leap_days(dates, values, "S")
+        else:
+            series = drop_leap_days(dates, values, "S")
+            assert series.start_date == dates[kept[0]]
+            np.testing.assert_array_equal(series.values, values[kept])
+            assert series.dates() == [dates[i] for i in kept]
+
     def test_removes_feb_29(self):
         dates = daily_dates(dt.date(2016, 2, 28), 3)  # 28, 29, Mar 1
         series = drop_leap_days(dates, [280.0, 285.0, 281.0], "S")
