@@ -22,8 +22,13 @@ from pathlib import Path
 
 from . import __version__
 from .backtest import MODEL_NAMES, BacktestConfig, BacktestReport, run_backtest
-from .errors import MalformedDateError, MalformedRowError, TempcastError
-from .ingest import UNITS, CleanConfig, clean_report, parse_cdo_csv
+from .errors import (
+    MalformedDateError,
+    MalformedRowError,
+    OutOfRangeError,
+    TempcastError,
+)
+from .ingest import UNITS, CleanConfig, clean_report, csv_rows, parse_cdo_csv
 from .models import SmoothingParams, hw_fit, hw_forecast
 from .series import (
     ForecastSet,
@@ -102,16 +107,16 @@ def _series_to_csv(series: TimeSeries) -> str:
 
 
 def _read_series_csv(path: Path) -> TimeSeries:
-    reader = csv.reader(io.StringIO(_read_text(path)))
+    rows = csv_rows(_read_text(path))
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise MalformedRowError(1, "empty series file") from None
     if [c.strip().lower() for c in header] != ["date", "kelvin"]:
         raise MalformedRowError(1, "expected header 'date,kelvin'")
     dates = []
     values = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 2:
@@ -362,9 +367,19 @@ def _cmd_forecast(args) -> int:
         raise _UsageError("--auto excludes --alpha/--beta/--gamma")
     if given and len(given) != 3:
         raise _UsageError("provide --alpha, --beta and --gamma together")
+    if args.season < 2:
+        raise _UsageError(f"--season must be at least 2, got {args.season}")
 
     series_path = Path(args.series)
     series = _read_series_csv(series_path)
+    last_target = len(series) + args.horizon - 1
+    try:
+        calendar_dates(series.start_date, last_target, last_target + 1)
+    except OverflowError:
+        raise OutOfRangeError(
+            f"--horizon {args.horizon} runs past 9999-12-31, the last date "
+            "the calendar can name"
+        ) from None
     if len(given) == 3:
         try:
             params = SmoothingParams(*explicit, season_length=args.season)

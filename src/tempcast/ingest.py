@@ -20,6 +20,7 @@ import datetime as dt
 import io
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,14 @@ class RawRecordSet:
         return len(self.dates)
 
     def to_csv(self) -> str:
-        """Serialize back to the three-column export format."""
+        """Serialize back to the three-column export format.
+
+        Lines end in CRLF, as RFC 4180 has them; the writer quotes any
+        field holding a character of the line terminator, so a station
+        id containing a carriage return or a line feed reads back intact.
+        """
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(["STATION", "DATE", "TAVG"])
         writer.writerows(
             (station, date.isoformat(), "" if value is None else repr(value))
@@ -124,6 +130,17 @@ def _parse_temperature(cell: str, line: int) -> float | None:
         raise MalformedRowError(line, f"not a number: {cell!r}") from None
 
 
+def csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of CSV text, raising :class:`MalformedRowError` at the
+    reader's current line where the csv module cannot read it (a field
+    over its size limit, a line break inside an unquoted field)."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRowError(reader.line_num, str(exc)) from None
+
+
 def parse_cdo_csv(
     text: str, unit: str, tmax_tmin_fallback: bool = False
 ) -> RawRecordSet:
@@ -133,13 +150,14 @@ def parse_cdo_csv(
     are ignored. Empty TAVG cells become missing values. With
     ``tmax_tmin_fallback`` enabled (for exports lacking TAVG), a missing
     TAVG is replaced by the TMAX/TMIN midpoint when both are present,
-    and the TAVG column itself becomes optional.
+    and the TAVG column itself becomes optional. Text the csv module
+    cannot read raises :class:`MalformedRowError`.
     """
     if unit not in UNITS:
         raise ValueError(f"unknown unit {unit!r}; expected one of {UNITS}")
-    reader = csv.reader(io.StringIO(text))
+    rows = csv_rows(text)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise MissingColumnError("STATION") from None
     columns = {name.strip().upper(): i for i, name in enumerate(header)}
@@ -160,7 +178,7 @@ def parse_cdo_csv(
     stations: list[str] = []
     dates: list[dt.date] = []
     tavg: list[float | None] = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(header):

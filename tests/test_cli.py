@@ -1,12 +1,19 @@
+import contextlib
 import csv
+import datetime as dt
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempcast import SmoothingParams, hw_fit, hw_forecast
 from tempcast.cli import main
+from tempcast.series import calendar_dates
 
 DATA = Path(__file__).parent / "data"
 STATION_CSV = DATA / "synthetic_station_daily.csv"
@@ -106,6 +113,17 @@ class TestIngestCommand:
                      "--output", str(tmp_path / "o.csv")])
         assert code == 2
         assert "line 3: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
+
+    def test_field_over_csv_size_limit_is_data_error(self, tmp_path, capsys):
+        export = tmp_path / "export.csv"
+        name = "N" * 200_000
+        export.write_text(f'STATION,NAME,DATE,TAVG\nA,"{name}",2015-01-01,1.0\n')
+        code = main(["ingest", "--input", str(export), "--unit", "celsius",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "malformed row at line 2: field larger than field limit" in (
+            capsys.readouterr().err
+        )
 
     def test_station_and_range_flags(self, tmp_path):
         out = tmp_path / "cut.csv"
@@ -231,6 +249,39 @@ class TestForecastCommand:
         assert 0.0 <= coeffs["alpha"] <= 1.0
         assert manifest["config"]["in_sample_rmse"] > 0.0
 
+    def test_horizon_past_year_9999_is_data_error(self, tmp_path, capsys):
+        series = tmp_path / "late.csv"
+        series.write_text("date,kelvin\n" + "".join(
+            f"{day.isoformat()},280.0\n"
+            for day in calendar_dates(dt.date(9995, 1, 1), 0, 4 * 365)
+        ))
+        explicit = ["--season", "7", "--alpha", "0.1", "--beta", "0.1",
+                    "--gamma", "0.1"]
+        out = tmp_path / "f.csv"
+        # one year of leads ends on 9999-12-31 exactly
+        assert main(["forecast", "--series", str(series), "--horizon", "365",
+                     *explicit, "--output", str(out)]) == 0
+        assert read_rows(out)[-1][0] == "9999-12-31"
+        capsys.readouterr()
+        for horizon in ("366", "3000"):
+            code = main(["forecast", "--series", str(series), "--horizon", horizon,
+                         "--auto", "--output", str(tmp_path / "g.csv")])
+            assert code == 2
+            assert "runs past 9999-12-31" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("season", ["1", "0", "-3"])
+    @pytest.mark.parametrize(
+        "mode", [["--auto"], ["--alpha", "0.5", "--beta", "0.5", "--gamma", "0.5"]]
+    )
+    def test_season_below_two_is_usage_error(
+        self, clean_series_file, tmp_path, capsys, season, mode
+    ):
+        code = main(["forecast", "--series", str(clean_series_file), "--horizon", "1",
+                     "--season", season, *mode, "--output", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert "--season must be at least 2" in capsys.readouterr().err
+
     def test_auto_conflicts_with_explicit(self, clean_series_file, tmp_path):
         code = main(["forecast", "--series", str(clean_series_file),
                      "--horizon", "2", "--auto", "--alpha", "0.5",
@@ -288,3 +339,140 @@ class TestTopLevel:
         code = main(["forecast", "--series", str(bad), "--horizon", "1",
                      "--output", str(tmp_path / "f.csv")])
         assert code == 2
+
+    def test_series_field_over_csv_size_limit_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text('date,kelvin\n2015-01-01,280.0\n2015-01-02,"' + "9" * 200_000 + '"\n')
+        code = main(["forecast", "--series", str(bad), "--horizon", "1",
+                     "--output", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert "malformed row at line 3: field larger than field limit" in (
+            capsys.readouterr().err
+        )
+
+
+def _consecutive_days(start, count):
+    """Up to ``count`` days of the 365-day calendar from ``start``, cut
+    short at the end of year 9999."""
+    if start.month == 2 and start.day == 29:
+        start = start.replace(day=28)
+    available = (dt.date.max - start).days + 1
+    return calendar_dates(start, 0, min(count, available))
+
+
+junk = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "nan", "x", '"', "1,5", "2015-02-29", "\t"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def cells(draw, cell, messy):
+    """``cell`` as it is or, in a messy file now and then, something
+    arbitrary in its place."""
+    if messy and draw(st.integers(0, 15)) == 0:
+        return draw(junk)
+    return cell
+
+
+@st.composite
+def export_texts(draw):
+    """CDO-like exports: a shuffled header, perhaps missing a column, and
+    a run of consecutive days; in a messy export, arbitrary cells and a
+    second station are mixed in."""
+    messy = draw(st.booleans())
+    columns = draw(st.permutations(["STATION", "NAME", "DATE", "TAVG", "TMAX", "TMIN"]))
+    drop = draw(st.integers(0, 11))  # half the time, one column is missing
+    if drop < len(columns):
+        del columns[drop]
+    days = _consecutive_days(draw(st.dates()), draw(st.integers(0, 30)))
+    temperature = st.none() | st.floats(-40.0, 40.0)
+    lines = [",".join(columns)]
+    for day in days:
+        row = {"STATION": "USW1", "NAME": '"X, Y"', "DATE": day.isoformat()}
+        for column in ("TAVG", "TMAX", "TMIN"):
+            value = draw(temperature)
+            row[column] = "" if value is None else repr(value)
+        if messy and draw(st.integers(0, 15)) == 0:
+            row["STATION"] = "USW2"
+        lines.append(",".join(draw(cells(row[c], messy)) for c in columns))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+@st.composite
+def series_texts(draw):
+    """Series files: runs of consecutive days near 280 K; in a messy
+    file, arbitrary cells are mixed in."""
+    messy = draw(st.booleans())
+    days = _consecutive_days(draw(st.dates()), draw(st.integers(0, 40)))
+    lines = [draw(cells("date,kelvin", messy))]
+    for i, day in enumerate(days):
+        date = draw(cells(day.isoformat(), messy))
+        value = draw(cells(repr(280.0 + i % 7), messy))
+        lines.append(f"{date},{value}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def input_bytes(texts):
+    marks = st.sampled_from([b"", b"\xef\xbb\xbf"])
+    return st.one_of(
+        st.binary(max_size=200),
+        st.tuples(marks, texts).map(lambda pair: pair[0] + pair[1].encode("utf-8")),
+    )
+
+
+def assert_not_internal_error(data, argv):
+    """Run ``main(argv)`` with ``INPUT`` in argv replaced by a file
+    holding ``data`` and ``OUT`` by a fresh output path; exit 0, 1 or 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(data)
+        replace = {"INPUT": str(path), "OUT": str(Path(tmp) / "out")}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([replace.get(arg, arg) for arg in argv])
+    assert code in (0, 1, 2), err.getvalue()
+
+
+class TestArbitraryInput:
+    """Whatever the bytes, the CLI succeeds, reports a usage error or
+    reports a data error: exit 3 (internal error) is never right."""
+
+    @given(
+        data=input_bytes(export_texts()),
+        unit=st.sampled_from(["celsius", "fahrenheit", "tenths-celsius"]),
+        fallback=st.booleans(),
+        max_gap=st.sampled_from(["0", "7", "-1"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ingest(self, data, unit, fallback, max_gap):
+        argv = ["ingest", "--input", "INPUT", "--unit", unit, "--max-gap", max_gap,
+                "--output", "OUT"]
+        if fallback:
+            argv.append("--tmax-tmin-fallback")
+        assert_not_internal_error(data, argv)
+
+    @given(
+        data=input_bytes(series_texts()),
+        horizon=st.sampled_from(["1", "30", "365", "4000000"]),
+        season=st.sampled_from(["0", "2", "3", "7"]),
+        coefficients=st.none() | st.tuples(*[st.sampled_from(["0", "0.5", "1", "2"])] * 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_forecast(self, data, horizon, season, coefficients):
+        argv = ["forecast", "--series", "INPUT", "--horizon", horizon,
+                "--season", season, "--output", "OUT"]
+        if coefficients is None:
+            argv.append("--auto")
+        else:
+            alpha, beta, gamma = coefficients
+            argv += ["--alpha", alpha, "--beta", beta, "--gamma", gamma]
+        assert_not_internal_error(data, argv)
+
+    @given(data=input_bytes(series_texts()))
+    @settings(max_examples=50, deadline=None)
+    def test_backtest(self, data):
+        argv = ["backtest", "--series", "INPUT", "--experiments", "1",
+                "--grid", "coarse", "--out-dir", "OUT"]
+        assert_not_internal_error(data, argv)

@@ -90,6 +90,20 @@ class TestParse:
             parse_cdo_csv(text, unit="celsius")
         assert excinfo.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (HEADER + "A,2015-01-01,1.0\nA\rB,2015-01-02,1.5\n", 3),
+            ("STATION,DA\rTE,TAVG\n", 1),
+            (HEADER + 'A,2015-01-01,"' + "9" * 200_000 + '"\n', 2),
+        ],
+        ids=["carriage-return-in-row", "carriage-return-in-header", "oversized-field"],
+    )
+    def test_unreadable_csv_names_line(self, text, line):
+        with pytest.raises(MalformedRowError) as excinfo:
+            parse_cdo_csv(text, unit="celsius")
+        assert excinfo.value.line == line
+
     def test_unknown_unit_rejected(self):
         with pytest.raises(ValueError):
             parse_cdo_csv(HEADER, unit="kelvin")
@@ -125,9 +139,9 @@ class TestParse:
         rows=st.lists(
             st.tuples(
                 st.text(
-                    st.characters(blacklist_categories=("Cc", "Cs")), min_size=1
+                    st.characters(blacklist_categories=("Cs",)), min_size=1
                 ).map(str.strip).filter(bool)
-                | st.sampled_from(['A,B', '"Q" US', 'X, "Y", Z']),
+                | st.sampled_from(['A,B', '"Q" US', 'X, "Y", Z', "A\rB", "A\r\nB"]),
                 st.dates(),
                 st.none() | st.floats(allow_nan=False, allow_infinity=False),
             ),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tempcast import (
@@ -17,12 +17,13 @@ from tempcast import (
     one_step_rmse,
 )
 from tempcast.errors import LengthMismatchError, NonFiniteError, TooShortError
-from tempcast.tuning import _pack
+from tempcast.tuning import _BLOCK, _one_step_errors_batch, _pack
 
 
-def fold_scored_rmse(values, params):
-    """Reference objective: replay with hw_update, score lead-1 forecasts
-    from the third season onward, accumulating in time order."""
+def fold_scored(values, params):
+    """Reference objective and final state: replay with hw_update, score
+    lead-1 forecasts from the third season onward, accumulating in time
+    order."""
     L = params.season_length
     state = init_state(values, params)
     total = 0.0
@@ -33,7 +34,11 @@ def fold_scored_rmse(values, params):
             total += err * err
             scored += 1
         state = hw_update(state, obs, params)
-    return math.sqrt(total / scored)
+    return math.sqrt(total / scored), state
+
+
+def fold_scored_rmse(values, params):
+    return fold_scored(values, params)[0]
 
 
 def exhaustive_search(values, spec, season_length):
@@ -87,6 +92,44 @@ class TestOneStepRmse:
         values = 280.0 + gen.normal(0, 3, 2 * season_length + 13)
         params = SmoothingParams(*triple, season_length=season_length)
         assert one_step_rmse(values, params) == fold_scored_rmse(values, params)
+
+
+class TestKernelBlocks:
+    """Seasons longer than the kernel's block, so each season is split
+    into several blocks and the last one is cut short by the end of the
+    window."""
+
+    @given(
+        season_length=st.sampled_from([67, 130, 365]),
+        extra=st.integers(min_value=1, max_value=150),
+        k=st.integers(min_value=2, max_value=3),
+        width=st.integers(min_value=2, max_value=3),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_to_update_folds(self, season_length, extra, k, width, seed):
+        assert season_length > _BLOCK
+        n = 2 * season_length + extra
+        assume(n % season_length)
+        gen = np.random.default_rng(seed)
+        cycle = 6 * np.sin(np.arange(n) * 2 * np.pi / season_length)
+        values = 280.0 + cycle + 0.01 * np.arange(n) + gen.normal(0, 2, (k, n))
+        alphas, betas, gammas = gen.uniform(0, 1, (3, k, width))
+        alphas[0, 0], betas[-1, -1], gammas[0, -1] = 0.0, 1.0, 1.0
+        rmse, level, trend, ring = _one_step_errors_batch(
+            values, season_length, alphas, betas, gammas
+        )
+        for i in range(k):
+            for j in range(width):
+                params = SmoothingParams(
+                    alphas[i, j], betas[i, j], gammas[i, j],
+                    season_length=season_length,
+                )
+                expected_rmse, state = fold_scored(values[i], params)
+                assert rmse[i, j] == expected_rmse
+                assert level[i, j] == state.level
+                assert trend[i, j] == state.trend
+                assert ring[:, i, j].tobytes() == state.seasonal.tobytes()
 
 
 class TestGridSpec:
@@ -261,6 +304,11 @@ class TestGridSearchWindows:
     def test_too_short_propagates(self):
         with pytest.raises(TooShortError):
             grid_search_windows([np.full(8, 280.0)] * 2, GridSpec.coarse(), 4)
+
+    @pytest.mark.parametrize("season_length", [1, 0, -2])
+    def test_season_below_two_rejected(self, season_length):
+        with pytest.raises(ValueError, match="season_length must be at least 2"):
+            grid_search_windows([np.full(20, 280.0)], GridSpec.coarse(), season_length)
 
 
 class TestNonFiniteInput:
