@@ -41,7 +41,6 @@ from .models import (
     persistence_forecast,
 )
 from .series import (
-    ForecastSet,
     TimeSeries,
     calendar_dates,
     drop_leap_days,
@@ -86,7 +85,6 @@ __all__ = [
     "hw_update",
     "init_state",
     "persistence_forecast",
-    "ForecastSet",
     "TimeSeries",
     "calendar_dates",
     "drop_leap_days",

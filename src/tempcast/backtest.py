@@ -6,6 +6,10 @@ each requested lead, and records the signed error (forecast minus
 actual). Per-(model, lead) errors are pooled across experiments into a
 single RMSE, matching a one-forecast-per-experiment protocol.
 
+Models are rows of one table, a ``{name: forecaster}`` map; its order
+is ``MODEL_NAMES``, the default model order and so the default column
+order of every report.
+
 Experiments are independent of one another; the report is assembled in
 origin order, so running them in any order (or in parallel) yields the
 same result.
@@ -17,14 +21,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, OutOfRangeError
+from .errors import EmptyInputError, InsufficientDataError, OutOfRangeError
 from .models import average_forecast, hw_forecast, persistence_forecast
-from .series import TimeSeries, split_at_origin, validate_series
+from .series import TimeSeries, validate_series
 from .tuning import FitResult, GridSpec, grid_search, grid_search_windows
 
-# "proposed" is the tuned seasonal smoother, kept under the name it
-# carries in comparison tables; the other two are its baselines.
-MODEL_NAMES = ("proposed", "persistence", "average")
+# Model name -> forecast from (training window, tuned fit, lead).
+# "proposed" is the tuned seasonal smoother, under the name it carries in
+# comparison tables; the other two are its baselines. Each entry looks its
+# forecaster up by module-level name when called, so a wrapper rebound
+# over that name (a tracer, a test spy) sees every call.
+_FORECASTERS = {
+    "proposed": lambda window, fit, m: hw_forecast(fit.state, m, fit.params),
+    "persistence": lambda window, fit, m: persistence_forecast(window, m),
+    "average": lambda window, fit, m: average_forecast(window, m),
+}
+MODEL_NAMES = tuple(_FORECASTERS)
 
 
 @dataclass(frozen=True)
@@ -118,15 +130,6 @@ def select_origins(series_length: int, config: BacktestConfig) -> np.ndarray:
     return origins
 
 
-def _training_window(series: TimeSeries, origin: int, config: BacktestConfig) -> TimeSeries:
-    start = origin - config.train_length
-    return TimeSeries(
-        series.date_at(start),
-        series.values[start:origin],
-        series.station_id,
-    )
-
-
 def run_experiment(
     series: TimeSeries,
     origin: int,
@@ -136,42 +139,39 @@ def run_experiment(
     """Forecast every requested (model, lead) pair from one origin.
 
     Models see only the trailing ``train_length`` observations before
-    the origin. The smoother forecasts every lead from ``fit.state``;
-    ``fit`` must come from tuning this origin's training window under
-    ``config``, as :func:`run_backtest` does for all origins at once.
-    When it is omitted the window is tuned here with
-    :func:`~tempcast.tuning.grid_search`. It is ignored when
+    the origin, and each one is called through the module's model table
+    (``MODEL_NAMES`` lists it in order). The smoother forecasts every
+    lead from ``fit.state``; ``fit`` must come from tuning this origin's
+    training window under ``config``, as :func:`run_backtest` does for
+    all origins at once. When it is omitted the window is tuned here
+    with :func:`~tempcast.tuning.grid_search`. It is ignored when
     ``"proposed"`` is not among the requested models.
     """
     max_lead = max(config.leads)
-    prefix, test = split_at_origin(series, origin, max_lead)
-    if len(prefix) < config.train_length:
+    if origin < 1 or origin + max_lead > len(series):
         raise OutOfRangeError(
-            f"origin {origin} leaves only {len(prefix)} observations for a "
+            f"origin {origin} with max lead {max_lead} does not fit a "
+            f"series of length {len(series)}"
+        )
+    if origin < config.train_length:
+        raise OutOfRangeError(
+            f"origin {origin} leaves only {origin} observations for a "
             f"{config.train_length}-day training window"
         )
-    window = _training_window(series, origin, config)
+    values = series.values
+    window = values[origin - config.train_length : origin]
 
-    errors: dict[str, dict[int, float]] = {}
     if "proposed" not in config.models:
         fit = None
-    else:
-        if fit is None:
-            fit = grid_search(window, config.grid, config.season_length)
-        errors["proposed"] = {
-            m: hw_forecast(fit.state, m, fit.params) - float(test[m - 1])
+    elif fit is None:
+        fit = grid_search(window, config.grid, config.season_length)
+    errors = {
+        model: {
+            m: _FORECASTERS[model](window, fit, m) - float(values[origin + m - 1])
             for m in config.leads
         }
-    if "persistence" in config.models:
-        errors["persistence"] = {
-            m: persistence_forecast(window, m) - float(test[m - 1])
-            for m in config.leads
-        }
-    if "average" in config.models:
-        errors["average"] = {
-            m: average_forecast(window, m) - float(test[m - 1])
-            for m in config.leads
-        }
+        for model in config.models
+    }
     return ExperimentResult(origin=int(origin), errors=errors, fit=fit)
 
 
@@ -179,7 +179,10 @@ def collect_report(
     config: BacktestConfig, results: list[ExperimentResult]
 ) -> BacktestReport:
     """Pool per-experiment errors into a report, insensitive to the
-    order the experiments were run in."""
+    order the experiments were run in. Raises :class:`EmptyInputError`
+    when there are no results to pool."""
+    if not results:
+        raise EmptyInputError("no experiment results to pool")
     ordered = sorted(results, key=lambda r: r.origin)
     origins = tuple(r.origin for r in ordered)
     errors: dict[str, dict[int, np.ndarray]] = {}
@@ -192,9 +195,7 @@ def collect_report(
             cell.flags.writeable = False
             errors[model][lead] = cell
             rmse[model][lead] = float(np.sqrt(np.mean(cell * cell)))
-    fits = None
-    if "proposed" in config.models:
-        fits = tuple(r.fit for r in ordered)
+    fits = tuple(r.fit for r in ordered) if "proposed" in config.models else None
     return BacktestReport(
         config=config, origins=origins, errors=errors, rmse=rmse, fits=fits
     )

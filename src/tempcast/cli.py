@@ -3,7 +3,9 @@
 Every subcommand writes its artifacts plus a JSON manifest holding the
 resolved configuration, the input file digest and the toolkit version,
 so a run can be reproduced byte-for-byte from the manifest alone. All
-randomness flows from the single --seed flag.
+randomness flows from the single --seed flag. Every CSV artifact goes
+through one writer, :func:`_write_csv`, fed by one row source per
+table; every manifest goes through :func:`_write_manifest`.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -11,14 +13,15 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import hashlib
-import io
+import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .backtest import MODEL_NAMES, BacktestConfig, BacktestReport, run_backtest
@@ -31,13 +34,16 @@ from .errors import (
 from .ingest import UNITS, CleanConfig, clean_report, csv_rows, parse_cdo_csv
 from .models import SmoothingParams, hw_fit, hw_forecast
 from .series import (
-    ForecastSet,
     TimeSeries,
-    calendar_dates,
+    calendar_days,
     drop_leap_days,
+    parse_date,
     validate_series,
 )
 from .tuning import GridSpec, grid_search
+
+# Rows per write of a CSV artifact (and per calendar conversion).
+_CSV_BLOCK_ROWS = 8192
 
 GRID_PRESETS = {
     "coarse": GridSpec.coarse,
@@ -55,33 +61,54 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every artifact set."""
-
-    command: str
-    version: str
-    seed: int | None
-    input_path: str
-    input_sha256: str
-    config: dict
-    artifacts: tuple[str, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_text(path: Path, text: str) -> None:
+def _write_manifest(path: Path, args, input_path: str, config: dict, artifacts) -> None:
+    """Write a run's reproducibility record as sorted, 2-space-indented
+    JSON: the subcommand and its seed (None when it takes none), toolkit
+    version, input path and SHA-256, resolved configuration and artifact
+    names."""
+    record = {
+        "command": args.command,
+        "version": __version__,
+        "seed": getattr(args, "seed", None),
+        "input_path": input_path,
+        "input_sha256": hashlib.sha256(Path(input_path).read_bytes()).hexdigest(),
+        "config": config,
+        "artifacts": list(artifacts),
+    }
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     path.write_bytes(text.encode("utf-8"))
+
+
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+    """Write ``header`` and ``rows`` (tuples of str fields) as CSV lines,
+    ``_CSV_BLOCK_ROWS`` at a time so memory does not grow with the rows,
+    creating the parent directory if needed.
+
+    No field is quoted, since none needs it: each is an ISO date, an int,
+    the ``repr`` of a finite float, empty, or a model name, which
+    ``BacktestConfig`` restricts to ``MODEL_NAMES``.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows = itertools.chain([header], rows)
+    with path.open("w", encoding="utf-8", newline="") as out:
+        while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+            out.write("\n".join(map(",".join, block)) + "\n")
+
+
+def _iso_dates(start: dt.date, first: int, stop: int):
+    """``YYYY-MM-DD`` strings of :func:`~tempcast.series.calendar_days`,
+    computed a block of ``_CSV_BLOCK_ROWS`` at a time."""
+    return itertools.chain.from_iterable(
+        np.datetime_as_string(
+            calendar_days(start, lo, min(lo + _CSV_BLOCK_ROWS, stop))
+        ).tolist()
+        for lo in range(first, stop, _CSV_BLOCK_ROWS)
+    )
 
 
 def _date_flag(raw: str, flag: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(raw)
+        return parse_date(raw)
     except ValueError:
         raise _UsageError(f"{flag} expects YYYY-MM-DD, got {raw!r}") from None
 
@@ -96,14 +123,6 @@ def _read_text(path: Path) -> str:
         raise MalformedRowError(
             line, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
         ) from None
-
-
-def _series_to_csv(series: TimeSeries) -> str:
-    # Neither an ISO date nor a float repr ever needs CSV quoting.
-    rows = zip(series.dates(), series.values.tolist())
-    return "date,kelvin\n" + "".join(
-        f"{day.isoformat()},{value!r}\n" for day, value in rows
-    )
 
 
 def _read_series_csv(path: Path) -> TimeSeries:
@@ -122,7 +141,7 @@ def _read_series_csv(path: Path) -> TimeSeries:
         if len(row) != 2:
             raise MalformedRowError(line, "expected two fields")
         try:
-            dates.append(dt.date.fromisoformat(row[0].strip()))
+            dates.append(parse_date(row[0].strip()))
         except ValueError:
             raise MalformedDateError(line) from None
         try:
@@ -176,8 +195,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_ingest(args) -> int:
-    input_path = Path(args.input)
-    text = _read_text(input_path)
+    text = _read_text(Path(args.input))
     try:
         records = parse_cdo_csv(
             text, unit=args.unit, tmax_tmin_fallback=args.tmax_tmin_fallback
@@ -193,26 +211,19 @@ def _cmd_ingest(args) -> int:
     series, stats = clean_report(records, config)
 
     output = Path(args.output)
-    if output.parent and not output.parent.exists():
-        output.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(output, _series_to_csv(series))
-    manifest = RunManifest(
-        command="ingest",
-        version=__version__,
-        seed=None,
-        input_path=args.input,
-        input_sha256=_sha256(input_path),
-        config={
-            "unit": args.unit,
-            "station": args.station,
-            "from": args.date_from,
-            "to": args.date_to,
-            "max_gap": args.max_gap,
-            "tmax_tmin_fallback": args.tmax_tmin_fallback,
-        },
-        artifacts=(output.name,),
-    )
-    _write_text(output.parent / (output.name + ".manifest.json"), manifest.to_json())
+    dates = _iso_dates(series.start_date, 0, len(series))
+    values = map(repr, series.values.tolist())
+    _write_csv(output, ("date", "kelvin"), zip(dates, values))
+    resolved = {
+        "unit": args.unit,
+        "station": args.station,
+        "from": args.date_from,
+        "to": args.date_to,
+        "max_gap": args.max_gap,
+        "tmax_tmin_fallback": args.tmax_tmin_fallback,
+    }
+    manifest = output.parent / (output.name + ".manifest.json")
+    _write_manifest(manifest, args, args.input, resolved, [output.name])
 
     print(f"rows parsed:        {stats.raw_rows}")
     print(f"rows kept:          {stats.kept_rows}")
@@ -233,43 +244,17 @@ def _parse_leads(raw: str) -> tuple[int, ...]:
         raise _UsageError(f"--leads expects comma-separated days, got {raw!r}") from None
 
 
-def _parse_models(raw: str) -> tuple[str, ...]:
-    models = tuple(part.strip() for part in raw.split(",") if part.strip())
-    return models
-
-
-def _grid_config(grid: GridSpec) -> dict:
-    return {
-        "alpha_grid": list(grid.alpha_grid),
-        "beta_grid": list(grid.beta_grid),
-        "gamma_grid": list(grid.gamma_grid),
-        "refine_rounds": grid.refine_rounds,
-        "refine_shrink": grid.refine_shrink,
-    }
-
-
-def _rmse_table_csv(report: BacktestReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["lead"] + list(report.config.models))
+def _rmse_rows(report: BacktestReport):
     for lead in report.config.leads:
-        row = [str(lead)]
-        row += [repr(report.rmse[model][lead]) for model in report.config.models]
-        writer.writerow(row)
-    return out.getvalue()
+        yield str(lead), *(repr(report.rmse[m][lead]) for m in report.config.models)
 
 
-def _errors_csv(report: BacktestReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["origin", "model", "lead", "error_kelvin"])
+def _error_rows(report: BacktestReport):
     for i, origin in enumerate(report.origins):
         for model in report.config.models:
             for lead in report.config.leads:
-                writer.writerow(
-                    [origin, model, lead, repr(float(report.errors[model][lead][i]))]
-                )
-    return out.getvalue()
+                error = float(report.errors[model][lead][i])
+                yield str(origin), model, str(lead), repr(error)
 
 
 def _print_rmse_table(report: BacktestReport) -> None:
@@ -283,15 +268,14 @@ def _print_rmse_table(report: BacktestReport) -> None:
 
 
 def _cmd_backtest(args) -> int:
-    series_path = Path(args.series)
-    series = _read_series_csv(series_path)
+    series = _read_series_csv(Path(args.series))
     try:
         config = BacktestConfig(
             train_length=args.train_days,
             leads=_parse_leads(args.leads),
             n_experiments=args.experiments,
             seed=args.seed,
-            models=_parse_models(args.models),
+            models=[part.strip() for part in args.models.split(",") if part.strip()],
             grid=GRID_PRESETS[args.grid](),
         )
     except ValueError as exc:
@@ -299,63 +283,49 @@ def _cmd_backtest(args) -> int:
     report = run_backtest(series, config)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "rmse.csv", _rmse_table_csv(report))
-    _write_text(out_dir / "errors.csv", _errors_csv(report))
-    fits = None
-    if report.fits is not None:
-        fits = [
-            {
-                "origin": origin,
-                "alpha": fit.params.alpha,
-                "beta": fit.params.beta,
-                "gamma": fit.params.gamma,
-                "in_sample_rmse": fit.in_sample_rmse,
-                "evaluations": fit.evaluations,
-            }
-            for origin, fit in zip(report.origins, report.fits)
-        ]
-    manifest = RunManifest(
-        command="backtest",
-        version=__version__,
-        seed=args.seed,
-        input_path=args.series,
-        input_sha256=_sha256(series_path),
-        config={
-            "train_days": config.train_length,
-            "leads": list(config.leads),
-            "experiments": config.n_experiments,
-            "models": list(config.models),
-            "grid_preset": args.grid,
-            "grid": _grid_config(config.grid),
-            "season_length": config.season_length,
-            "origins": [int(o) for o in report.origins],
-            "fits": fits,
-        },
-        artifacts=("rmse.csv", "errors.csv"),
+    _write_csv(out_dir / "rmse.csv", ("lead", *config.models), _rmse_rows(report))
+    _write_csv(
+        out_dir / "errors.csv",
+        ("origin", "model", "lead", "error_kelvin"),
+        _error_rows(report),
     )
-    _write_text(out_dir / "manifest.json", manifest.to_json())
+    fits = None if report.fits is None else [
+        {
+            "origin": origin,
+            "alpha": fit.params.alpha,
+            "beta": fit.params.beta,
+            "gamma": fit.params.gamma,
+            "in_sample_rmse": fit.in_sample_rmse,
+            "evaluations": fit.evaluations,
+        }
+        for origin, fit in zip(report.origins, report.fits)
+    ]
+    resolved = {
+        "train_days": config.train_length,
+        "leads": list(config.leads),
+        "experiments": config.n_experiments,
+        "models": list(config.models),
+        "grid_preset": args.grid,
+        "grid": asdict(config.grid),
+        "season_length": config.season_length,
+        "origins": [int(o) for o in report.origins],
+        "fits": fits,
+    }
+    artifacts = ["rmse.csv", "errors.csv"]
+    _write_manifest(out_dir / "manifest.json", args, args.series, resolved, artifacts)
     _print_rmse_table(report)
     return 0
 
 
-def _forecast_rows(
-    series: TimeSeries, forecasts: ForecastSet, params: SmoothingParams
-) -> str:
-    first = len(series) - min(len(series), params.season_length)
-    days = calendar_dates(
-        series.start_date, first, len(series) + len(forecasts.predictions)
-    )
-    cells = [(repr(value), "") for value in series.values[first:].tolist()]
-    cells += [("", repr(value)) for value in forecasts.predictions.tolist()]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date", "actual", "forecast"])
-    writer.writerows(
-        (day.isoformat(), actual, forecast)
-        for day, (actual, forecast) in zip(days, cells)
-    )
-    return out.getvalue()
+def _forecast_rows(series: TimeSeries, forecasts, season_length: int):
+    """Date, actual, forecast: up to a season of observations, then the leads."""
+    context = series.values[-season_length:].tolist()
+    first = len(series) - len(context)
+    dates = _iso_dates(series.start_date, first, len(series) + forecasts.size)
+    for value in context:
+        yield next(dates), repr(value), ""
+    for value in forecasts.tolist():
+        yield next(dates), "", repr(value)
 
 
 def _cmd_forecast(args) -> int:
@@ -370,11 +340,10 @@ def _cmd_forecast(args) -> int:
     if args.season < 2:
         raise _UsageError(f"--season must be at least 2, got {args.season}")
 
-    series_path = Path(args.series)
-    series = _read_series_csv(series_path)
+    series = _read_series_csv(Path(args.series))
     last_target = len(series) + args.horizon - 1
     try:
-        calendar_dates(series.start_date, last_target, last_target + 1)
+        calendar_days(series.start_date, last_target, last_target + 1)
     except OverflowError:
         raise OutOfRangeError(
             f"--horizon {args.horizon} runs past 9999-12-31, the last date "
@@ -392,37 +361,27 @@ def _cmd_forecast(args) -> int:
         params = tuned.params
         state = tuned.state
 
-    leads = tuple(range(1, args.horizon + 1))
-    forecasts = ForecastSet(
-        origin_index=len(series),
-        leads=leads,
-        predictions=[hw_forecast(state, m, params) for m in leads],
-    )
+    forecasts = hw_forecast(state, np.arange(1, args.horizon + 1), params)
 
     output = Path(args.output)
-    if output.parent and not output.parent.exists():
-        output.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(output, _forecast_rows(series, forecasts, params))
-    manifest = RunManifest(
-        command="forecast",
-        version=__version__,
-        seed=None,
-        input_path=args.series,
-        input_sha256=_sha256(series_path),
-        config={
-            "horizon": args.horizon,
-            "season_length": args.season,
-            "coefficients": {
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "gamma": params.gamma,
-                "source": "explicit" if tuned is None else "auto",
-            },
-            "in_sample_rmse": None if tuned is None else tuned.in_sample_rmse,
-        },
-        artifacts=(output.name,),
+    _write_csv(
+        output,
+        ("date", "actual", "forecast"),
+        _forecast_rows(series, forecasts, params.season_length),
     )
-    _write_text(output.parent / (output.name + ".manifest.json"), manifest.to_json())
+    resolved = {
+        "horizon": args.horizon,
+        "season_length": args.season,
+        "coefficients": {
+            "alpha": params.alpha,
+            "beta": params.beta,
+            "gamma": params.gamma,
+            "source": "explicit" if tuned is None else "auto",
+        },
+        "in_sample_rmse": None if tuned is None else tuned.in_sample_rmse,
+    }
+    manifest = output.parent / (output.name + ".manifest.json")
+    _write_manifest(manifest, args, args.series, resolved, [output.name])
     print(
         f"fitted alpha={params.alpha:.4f} beta={params.beta:.4f} "
         f"gamma={params.gamma:.4f} (season {params.season_length})"
@@ -432,9 +391,8 @@ def _cmd_forecast(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -443,10 +401,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except TempcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TempcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - last resort

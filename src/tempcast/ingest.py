@@ -35,7 +35,7 @@ from .errors import (
     MultipleStationsError,
     NonFiniteError,
 )
-from .series import TimeSeries, series_from_ordinals, validate_series
+from .series import TimeSeries, parse_date, series_from_ordinals, validate_series
 
 UNIT_CELSIUS = "celsius"
 UNIT_FAHRENHEIT = "fahrenheit"
@@ -147,7 +147,9 @@ def parse_cdo_csv(
     """Parse a daily-summaries export into raw records.
 
     Header matching is case-insensitive and order-free; extra columns
-    are ignored. Empty TAVG cells become missing values. With
+    are ignored. DATE cells must read ``YYYY-MM-DD``
+    (:func:`~tempcast.series.parse_date`). Empty TAVG cells become
+    missing values. With
     ``tmax_tmin_fallback`` enabled (for exports lacking TAVG), a missing
     TAVG is replaced by the TMAX/TMIN midpoint when both are present,
     and the TAVG column itself becomes optional. Text the csv module
@@ -186,7 +188,7 @@ def parse_cdo_csv(
                 line, f"{len(row)} fields where the header has {len(header)}"
             )
         try:
-            date = dt.date.fromisoformat(row[i_date].strip())
+            date = parse_date(row[i_date].strip())
         except ValueError:
             raise MalformedDateError(line) from None
         value = None if i_tavg is None else _parse_temperature(row[i_tavg], line)

@@ -190,17 +190,23 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     return state
 
 
-def hw_forecast(state: HWState, m: int, params: SmoothingParams) -> float:
+def hw_forecast(state: HWState, m, params: SmoothingParams):
     """Project the state ``m`` days ahead.
 
     Level plus ``m`` times the trend plus the ring correction for the
     target day's phase, which sits ``m - 1`` slots past the cursor.
+    ``m`` is an int, giving a float, or an integer array of leads,
+    giving an array of the same shape; each element is computed with
+    the scalar's arithmetic, so the two agree bit for bit. A lead that
+    is not an integer or is below 1 raises :class:`InvalidLeadError`.
     """
-    if m < 1:
-        raise InvalidLeadError(f"lead must be at least 1 day, got {m}")
-    L = params.season_length
-    slot = (state.phase + (m - 1)) % L
-    return float(state.level + m * state.trend + state.seasonal[slot])
+    leads = np.asarray(m)
+    if leads.dtype.kind not in "iu" or (leads < 1).any():
+        raise InvalidLeadError(f"lead must be a whole number of days >= 1, got {m!r}")
+    leads = leads.astype(np.int64, copy=False)
+    slots = (state.phase + leads - 1) % params.season_length
+    forecast = state.level + leads * state.trend + state.seasonal[slots]
+    return forecast if leads.ndim else float(forecast)
 
 
 def persistence_forecast(train, m: int = 1) -> float:

@@ -8,7 +8,7 @@ is always a whole number of seasons.
 
 Calendar arithmetic is closed-form, with no per-day loop: a date's
 365-day ordinal is its year times 365 plus its day of the year counted
-without February 29, so :func:`calendar_dates` turns any range of
+without February 29, so :func:`calendar_days` turns any range of
 offsets into dates with array arithmetic, and :func:`drop_leap_days`
 checks and filters dated input on an array of day ordinals.
 :func:`next_calendar_day` and :func:`is_leap_day` stay as the per-step
@@ -43,6 +43,8 @@ _MONTH_STARTS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
 _FEB_29 = 31 + 28
 # Proleptic Gregorian ordinal (``date.toordinal()``) of datetime64 day 0.
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+# Looked up once: parse_date runs once per row of an export.
+_FROMISOFORMAT = dt.date.fromisoformat
 
 
 def is_leap_day(day: dt.date) -> bool:
@@ -63,8 +65,9 @@ def leap_day_mask(ordinals: np.ndarray) -> np.ndarray:
     return (day_of_year.astype(np.int64) == _FEB_29) & _is_leap_year(year)
 
 
-def calendar_dates(start: dt.date, first: int, stop: int) -> list[dt.date]:
-    """Dates at 365-day-calendar offsets ``first .. stop - 1`` from ``start``.
+def calendar_days(start: dt.date, first: int, stop: int) -> np.ndarray:
+    """Days at 365-day-calendar offsets ``first .. stop - 1`` from ``start``,
+    as a ``datetime64[D]`` array.
 
     Offset 0 is ``start`` itself; February 29 is skipped, exactly as
     folding :func:`next_calendar_day` would. Offsets may run past the
@@ -75,17 +78,32 @@ def calendar_dates(start: dt.date, first: int, stop: int) -> list[dt.date]:
         raise ValidationError(
             0, "non-consecutive", "the 365-day calendar has no February 29"
         )
-    if stop <= first:
-        return []
     start_365 = start.year * 365 + _MONTH_STARTS[start.month - 1] + start.day - 1
     year, day_of_year = np.divmod(
         np.arange(start_365 + first, start_365 + stop, dtype=np.int64), 365
     )
-    if year[0] < dt.MINYEAR or year[-1] > dt.MAXYEAR:
+    if year.size and (year[0] < dt.MINYEAR or year[-1] > dt.MAXYEAR):
         raise OverflowError("date value out of range")
     day_of_year += _is_leap_year(year) & (day_of_year >= _FEB_29)
-    days = (year - 1970).astype("datetime64[Y]").astype("datetime64[D]") + day_of_year
-    return days.tolist()
+    return (year - 1970).astype("datetime64[Y]").astype("datetime64[D]") + day_of_year
+
+
+def calendar_dates(start: dt.date, first: int, stop: int) -> list[dt.date]:
+    """:func:`calendar_days` as a list of ``datetime.date``."""
+    return calendar_days(start, first, stop).tolist()
+
+
+def parse_date(text: str) -> dt.date:
+    """The date a ``YYYY-MM-DD`` string names; ``ValueError`` otherwise.
+
+    From Python 3.11 ``date.fromisoformat`` also reads ``20200101`` and
+    week dates such as ``2020-W01-5``; of its forms only ``YYYY-MM-DD``
+    has ten characters with dashes at offsets 4 and 7, a check cheap
+    enough to run per row. ``fromisoformat`` then checks the digits.
+    """
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"expected YYYY-MM-DD, got {text!r}")
+    return _FROMISOFORMAT(text)
 
 
 def next_calendar_day(day: dt.date) -> dt.date:
@@ -140,37 +158,6 @@ class TimeSeries:
     def dates(self) -> list[dt.date]:
         """Implied calendar dates, one per value, skipping February 29."""
         return calendar_dates(self.start_date, 0, len(self))
-
-
-@dataclass(frozen=True)
-class ForecastSet:
-    """Predictions issued from one origin, one value per requested lead.
-
-    ``origin_index`` is the number of observations used, so the last one
-    sits at index ``origin_index - 1`` and lead ``m`` targets index
-    ``origin_index + m - 1``.
-    """
-
-    origin_index: int
-    leads: tuple[int, ...]
-    predictions: np.ndarray
-
-    def __post_init__(self):
-        leads = tuple(int(m) for m in self.leads)
-        object.__setattr__(self, "leads", leads)
-        preds = np.array(self.predictions, dtype=np.float64)
-        preds.flags.writeable = False
-        object.__setattr__(self, "predictions", preds)
-        if not leads:
-            raise ValueError("at least one lead is required")
-        if any(m < 1 for m in leads):
-            raise ValueError("leads must be at least 1 day")
-        if any(b <= a for a, b in zip(leads, leads[1:])):
-            raise ValueError("leads must be strictly increasing")
-        if preds.size != len(leads):
-            raise ValueError(
-                f"{len(leads)} leads but {preds.size} predictions"
-            )
 
 
 def validate_series(series: TimeSeries) -> TimeSeries:

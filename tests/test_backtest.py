@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tempcast.backtest
 from tempcast import (
+    MODEL_NAMES,
     BacktestConfig,
     CleanConfig,
     GridSpec,
@@ -16,7 +18,7 @@ from tempcast import (
     run_experiment,
     select_origins,
 )
-from tempcast.errors import InsufficientDataError
+from tempcast.errors import EmptyInputError, InsufficientDataError, OutOfRangeError
 
 JAN1 = dt.date(2015, 1, 1)
 STATION_CSV = Path(__file__).parent / "data" / "synthetic_station_daily.csv"
@@ -51,6 +53,8 @@ class TestConfig:
         assert config.n_experiments == 50
         assert config.season_length == 365
         assert config.models == ("proposed", "persistence", "average")
+        # the table's order fixes the rmse.csv columns
+        assert MODEL_NAMES == ("proposed", "persistence", "average")
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -137,6 +141,32 @@ class TestRunExperiment:
         assert result.fit is not None
         assert result.fit.evaluations >= 12
 
+    @pytest.mark.parametrize(
+        "origin, message",
+        [
+            (14, "origin 14 leaves only 14 observations for a 15-day training window"),
+            (0, "origin 0 with max lead 4 does not fit a series of length 40"),
+            (37, "origin 37 with max lead 4 does not fit a series of length 40"),
+        ],
+    )
+    def test_bad_origin_raises_out_of_range(self, origin, message):
+        with pytest.raises(OutOfRangeError, match=message):
+            run_experiment(noisy_series(40), origin, small_config())
+
+    def test_models_are_called_through_module_names(self, monkeypatch):
+        # a wrapper bound over a forecaster's module-level name (as a
+        # tracer binds one) sees every call the model table makes
+        calls = []
+        original = tempcast.backtest.average_forecast
+
+        def spy(window, m):
+            calls.append(m)
+            return original(window, m)
+
+        monkeypatch.setattr(tempcast.backtest, "average_forecast", spy)
+        run_experiment(noisy_series(40), 25, small_config(models=("average",)))
+        assert calls == [1, 2, 3, 4]
+
     def test_precomputed_fit_gives_the_same_result(self):
         series = noisy_series(40, seed=2)
         config = small_config()
@@ -202,6 +232,10 @@ class TestRunBacktest:
                 np.testing.assert_array_equal(
                     reassembled.errors[model][lead], report.errors[model][lead]
                 )
+
+    def test_no_results_to_pool_raises(self):
+        with pytest.raises(EmptyInputError):
+            collect_report(small_config(), [])
 
     def test_batched_tuning_matches_per_origin_experiments(self, rng):
         text = STATION_CSV.read_text(encoding="utf-8")

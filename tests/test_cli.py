@@ -136,6 +136,25 @@ class TestIngestCommand:
         assert rows[1][0] == "2016-03-01"
         assert rows[-1][0] == "2016-03-10"
 
+    @pytest.mark.parametrize("cell", ["20200102", "2020-W01-5", "2020-001"])
+    def test_date_not_yyyy_mm_dd_is_data_error_naming_line(self, tmp_path, capsys, cell):
+        # Python 3.11's date.fromisoformat reads the first two as dates
+        export = tmp_path / "export.csv"
+        export.write_text(f"STATION,DATE,TAVG\nA,2020-01-01,1.0\nA,{cell},1.5\n")
+        code = main(["ingest", "--input", str(export), "--unit", "celsius",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "malformed date at line 3 (expected YYYY-MM-DD)" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("value", ["20160301", "2016-W09-2"])
+    def test_date_flag_not_yyyy_mm_dd_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = main(["ingest", "--input", str(GOLDEN_CSV), "--unit", "celsius",
+                     flag, value, "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert f"{flag} expects YYYY-MM-DD, got {value!r}" in capsys.readouterr().err
+
 
 class TestBacktestCommand:
     def test_small_run_writes_artifacts_and_table(self, clean_series_file, tmp_path, capsys):
@@ -269,6 +288,37 @@ class TestForecastCommand:
             assert code == 2
             assert "runs past 9999-12-31" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    def test_series_date_not_yyyy_mm_dd_is_data_error_naming_line(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("date,kelvin\n2015-01-01,280.0\n20150102,281.0\n")
+        code = main(["forecast", "--series", str(series), "--horizon", "1",
+                     "--output", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert "malformed date at line 3" in capsys.readouterr().err
+
+    def test_long_horizon_rows_match_per_lead_forecasts(self, clean_series_file, tmp_path):
+        horizon = 100_000
+        out = tmp_path / "f.csv"
+        code = main(["forecast", "--series", str(clean_series_file),
+                     "--horizon", str(horizon), "--alpha", "0.4", "--beta", "0.1",
+                     "--gamma", "0.2", "--output", str(out)])
+        assert code == 0
+        rows = read_rows(out)
+        history = read_rows(clean_series_file)[1:]
+        n = len(history)
+        assert len(rows) == 1 + 365 + horizon
+        assert rows[1] == [history[n - 365][0], history[n - 365][1], ""]
+        start = dt.date.fromisoformat(history[0][0])
+        last = calendar_dates(start, n + horizon - 1, n + horizon)[0]
+        assert rows[-1][0] == last.isoformat()
+        params = SmoothingParams(0.4, 0.1, 0.2, season_length=365)
+        state = hw_fit(np.array([float(r[1]) for r in history]), params)
+        sample = [1, 2, 365, 366, 730, 50_000, 99_999, 100_000]
+        sample += np.random.default_rng(7).integers(1, horizon + 1, 20).tolist()
+        for m in sample:
+            day = calendar_dates(start, n + m - 1, n + m)[0]
+            assert rows[365 + m] == [day.isoformat(), "", repr(hw_forecast(state, m, params))]
 
     @pytest.mark.parametrize("season", ["1", "0", "-3"])
     @pytest.mark.parametrize(

@@ -303,6 +303,56 @@ class TestHwForecast:
         with pytest.raises(InvalidLeadError):
             hw_forecast(self.make_state(), 0, params)
 
+    @pytest.mark.parametrize(
+        "lead",
+        [1.5, 2.0, -1, np.array([1.0, 2.0]), np.array([1, 0, 2]), np.array([[3], [-2]])],
+        ids=["half", "float", "negative", "float-array", "zero-in-array", "negative-2d"],
+    )
+    def test_non_integer_or_nonpositive_leads_raise(self, lead):
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=4)
+        with pytest.raises(InvalidLeadError):
+            hw_forecast(self.make_state(), lead, params)
+
+    def test_array_of_leads_keeps_its_shape(self):
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=4)
+        leads = np.array([[1, 5], [2, 6]])
+        got = hw_forecast(self.make_state(), leads, params)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[281.5, 283.5], [280.0, 282.0]]
+        assert hw_forecast(self.make_state(), leads[:0], params).size == 0
+
+    def test_unsigned_leads_match_signed(self):
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=400)
+        state = HWState(level=280.0, trend=0.5, seasonal=np.arange(400.0), phase=300)
+        leads = np.arange(1, 256)
+        got = hw_forecast(state, leads.astype(np.uint8), params)
+        assert got.tolist() == hw_forecast(state, leads, params).tolist()
+
+    @given(
+        season_length=st.integers(min_value=2, max_value=12),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_array_leads_match_scalar_calls_bit_for_bit(self, season_length, data):
+        finite = st.floats(min_value=-1e4, max_value=1e4, allow_subnormal=False)
+        state = HWState(
+            level=data.draw(finite),
+            trend=data.draw(finite),
+            seasonal=data.draw(
+                st.lists(finite, min_size=season_length, max_size=season_length)
+            ),
+            phase=data.draw(st.integers(min_value=0, max_value=season_length - 1)),
+        )
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=season_length)
+        # leads run past several seasons, in any order and with repeats
+        leads = data.draw(
+            st.lists(st.integers(min_value=1, max_value=5 * season_length + 3),
+                     min_size=1, max_size=40)
+        )
+        got = hw_forecast(state, np.array(leads), params).tolist()
+        want = [hw_forecast(state, m, params) for m in leads]
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+
     @given(
         m=st.integers(min_value=1, max_value=30),
         season_length=st.sampled_from([2, 4, 7]),

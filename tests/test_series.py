@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tempcast import (
     TimeSeries,
-    ForecastSet,
     calendar_dates,
     drop_leap_days,
     is_leap_day,
@@ -23,6 +22,7 @@ from tempcast.errors import (
     OutOfRangeError,
     ValidationError,
 )
+from tempcast.series import calendar_days, parse_date
 
 JAN1 = dt.date(2015, 1, 1)
 
@@ -127,6 +127,8 @@ class TestClosedFormCalendar:
         assert series.date_at(index) == expected[index]
         first = data.draw(st.integers(min_value=0, max_value=n))
         assert calendar_dates(start, first, n) == expected[first:]
+        iso = np.datetime_as_string(calendar_days(start, first, n)).tolist()
+        assert iso == [day.isoformat() for day in expected[first:]]
 
     def test_past_year_9999_overflows_like_date_arithmetic(self):
         series = TimeSeries(dt.date(9999, 12, 30), np.full(3, 280.0))
@@ -139,6 +141,32 @@ class TestClosedFormCalendar:
     def test_no_offsets_from_february_29(self):
         with pytest.raises(ValidationError):
             calendar_dates(dt.date(2016, 2, 29), 0, 1)
+
+
+class TestParseDate:
+    @given(day=st.dates())
+    @settings(max_examples=80, deadline=None)
+    def test_reads_every_isoformat_date(self, day):
+        assert parse_date(day.isoformat()) == day
+
+    @pytest.mark.parametrize(
+        "text",
+        ["20200101", "2020-W01-5", "2020W015", "2020-W01", "2020-001", "2020-1-01",
+         "2020-01-1", "2020-01-01T00:00", "2020/01/01", "2020-13-01", "2020-0a-01",
+         " 2020-01-01", "", "\uff12020-01-01"],
+    )
+    def test_rejects_anything_but_yyyy_mm_dd(self, text):
+        with pytest.raises(ValueError):
+            parse_date(text)
+
+    @given(text=st.text(alphabet="0123456789-W:T ", max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_only_the_isoformat_spelling(self, text):
+        try:
+            day = parse_date(text)
+        except ValueError:
+            return
+        assert day.isoformat() == text
 
 
 def reference_non_consecutive_index(dates):
@@ -327,19 +355,3 @@ class TestSplitAtOrigin:
         joined = np.concatenate([train.values, test])
         np.testing.assert_array_equal(joined, values[: origin + max_lead])
 
-
-class TestForecastSet:
-    def test_well_formed(self):
-        fs = ForecastSet(origin_index=10, leads=(1, 2, 4), predictions=[280.0, 281.0, 282.0])
-        assert fs.leads == (1, 2, 4)
-        assert fs.predictions.size == 3
-
-    def test_rejects_mismatch_and_bad_leads(self):
-        with pytest.raises(ValueError):
-            ForecastSet(10, (1, 2), [280.0])
-        with pytest.raises(ValueError):
-            ForecastSet(10, (2, 1), [280.0, 281.0])
-        with pytest.raises(ValueError):
-            ForecastSet(10, (0, 1), [280.0, 281.0])
-        with pytest.raises(ValueError):
-            ForecastSet(10, (), [])
