@@ -5,7 +5,9 @@ resolved configuration, the input file digest and the toolkit version,
 so a run can be reproduced byte-for-byte from the manifest alone. All
 randomness flows from the single --seed flag. Every CSV artifact goes
 through one writer, :func:`_write_csv`, fed by one row source per
-table; every manifest goes through :func:`_write_manifest`.
+table; every manifest goes through :func:`_write_manifest`. The digest
+is of the bytes the command parsed, and no artifact may be written over
+the input file (exit 2).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import hashlib
+import io
 import itertools
 import json
 import sys
@@ -29,6 +32,7 @@ from .errors import (
     MalformedDateError,
     MalformedRowError,
     OutOfRangeError,
+    OutputIsInputError,
     TempcastError,
 )
 from .ingest import UNITS, CleanConfig, clean_report, csv_rows, parse_cdo_csv
@@ -61,7 +65,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_manifest(path: Path, args, input_path: str, config: dict, artifacts) -> None:
+def _refuse_overwrite(input_path: str, outputs) -> None:
+    """Raise :class:`OutputIsInputError` when one of the ``outputs``
+    paths is the input file itself, under any name, link or hard link,
+    which writing the artifacts would destroy."""
+    for output in outputs:
+        if output.exists() and output.samefile(input_path):
+            raise OutputIsInputError(
+                f"{output} is the input file {input_path}; refusing to overwrite it"
+            )
+
+
+def _write_manifest(
+    path: Path, args, input_path: str, input_sha256: str, config: dict, artifacts
+) -> None:
     """Write a run's reproducibility record as sorted, 2-space-indented
     JSON: the subcommand and its seed (None when it takes none), toolkit
     version, input path and SHA-256, resolved configuration and artifact
@@ -71,7 +88,7 @@ def _write_manifest(path: Path, args, input_path: str, config: dict, artifacts) 
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "input_path": input_path,
-        "input_sha256": hashlib.sha256(Path(input_path).read_bytes()).hexdigest(),
+        "input_sha256": input_sha256,
         "config": config,
         "artifacts": list(artifacts),
     }
@@ -113,10 +130,14 @@ def _date_flag(raw: str, flag: str) -> dt.date:
         raise _UsageError(f"{flag} expects YYYY-MM-DD, got {raw!r}") from None
 
 
-def _read_text(path: Path) -> str:
-    """A UTF-8 input file's text, without the byte-order mark some editors add."""
+def _read_text(path: Path) -> tuple[str, str]:
+    """A UTF-8 input file's text, without the byte-order mark some editors
+    add and with universal newlines, as ``Path.read_text`` gives it, and
+    the SHA-256 of the bytes that text was decoded from."""
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     try:
-        return path.read_text(encoding="utf-8-sig")
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read(), digest
     except UnicodeDecodeError as exc:
         # Offsets are into exc.object, which omits a leading mark.
         line = exc.object.count(b"\n", 0, exc.start) + 1
@@ -125,8 +146,10 @@ def _read_text(path: Path) -> str:
         ) from None
 
 
-def _read_series_csv(path: Path) -> TimeSeries:
-    rows = csv_rows(_read_text(path))
+def _read_series_csv(path: Path) -> tuple[TimeSeries, str]:
+    """The series in a ``date,kelvin`` file and the file's SHA-256."""
+    text, digest = _read_text(path)
+    rows = csv_rows(text)
     try:
         header = next(rows)
     except StopIteration:
@@ -148,7 +171,7 @@ def _read_series_csv(path: Path) -> TimeSeries:
             values.append(float(row[1]))
         except ValueError:
             raise MalformedRowError(line, f"not a number: {row[1]!r}") from None
-    return validate_series(drop_leap_days(dates, values, station_id=path.stem))
+    return validate_series(drop_leap_days(dates, values, station_id=path.stem)), digest
 
 
 def build_parser() -> _Parser:
@@ -195,7 +218,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_ingest(args) -> int:
-    text = _read_text(Path(args.input))
+    output = Path(args.output)
+    manifest = output.parent / (output.name + ".manifest.json")
+    _refuse_overwrite(args.input, [output, manifest])
+    text, input_sha256 = _read_text(Path(args.input))
     try:
         records = parse_cdo_csv(
             text, unit=args.unit, tmax_tmin_fallback=args.tmax_tmin_fallback
@@ -208,9 +234,13 @@ def _cmd_ingest(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    # Neither the export's text nor its parsed rows (several times the
+    # file's size) is needed past the stage that reads it; freeing each
+    # before the next stage lowers the command's peak memory.
+    del text
     series, stats = clean_report(records, config)
+    del records
 
-    output = Path(args.output)
     dates = _iso_dates(series.start_date, 0, len(series))
     values = map(repr, series.values.tolist())
     _write_csv(output, ("date", "kelvin"), zip(dates, values))
@@ -222,8 +252,7 @@ def _cmd_ingest(args) -> int:
         "max_gap": args.max_gap,
         "tmax_tmin_fallback": args.tmax_tmin_fallback,
     }
-    manifest = output.parent / (output.name + ".manifest.json")
-    _write_manifest(manifest, args, args.input, resolved, [output.name])
+    _write_manifest(manifest, args, args.input, input_sha256, resolved, [output.name])
 
     print(f"rows parsed:        {stats.raw_rows}")
     print(f"rows kept:          {stats.kept_rows}")
@@ -268,7 +297,12 @@ def _print_rmse_table(report: BacktestReport) -> None:
 
 
 def _cmd_backtest(args) -> int:
-    series = _read_series_csv(Path(args.series))
+    out_dir = Path(args.out_dir)
+    artifacts = ["rmse.csv", "errors.csv"]
+    _refuse_overwrite(
+        args.series, [out_dir / name for name in [*artifacts, "manifest.json"]]
+    )
+    series, input_sha256 = _read_series_csv(Path(args.series))
     try:
         config = BacktestConfig(
             train_length=args.train_days,
@@ -282,7 +316,6 @@ def _cmd_backtest(args) -> int:
         raise _UsageError(str(exc)) from None
     report = run_backtest(series, config)
 
-    out_dir = Path(args.out_dir)
     _write_csv(out_dir / "rmse.csv", ("lead", *config.models), _rmse_rows(report))
     _write_csv(
         out_dir / "errors.csv",
@@ -311,8 +344,9 @@ def _cmd_backtest(args) -> int:
         "origins": [int(o) for o in report.origins],
         "fits": fits,
     }
-    artifacts = ["rmse.csv", "errors.csv"]
-    _write_manifest(out_dir / "manifest.json", args, args.series, resolved, artifacts)
+    _write_manifest(
+        out_dir / "manifest.json", args, args.series, input_sha256, resolved, artifacts
+    )
     _print_rmse_table(report)
     return 0
 
@@ -340,7 +374,10 @@ def _cmd_forecast(args) -> int:
     if args.season < 2:
         raise _UsageError(f"--season must be at least 2, got {args.season}")
 
-    series = _read_series_csv(Path(args.series))
+    output = Path(args.output)
+    manifest = output.parent / (output.name + ".manifest.json")
+    _refuse_overwrite(args.series, [output, manifest])
+    series, input_sha256 = _read_series_csv(Path(args.series))
     last_target = len(series) + args.horizon - 1
     try:
         calendar_days(series.start_date, last_target, last_target + 1)
@@ -363,7 +400,6 @@ def _cmd_forecast(args) -> int:
 
     forecasts = hw_forecast(state, np.arange(1, args.horizon + 1), params)
 
-    output = Path(args.output)
     _write_csv(
         output,
         ("date", "actual", "forecast"),
@@ -380,8 +416,7 @@ def _cmd_forecast(args) -> int:
         },
         "in_sample_rmse": None if tuned is None else tuned.in_sample_rmse,
     }
-    manifest = output.parent / (output.name + ".manifest.json")
-    _write_manifest(manifest, args, args.series, resolved, [output.name])
+    _write_manifest(manifest, args, args.series, input_sha256, resolved, [output.name])
     print(
         f"fitted alpha={params.alpha:.4f} beta={params.beta:.4f} "
         f"gamma={params.gamma:.4f} (season {params.season_length})"

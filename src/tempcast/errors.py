@@ -120,3 +120,7 @@ class MultipleStationsError(TempcastError):
             "records span multiple stations "
             f"({', '.join(self.stations)}); pass a station filter"
         )
+
+
+class OutputIsInputError(TempcastError):
+    """An artifact path names the file a command reads its input from."""

@@ -190,6 +190,15 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     return state
 
 
+def _leads(m) -> np.ndarray:
+    """``m`` as an int64 array of leads, each a whole number of days
+    >= 1; anything else raises :class:`InvalidLeadError`."""
+    leads = np.asarray(m)
+    if leads.dtype.kind not in "iu" or (leads < 1).any():
+        raise InvalidLeadError(f"lead must be a whole number of days >= 1, got {m!r}")
+    return leads.astype(np.int64, copy=False)
+
+
 def hw_forecast(state: HWState, m, params: SmoothingParams):
     """Project the state ``m`` days ahead.
 
@@ -200,30 +209,37 @@ def hw_forecast(state: HWState, m, params: SmoothingParams):
     the scalar's arithmetic, so the two agree bit for bit. A lead that
     is not an integer or is below 1 raises :class:`InvalidLeadError`.
     """
-    leads = np.asarray(m)
-    if leads.dtype.kind not in "iu" or (leads < 1).any():
-        raise InvalidLeadError(f"lead must be a whole number of days >= 1, got {m!r}")
-    leads = leads.astype(np.int64, copy=False)
+    leads = _leads(m)
     slots = (state.phase + leads - 1) % params.season_length
     forecast = state.level + leads * state.trend + state.seasonal[slots]
     return forecast if leads.ndim else float(forecast)
 
 
-def persistence_forecast(train, m: int = 1) -> float:
-    """Repeat the last observed value, whatever the lead."""
-    if m < 1:
-        raise InvalidLeadError(f"lead must be at least 1 day, got {m}")
+def _repeat(value: float, leads: np.ndarray):
+    """``value`` for every lead: a float for a scalar lead, else an
+    array of the leads' shape."""
+    return np.full(leads.shape, value) if leads.ndim else value
+
+
+def persistence_forecast(train, m=1):
+    """Repeat the last observed value, whatever the lead.
+
+    ``m`` is checked and shaped as in :func:`hw_forecast`.
+    """
+    leads = _leads(m)
     values = _train_values(train)
     if values.size == 0:
         raise EmptyInputError("persistence forecast needs an observation")
-    return float(values[-1])
+    return _repeat(float(values[-1]), leads)
 
 
-def average_forecast(train, m: int = 1) -> float:
-    """Predict the mean of the whole training window, whatever the lead."""
-    if m < 1:
-        raise InvalidLeadError(f"lead must be at least 1 day, got {m}")
+def average_forecast(train, m=1):
+    """Predict the mean of the whole training window, whatever the lead.
+
+    ``m`` is checked and shaped as in :func:`hw_forecast`.
+    """
+    leads = _leads(m)
     values = _train_values(train)
     if values.size == 0:
         raise EmptyInputError("average forecast needs an observation")
-    return float(values.mean())
+    return _repeat(float(values.mean()), leads)

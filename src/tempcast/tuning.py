@@ -14,27 +14,33 @@ times ``W`` triples, returning each column's RMSE together with its
 final level, trend and seasonal ring. The winner's fitted state
 therefore comes out of the sweep itself; no replay is needed.
 
-The pass steps through time in blocks of at most ``_BLOCK`` days that
-stay inside one season. Day ``t`` reads the seasonal slot written on
-day ``t - L``, so a block's seasonal terms, ring update and error
-scoring are each computed for the whole block at once, and only the
-level-and-trend recursion runs day by day; the results stay
-bit-for-bit those of folding :func:`~tempcast.models.hw_update`.
+The pass steps through time in blocks that stay inside one season and
+hold about ``_BLOCK_ELEMENTS`` elements per buffer, whatever the width.
+Day ``t`` reads the seasonal slot written on day ``t - L``, so a block's
+seasonal terms, ring update and error scoring are each computed for the
+whole block at once, and only the level-and-trend recursion runs day by
+day; a scored block's squared errors are added to the running sum one
+day after another, in time order. The results stay bit-for-bit those of
+folding :func:`~tempcast.models.hw_update`.
 
 :func:`grid_search_windows` tunes many windows together, round by
 round: round ``r`` runs for every window before round ``r + 1`` starts,
 because each window's refined grid depends on its incumbent. Within a
 round the windows' sweeps are packed greedily, in window order, into
 chunks; each sweep is padded to the chunk's widest by repeating its last
-triple, and a chunk's padded column count may not exceed the first-round
-width (the product of the axis cardinalities). Refined grids are never
-wider than that, so every sweep fits, and the seasonal ring, allocated
-once per call and reused by every chunk, never exceeds season length ×
-first-round width floats. Padding is sliced off before a winner is
-picked and before ``evaluations`` is counted, and each column's
-arithmetic does not depend on its neighbours, so packing changes no
-result. :func:`grid_search` and :func:`one_step_rmse` are one-window
-calls of the same code.
+triple, and a chunk's padded column count may not exceed the larger of
+the first-round width (the product of the axis cardinalities) and
+``_CHUNK_COLUMNS``, two default-grid sweeps. So the default protocol
+runs two windows per kernel call in the first round and about six in
+each refinement round, while a first round wider than ``_CHUNK_COLUMNS``
+(``GridSpec.fine``) runs one window per call. Refined grids are never
+wider than the first round, so every sweep fits, and the seasonal ring,
+allocated once per call and reused by every chunk, never exceeds season
+length × that budget floats; a one-window call allocates one sweep's.
+Padding is sliced off before a winner is picked and before
+``evaluations`` is counted, and each column's arithmetic does not depend
+on its neighbours, so packing changes no result. :func:`grid_search` and
+:func:`one_step_rmse` are one-window calls of the same code.
 """
 
 from __future__ import annotations
@@ -137,13 +143,22 @@ def _require_finite(values: np.ndarray) -> None:
         )
 
 
-# Most days per block of the kernel: enough to spread the per-block
-# calls thin, few enough that the two (block, k, W) buffers and the
-# block's ring rows (3 × 32 × 1331 floats, 1 MB at the default grid's
-# width) stay in a 2 MB L2. On a 2-vCPU Xeon, 24 to 64 measured within
-# noise of each other, 32 fastest in the median, and a whole 365-day
-# season slower.
-_BLOCK = 32
+# Columns of one chunk of grid_search_windows, unless the first round is
+# wider: two sweeps of the default 11 x 11 x 11 grid. Each ufunc call of
+# the kernel's per-day loop pays a fixed dispatch cost, so two windows
+# per call halve that cost per column. The seasonal ring grows with the
+# chunk: 365 x 2662 floats (7.8 MB), and another 3.9 MB for each further
+# window.
+_CHUNK_COLUMNS = 2 * 11**3
+
+# Elements in each per-day buffer of one kernel block: 24 days at the
+# default grid's width, 12 at two windows, so the two (days, k, W)
+# buffers and the block's ring rows (0.75 MB together) stay well inside
+# a 2 MB L2 whatever the width. On a 2-vCPU Xeon (48 KB L1d, 2 MB L2 per
+# core), 24 and 32 days tied at 1331 columns, while at 2662 the default
+# backtest's kernel took 1.54 s with 12-day blocks against 1.61 s with 8
+# and 1.63 s with 16; a whole 365-day season is slower still.
+_BLOCK_ELEMENTS = 24 * 11**3
 
 
 def _one_step_errors_batch(
@@ -169,17 +184,19 @@ def _one_step_errors_batch(
     scoring each pre-update lead-1 forecast from the third season
     onward, so the column's final state equals ``hw_fit``'s.
 
-    Time is stepped in blocks of at most ``_BLOCK`` days that never
-    cross a season boundary. The ring slot read on day ``t`` was last
-    written on day ``t - L``, before the block began, so every
-    season-old correction of the block is known at its start: the
-    ``alpha * (a - c_old)`` terms, the scored errors and the ring update
-    are each a few calls over the whole block, and only the level and
-    trend recursion runs day by day. The warm-up ends on a season
-    boundary, so a block is either all warm-up or all scored. Each
-    element still sees the per-step expression with its operands at most
-    commuted, never reassociated, and the squared errors are added to
-    the running sum one day at a time in time order, so the results are
+    Time is stepped in blocks that never cross a season boundary and
+    hold at most ``_BLOCK_ELEMENTS // (k * W)`` days (at least one, at
+    most a season), so the block buffers keep one size whatever the
+    width. The ring slot read on day ``t`` was last written on day
+    ``t - L``, before the block began, so every season-old correction
+    of the block is known at its start: the ``alpha * (a - c_old)``
+    terms, the scored errors and the ring update are each a few calls
+    over the whole block, and only the level and trend recursion runs
+    day by day. The warm-up ends on a season boundary, so a block is
+    either all warm-up or all scored. Each element still sees the
+    per-step expression with its operands at most commuted, never
+    reassociated, and a scored block's squared errors are added to the
+    running sum one day after another in time order, so the results are
     unchanged by the blocking.
     """
     L = season_length
@@ -199,21 +216,22 @@ def _one_step_errors_batch(
     one_m_gamma = 1.0 - gammas
 
     warmup = 2 * L
+    block = min(max(_BLOCK_ELEMENTS // alphas.size, 1), L)
     sq_sum = np.zeros(shape)
     scratch = np.empty(shape)
     # Per day of the block: level + trend (later the squared error and
     # the ring increment), and the new level.
-    level_trends = np.empty((_BLOCK, *shape))
-    levels = np.empty((_BLOCK, *shape))
+    level_trends = np.empty((block, *shape))
+    levels = np.empty((block, *shape))
     lt_rows = list(level_trends)
-    level_rows = list(levels)
+    day_rows = list(zip(lt_rows, levels))
     observations = np.ascontiguousarray(values.T)[:, :, None]  # (n, k, 1)
     start = 0
     while start < n:
         # A block ends at the next season boundary at the latest, so no
         # ring slot it reads was written inside it, and it is either all
         # warm-up or all scored: warmup is itself a season boundary.
-        stop = min(start + _BLOCK, n, (start // L + 1) * L)
+        stop = min(start + block, n, (start // L + 1) * L)
         days = stop - start
         obs = observations[start:stop]
         c_old = ring[start % L : start % L + days]
@@ -221,19 +239,17 @@ def _one_step_errors_batch(
         new = levels[:days]
         # level' = alpha * (a - c_old) + (1 - alpha) * (level + trend);
         # the first term is known for the whole block before it starts
-        np.subtract(obs, c_old, out=new)
+        np.subtract(obs, c_old, new)
         new *= alphas
         prev = level
-        for d in range(days):
-            lt_d = lt_rows[d]
-            new_d = level_rows[d]
-            np.add(prev, trend, out=lt_d)
-            np.multiply(one_m_alpha, lt_d, out=scratch)
+        for lt_d, new_d in day_rows[:days]:
+            np.add(prev, trend, lt_d)
+            np.multiply(one_m_alpha, lt_d, scratch)
             new_d += scratch
             # trend' = beta * (level' - level) + (1 - beta) * trend.
             # Operands appear in another order than in hw_update, which
             # is exact: IEEE addition and multiplication are commutative.
-            np.subtract(new_d, prev, out=scratch)
+            np.subtract(new_d, prev, scratch)
             scratch *= betas
             trend *= one_m_beta
             trend += scratch
@@ -243,14 +259,16 @@ def _one_step_errors_batch(
         if start >= warmup:
             # ((level + trend) + c_old - a)^2, added to the running sum
             # one day at a time so the summation order stays that of a
-            # per-day fold
+            # per-day fold. One np.add.reduce over [sq_sum; block] keeps
+            # that order only at two or more columns (one column is summed
+            # pairwise), and measured slower here at 1331 and 2662 columns.
             lt += c_old
             lt -= obs
             lt *= lt
-            for d in range(days):
-                sq_sum += lt_rows[d]
+            for row in lt_rows[:days]:
+                sq_sum += row
         # c_new = gamma * (a - level') + (1 - gamma) * c_old
-        np.subtract(obs, new, out=lt)
+        np.subtract(obs, new, lt)
         lt *= gammas
         c_old *= one_m_gamma
         c_old += lt
@@ -374,8 +392,11 @@ def grid_search_windows(
         np.asarray(spec.gamma_grid, dtype=np.float64),
     ]
     cardinalities = [axis.size for axis in axes]
-    budget = math.prod(cardinalities)
-    ring = np.empty(season_length * budget)
+    first_width = math.prod(cardinalities)
+    budget = max(first_width, _CHUNK_COLUMNS)
+    # No chunk is wider than k first-round sweeps, so one window touches
+    # one sweep's ring.
+    ring = np.empty(season_length * min(budget, k * first_width))
 
     sweeps = [_mesh(*axes)] * k
     spacings = [[_axis_spacing(axis) for axis in axes]] * k

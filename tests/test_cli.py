@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import datetime as dt
+import hashlib
 import io
 import json
 import tempfile
@@ -54,6 +55,30 @@ class TestIngestCommand:
         assert manifest["command"] == "ingest"
         assert manifest["config"]["unit"] == "celsius"
         assert len(manifest["input_sha256"]) == 64
+
+    def test_output_naming_the_input_is_refused(self, tmp_path, capsys):
+        export = tmp_path / "export.csv"
+        export.write_bytes(GOLDEN_CSV.read_bytes())
+        (tmp_path / "sub").mkdir()
+        code = main(["ingest", "--input", str(export), "--unit", "celsius",
+                     "--output", str(tmp_path / "sub" / ".." / "export.csv")])
+        assert code == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert export.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["export.csv", "sub"]
+        # nor may the manifest written next to the output
+        export = export.rename(tmp_path / "clean.csv.manifest.json")
+        assert main(["ingest", "--input", str(export), "--unit", "celsius",
+                     "--output", str(tmp_path / "clean.csv")]) == 2
+        assert export.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [export.name, "sub"]
+
+    def test_manifest_digest_is_the_inputs(self, tmp_path):
+        out = tmp_path / "clean.csv"
+        assert main(["ingest", "--input", str(GOLDEN_CSV), "--unit", "celsius",
+                     "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "clean.csv.manifest.json").read_text())
+        assert manifest["input_sha256"] == hashlib.sha256(GOLDEN_CSV.read_bytes()).hexdigest()
 
     def test_missing_input_exits_2_naming_path(self, tmp_path, capsys):
         code = main(["ingest", "--input", str(tmp_path / "nope.csv"),
@@ -202,6 +227,19 @@ class TestBacktestCommand:
                 pooled = float(np.sqrt(np.mean(np.square(cell))))
                 assert float(table[lead][column]) == pytest.approx(pooled, rel=1e-12)
 
+    @pytest.mark.parametrize("artifact", ["rmse.csv", "errors.csv", "manifest.json"])
+    def test_artifact_naming_the_series_is_refused(
+        self, clean_series_file, tmp_path, capsys, artifact
+    ):
+        series = tmp_path / artifact
+        series.write_bytes(clean_series_file.read_bytes())
+        code = main(["backtest", "--series", str(series), "--experiments", "2",
+                     "--grid", "coarse", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert series.read_bytes() == clean_series_file.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == [artifact]
+
     def test_insufficient_series_is_data_error(self, clean_series_file, tmp_path, capsys):
         code = main(["backtest", "--series", str(clean_series_file),
                      "--train-days", "1825", "--experiments", "500",
@@ -331,6 +369,20 @@ class TestForecastCommand:
                      "--season", season, *mode, "--output", str(tmp_path / "f.csv")])
         assert code == 1
         assert "--season must be at least 2" in capsys.readouterr().err
+
+    def test_output_naming_the_series_is_refused(self, clean_series_file, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_bytes(clean_series_file.read_bytes())
+        link = tmp_path / "link.csv"
+        link.symlink_to(series)
+        for output in (series, link):
+            code = main(["forecast", "--series", str(series), "--horizon", "3",
+                         "--alpha", "0.3", "--beta", "0.1", "--gamma", "0.2",
+                         "--output", str(output)])
+            assert code == 2
+            assert "refusing to overwrite" in capsys.readouterr().err
+        assert series.read_bytes() == clean_series_file.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "series.csv"]
 
     def test_auto_conflicts_with_explicit(self, clean_series_file, tmp_path):
         code = main(["forecast", "--series", str(clean_series_file),

@@ -406,6 +406,27 @@ class TestBaselines:
         with pytest.raises(InvalidLeadError):
             average_forecast(series, -1)
 
+    @pytest.mark.parametrize("forecaster", [persistence_forecast, average_forecast])
+    @pytest.mark.parametrize(
+        "lead",
+        [1.5, 0, -1, True, np.array([1.0, 2.0]), np.array([2, 0])],
+        ids=["half", "zero", "negative", "bool", "float-array", "zero-in-array"],
+    )
+    def test_lead_check_is_hw_forecasts(self, make_series, forecaster, lead):
+        with pytest.raises(InvalidLeadError):
+            forecaster(make_series([280.0, 282.0]), lead)
+
+    @pytest.mark.parametrize(
+        "forecaster, value", [(persistence_forecast, 282.0), (average_forecast, 281.0)]
+    )
+    def test_integer_array_of_leads_keeps_its_shape(self, make_series, forecaster, value):
+        series = make_series([280.0, 282.0])
+        got = forecaster(series, np.array([[1, 4], [2, 7]]))
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[value, value], [value, value]]
+        assert forecaster(series, 3) == value
+        assert isinstance(forecaster(series, 3), float)
+
     @given(st.lists(st.floats(min_value=200.0, max_value=330.0), min_size=1, max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_average_matches_sum_over_count(self, values):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from tempcast import (
     one_step_rmse,
 )
 from tempcast.errors import LengthMismatchError, NonFiniteError, TooShortError
-from tempcast.tuning import _BLOCK, _one_step_errors_batch, _pack
+from tempcast import tuning
+from tempcast.tuning import _one_step_errors_batch, _pack
 
 
 def fold_scored(values, params):
@@ -95,20 +98,23 @@ class TestOneStepRmse:
 
 
 class TestKernelBlocks:
-    """Seasons longer than the kernel's block, so each season is split
-    into several blocks and the last one is cut short by the end of the
-    window."""
+    """Blocks shorter than a season: ``_BLOCK_ELEMENTS`` is patched so the
+    drawn widths get blocks of one day, of odd lengths and of many days,
+    each season is split into several blocks and the last one is cut
+    short by the end of the window."""
 
     @given(
         season_length=st.sampled_from([67, 130, 365]),
+        block_days=st.sampled_from([1, 2, 7, 13, 32]),
         extra=st.integers(min_value=1, max_value=150),
-        k=st.integers(min_value=2, max_value=3),
-        width=st.integers(min_value=2, max_value=3),
+        k=st.integers(min_value=1, max_value=3),
+        width=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=9999),
     )
     @settings(max_examples=25, deadline=None)
-    def test_bit_identical_to_update_folds(self, season_length, extra, k, width, seed):
-        assert season_length > _BLOCK
+    def test_bit_identical_to_update_folds(
+        self, season_length, block_days, extra, k, width, seed
+    ):
         n = 2 * season_length + extra
         assume(n % season_length)
         gen = np.random.default_rng(seed)
@@ -116,9 +122,10 @@ class TestKernelBlocks:
         values = 280.0 + cycle + 0.01 * np.arange(n) + gen.normal(0, 2, (k, n))
         alphas, betas, gammas = gen.uniform(0, 1, (3, k, width))
         alphas[0, 0], betas[-1, -1], gammas[0, -1] = 0.0, 1.0, 1.0
-        rmse, level, trend, ring = _one_step_errors_batch(
-            values, season_length, alphas, betas, gammas
-        )
+        with mock.patch.object(tuning, "_BLOCK_ELEMENTS", block_days * k * width):
+            rmse, level, trend, ring = _one_step_errors_batch(
+                values, season_length, alphas, betas, gammas
+            )
         for i in range(k):
             for j in range(width):
                 params = SmoothingParams(
@@ -277,6 +284,52 @@ class TestGridSearchWindows:
             assert fit.in_sample_rmse == alone.in_sample_rmse
             assert fit.evaluations == alone.evaluations
             assert_state_is_hw_fit(fit.state, window, fit.params)
+
+    @given(
+        season_length=st.sampled_from([2, 3, 5]),
+        n_windows=st.integers(min_value=2, max_value=5),
+        extra=st.integers(min_value=1, max_value=12),
+        axes=st.tuples(boundary_axis, boundary_axis, boundary_axis),
+        refine_rounds=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_windows_per_chunk_do_not_change_results(
+        self, season_length, n_windows, extra, axes, refine_rounds, seed
+    ):
+        gen = np.random.default_rng(seed)
+        n = 2 * season_length + extra
+        cycle = 5 * np.sin(np.arange(n) * 2 * np.pi / season_length)
+        windows = 280.0 + cycle + gen.normal(0, gen.uniform(0, 4), (n_windows, n))
+        spec = GridSpec(*axes, refine_rounds=refine_rounds)
+        # one first-round sweep per chunk, then every window of a round in one
+        with mock.patch.object(tuning, "_CHUNK_COLUMNS", 1):
+            narrow = grid_search_windows(windows, spec, season_length)
+        with mock.patch.object(tuning, "_CHUNK_COLUMNS", 10**6):
+            wide = grid_search_windows(windows, spec, season_length)
+        assert narrow == wide
+        for one, many in zip(narrow, wide):
+            assert one.state.level == many.state.level
+            assert one.state.trend == many.state.trend
+            assert one.state.seasonal.tobytes() == many.state.seasonal.tobytes()
+
+    @pytest.mark.parametrize(
+        "preset, round_zero",
+        [(GridSpec.default, [(2, 1331), (1, 1331)]), (GridSpec.fine, [(1, 9261)] * 3)],
+        ids=["default", "fine"],
+    )
+    def test_round_zero_chunk_widths(self, rng, preset, round_zero):
+        calls = []
+
+        def spy(values, season_length, alphas, *rest, **kwargs):
+            calls.append(alphas.shape)
+            return _one_step_errors_batch(values, season_length, alphas, *rest, **kwargs)
+
+        spec = dataclasses.replace(preset(), refine_rounds=0)
+        values = 280.0 + rng.normal(0, 2, (3, 9))
+        with mock.patch.object(tuning, "_one_step_errors_batch", spy):
+            grid_search_windows(values, spec, season_length=4)
+        assert calls == round_zero
 
     def test_pack_respects_budget_and_order(self):
         widths = [396, 396, 1331, 396, 6, 36, 396, 396, 396, 396]
