@@ -13,11 +13,11 @@ from tempcast import (
     CleanConfig,
     GridSpec,
     clean_report,
-    calendar_dates,
     grid_search,
     hw_forecast,
     parse_cdo_csv,
 )
+from tempcast.series import iso_dates
 
 INPUT = Path("tests/data/synthetic_station_daily.csv")
 UNIT = "celsius"
@@ -37,7 +37,7 @@ print(
 )
 
 print("\nnext week:")
-days = calendar_dates(series.start_date, len(series), len(series) + 7)
+days = iso_dates(series.start_date, len(series), len(series) + 7)
 for m, day in enumerate(days, start=1):
     kelvin = hw_forecast(fit.state, m, fit.params)
     print(f"  {day}  {kelvin:6.2f} K  ({kelvin - 273.15:+5.1f} C)")

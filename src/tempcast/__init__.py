@@ -10,25 +10,14 @@ protocol.
 __version__ = "0.1.0"
 
 from . import errors
-from .backtest import (
-    MODEL_NAMES,
-    BacktestConfig,
-    BacktestReport,
-    ExperimentResult,
-    collect_report,
-    run_backtest,
-    run_experiment,
-    select_origins,
-)
+from .backtest import MODEL_NAMES, BacktestConfig, BacktestReport, run_backtest
 from .ingest import (
     UNITS,
     CleanConfig,
     CleanStats,
     RawRecordSet,
-    clean,
     clean_report,
     parse_cdo_csv,
-    to_kelvin,
 )
 from .models import (
     HWState,
@@ -36,27 +25,10 @@ from .models import (
     average_forecast,
     hw_fit,
     hw_forecast,
-    hw_update,
-    init_state,
     persistence_forecast,
 )
-from .series import (
-    TimeSeries,
-    calendar_dates,
-    drop_leap_days,
-    is_leap_day,
-    next_calendar_day,
-    rmse,
-    split_at_origin,
-    validate_series,
-)
-from .tuning import (
-    FitResult,
-    GridSpec,
-    grid_search,
-    grid_search_windows,
-    one_step_rmse,
-)
+from .series import TimeSeries, read_csv
+from .tuning import FitResult, GridSpec, grid_search
 
 __all__ = [
     "__version__",
@@ -64,38 +36,22 @@ __all__ = [
     "MODEL_NAMES",
     "BacktestConfig",
     "BacktestReport",
-    "ExperimentResult",
-    "collect_report",
     "run_backtest",
-    "run_experiment",
-    "select_origins",
     "UNITS",
     "CleanConfig",
     "CleanStats",
     "RawRecordSet",
-    "clean",
-    "clean_report",
     "parse_cdo_csv",
-    "to_kelvin",
-    "HWState",
+    "clean_report",
+    "TimeSeries",
+    "read_csv",
     "SmoothingParams",
-    "average_forecast",
+    "HWState",
     "hw_fit",
     "hw_forecast",
-    "hw_update",
-    "init_state",
     "persistence_forecast",
-    "TimeSeries",
-    "calendar_dates",
-    "drop_leap_days",
-    "is_leap_day",
-    "next_calendar_day",
-    "rmse",
-    "split_at_origin",
-    "validate_series",
-    "FitResult",
+    "average_forecast",
     "GridSpec",
+    "FitResult",
     "grid_search",
-    "grid_search_windows",
-    "one_step_rmse",
 ]

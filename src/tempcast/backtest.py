@@ -58,7 +58,6 @@ class BacktestConfig:
     season_length: int = 365
 
     def __post_init__(self):
-        object.__setattr__(self, "leads", tuple(int(m) for m in self.leads))
         object.__setattr__(self, "models", tuple(self.models))
         if self.season_length < 2:
             raise ValueError("season_length must be at least 2")
@@ -68,8 +67,13 @@ class BacktestConfig:
                 f"train_length must be at least {minimum_train} "
                 f"(two seasons plus one), got {self.train_length}"
             )
-        if not self.leads or any(m < 1 for m in self.leads):
-            raise ValueError("leads must be a nonempty list of days >= 1")
+        leads = tuple(self.leads)
+        if not leads or any(
+            isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1
+            for m in leads
+        ):
+            raise ValueError("leads must be a nonempty list of whole days >= 1")
+        object.__setattr__(self, "leads", tuple(map(int, leads)))
         if any(b <= a for a, b in zip(self.leads, self.leads[1:])):
             raise ValueError("leads must be strictly increasing")
         if self.n_experiments < 1:

@@ -3,11 +3,13 @@
 Every subcommand writes its artifacts plus a JSON manifest holding the
 resolved configuration, the input file digest and the toolkit version,
 so a run can be reproduced byte-for-byte from the manifest alone. All
-randomness flows from the single --seed flag. Every CSV artifact goes
-through one writer, :func:`_write_csv`, fed by one row source per
-table; every manifest goes through :func:`_write_manifest`. The digest
-is of the bytes the command parsed, and no artifact may be written over
-the input file (exit 2).
+randomness flows from the single --seed flag. The series file's format
+belongs to :mod:`tempcast.series`; what is left here is the command
+line: arguments, reading each input once (:func:`_read_text`), the
+report tables' row sources, one CSV writer (:func:`_write_csv`) and one
+manifest writer (:func:`_write_manifest`). The digest is of the bytes
+the command parsed, and no artifact may be written over the input file
+(exit 2).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -29,24 +31,25 @@ import numpy as np
 from . import __version__
 from .backtest import MODEL_NAMES, BacktestConfig, BacktestReport, run_backtest
 from .errors import (
-    MalformedDateError,
     MalformedRowError,
     OutOfRangeError,
     OutputIsInputError,
     TempcastError,
 )
-from .ingest import UNITS, CleanConfig, clean_report, csv_rows, parse_cdo_csv
+from .ingest import UNITS, CleanConfig, clean_report, parse_cdo_csv
 from .models import SmoothingParams, hw_fit, hw_forecast
 from .series import (
+    CSV_HEADER,
     TimeSeries,
     calendar_days,
-    drop_leap_days,
+    iso_dates,
     parse_date,
-    validate_series,
+    read_csv,
+    to_csv_rows,
 )
 from .tuning import GridSpec, grid_search
 
-# Rows per write of a CSV artifact (and per calendar conversion).
+# Rows per write of a CSV artifact.
 _CSV_BLOCK_ROWS = 8192
 
 GRID_PRESETS = {
@@ -112,17 +115,6 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
             out.write("\n".join(map(",".join, block)) + "\n")
 
 
-def _iso_dates(start: dt.date, first: int, stop: int):
-    """``YYYY-MM-DD`` strings of :func:`~tempcast.series.calendar_days`,
-    computed a block of ``_CSV_BLOCK_ROWS`` at a time."""
-    return itertools.chain.from_iterable(
-        np.datetime_as_string(
-            calendar_days(start, lo, min(lo + _CSV_BLOCK_ROWS, stop))
-        ).tolist()
-        for lo in range(first, stop, _CSV_BLOCK_ROWS)
-    )
-
-
 def _date_flag(raw: str, flag: str) -> dt.date:
     try:
         return parse_date(raw)
@@ -149,29 +141,7 @@ def _read_text(path: Path) -> tuple[str, str]:
 def _read_series_csv(path: Path) -> tuple[TimeSeries, str]:
     """The series in a ``date,kelvin`` file and the file's SHA-256."""
     text, digest = _read_text(path)
-    rows = csv_rows(text)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise MalformedRowError(1, "empty series file") from None
-    if [c.strip().lower() for c in header] != ["date", "kelvin"]:
-        raise MalformedRowError(1, "expected header 'date,kelvin'")
-    dates = []
-    values = []
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise MalformedRowError(line, "expected two fields")
-        try:
-            dates.append(parse_date(row[0].strip()))
-        except ValueError:
-            raise MalformedDateError(line) from None
-        try:
-            values.append(float(row[1]))
-        except ValueError:
-            raise MalformedRowError(line, f"not a number: {row[1]!r}") from None
-    return validate_series(drop_leap_days(dates, values, station_id=path.stem)), digest
+    return read_csv(text, station_id=path.stem), digest
 
 
 def build_parser() -> _Parser:
@@ -241,9 +211,7 @@ def _cmd_ingest(args) -> int:
     series, stats = clean_report(records, config)
     del records
 
-    dates = _iso_dates(series.start_date, 0, len(series))
-    values = map(repr, series.values.tolist())
-    _write_csv(output, ("date", "kelvin"), zip(dates, values))
+    _write_csv(output, CSV_HEADER, to_csv_rows(series))
     resolved = {
         "unit": args.unit,
         "station": args.station,
@@ -355,7 +323,7 @@ def _forecast_rows(series: TimeSeries, forecasts, season_length: int):
     """Date, actual, forecast: up to a season of observations, then the leads."""
     context = series.values[-season_length:].tolist()
     first = len(series) - len(context)
-    dates = _iso_dates(series.start_date, first, len(series) + forecasts.size)
+    dates = iso_dates(series.start_date, first, len(series) + forecasts.size)
     for value in context:
         yield next(dates), repr(value), ""
     for value in forecasts.tolist():

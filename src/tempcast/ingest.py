@@ -20,7 +20,6 @@ import datetime as dt
 import io
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,13 @@ from .errors import (
     MultipleStationsError,
     NonFiniteError,
 )
-from .series import TimeSeries, parse_date, series_from_ordinals, validate_series
+from .series import (
+    TimeSeries,
+    csv_rows,
+    parse_date,
+    series_from_ordinals,
+    validate_series,
+)
 
 UNIT_CELSIUS = "celsius"
 UNIT_FAHRENHEIT = "fahrenheit"
@@ -128,17 +133,6 @@ def _parse_temperature(cell: str, line: int) -> float | None:
         return float(cell)
     except ValueError:
         raise MalformedRowError(line, f"not a number: {cell!r}") from None
-
-
-def csv_rows(text: str) -> Iterator[list[str]]:
-    """The rows of CSV text, raising :class:`MalformedRowError` at the
-    reader's current line where the csv module cannot read it (a field
-    over its size limit, a line break inside an unquoted field)."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise MalformedRowError(reader.line_num, str(exc)) from None
 
 
 def parse_cdo_csv(

@@ -139,6 +139,17 @@ def init_state(train, params: SmoothingParams) -> HWState:
     return HWState(level=level, trend=trend, seasonal=seasonal, phase=0)
 
 
+def _season_length(state: HWState, params: SmoothingParams) -> int:
+    """``params.season_length``, once checked to be the state's ring
+    length; a mismatch raises ``ValueError``."""
+    L = params.season_length
+    if state.seasonal.size != L:
+        raise ValueError(
+            f"state ring has {state.seasonal.size} slots, params expect {L}"
+        )
+    return L
+
+
 def hw_update(
     state: HWState, observation: float, params: SmoothingParams
 ) -> HWState:
@@ -151,11 +162,7 @@ def hw_update(
     """
     if not math.isfinite(observation):
         raise NonFiniteError(f"observation is not finite: {observation!r}")
-    L = params.season_length
-    if state.seasonal.size != L:
-        raise ValueError(
-            f"state ring has {state.seasonal.size} slots, params expect {L}"
-        )
+    L = _season_length(state, params)
     c_old = float(state.seasonal[state.phase])
     level = params.alpha * (observation - c_old) + (1.0 - params.alpha) * (
         state.level + state.trend
@@ -207,10 +214,12 @@ def hw_forecast(state: HWState, m, params: SmoothingParams):
     ``m`` is an int, giving a float, or an integer array of leads,
     giving an array of the same shape; each element is computed with
     the scalar's arithmetic, so the two agree bit for bit. A lead that
-    is not an integer or is below 1 raises :class:`InvalidLeadError`.
+    is not an integer or is below 1 raises :class:`InvalidLeadError`;
+    a state whose ring length is not ``params.season_length`` raises
+    ``ValueError``, as in :func:`hw_update`.
     """
     leads = _leads(m)
-    slots = (state.phase + leads - 1) % params.season_length
+    slots = (state.phase + leads - 1) % _season_length(state, params)
     forecast = state.level + leads * state.trend + state.seasonal[slots]
     return forecast if leads.ndim else float(forecast)
 

@@ -13,11 +13,20 @@ offsets into dates with array arithmetic, and :func:`drop_leap_days`
 checks and filters dated input on an array of day ordinals.
 :func:`next_calendar_day` and :func:`is_leap_day` stay as the per-step
 reference that tests fold against.
+
+On disk a series is a CSV file: the header :data:`CSV_HEADER`
+(``date,kelvin``), then one row per day of an ISO ``YYYY-MM-DD`` date
+and the ``repr`` of the float, which reads back bit for bit. Rows dated
+February 29 are dropped on read (:func:`read_csv`).
 """
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +34,8 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     LengthMismatchError,
+    MalformedDateError,
+    MalformedRowError,
     OutOfRangeError,
     ValidationError,
 )
@@ -45,6 +56,10 @@ _FEB_29 = 31 + 28
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 # Looked up once: parse_date runs once per row of an export.
 _FROMISOFORMAT = dt.date.fromisoformat
+
+CSV_HEADER = ("date", "kelvin")
+# Dates per calendar conversion in iso_dates.
+_ISO_BLOCK_DAYS = 8192
 
 
 def is_leap_day(day: dt.date) -> bool:
@@ -88,9 +103,15 @@ def calendar_days(start: dt.date, first: int, stop: int) -> np.ndarray:
     return (year - 1970).astype("datetime64[Y]").astype("datetime64[D]") + day_of_year
 
 
-def calendar_dates(start: dt.date, first: int, stop: int) -> list[dt.date]:
-    """:func:`calendar_days` as a list of ``datetime.date``."""
-    return calendar_days(start, first, stop).tolist()
+def iso_dates(start: dt.date, first: int, stop: int) -> Iterator[str]:
+    """``YYYY-MM-DD`` strings of :func:`calendar_days`, computed a block
+    of ``_ISO_BLOCK_DAYS`` at a time."""
+    return itertools.chain.from_iterable(
+        np.datetime_as_string(
+            calendar_days(start, lo, min(lo + _ISO_BLOCK_DAYS, stop))
+        ).tolist()
+        for lo in range(first, stop, _ISO_BLOCK_DAYS)
+    )
 
 
 def parse_date(text: str) -> dt.date:
@@ -147,7 +168,7 @@ class TimeSeries:
             raise OutOfRangeError(
                 f"index {index} outside series of length {len(self)}"
             )
-        return calendar_dates(self.start_date, index, index + 1)[0]
+        return calendar_days(self.start_date, index, index + 1).tolist()[0]
 
     @property
     def end_date(self) -> dt.date:
@@ -157,7 +178,7 @@ class TimeSeries:
 
     def dates(self) -> list[dt.date]:
         """Implied calendar dates, one per value, skipping February 29."""
-        return calendar_dates(self.start_date, 0, len(self))
+        return calendar_days(self.start_date, 0, len(self)).tolist()
 
 
 def validate_series(series: TimeSeries) -> TimeSeries:
@@ -226,6 +247,54 @@ def series_from_ordinals(
         raise EmptyInputError("every observation fell on February 29")
     start = dt.date.fromordinal(int(ordinals[np.argmax(keep)]))
     return TimeSeries(start, values[keep], station_id)
+
+
+def csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of CSV text, raising :class:`MalformedRowError` at the
+    reader's current line where the csv module cannot read it (a field
+    over its size limit, a line break inside an unquoted field)."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRowError(reader.line_num, str(exc)) from None
+
+
+def to_csv_rows(series: TimeSeries) -> Iterator[tuple[str, str]]:
+    """The rows of a series file, after :data:`CSV_HEADER`."""
+    return zip(
+        iso_dates(series.start_date, 0, len(series)),
+        map(repr, series.values.tolist()),
+    )
+
+
+def read_csv(text: str, station_id: str = "") -> TimeSeries:
+    """The series in the text of a series file, through
+    :func:`drop_leap_days` and :func:`validate_series`. Blank lines are
+    skipped; a row that cannot be read raises :class:`MalformedRowError`
+    or :class:`MalformedDateError` naming its line."""
+    rows = csv_rows(text)
+    header = next(rows, None)
+    if header is None:
+        raise MalformedRowError(1, "empty series file")
+    if tuple(c.strip().lower() for c in header) != CSV_HEADER:
+        raise MalformedRowError(1, f"expected header {','.join(CSV_HEADER)!r}")
+    dates = []
+    values = []
+    for line, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise MalformedRowError(line, "expected two fields")
+        try:
+            dates.append(parse_date(row[0].strip()))
+        except ValueError:
+            raise MalformedDateError(line) from None
+        try:
+            values.append(float(row[1]))
+        except ValueError:
+            raise MalformedRowError(line, f"not a number: {row[1]!r}") from None
+    return validate_series(drop_leap_days(dates, values, station_id=station_id))
 
 
 def rmse(predicted, actual) -> float:

@@ -11,6 +11,7 @@ import datetime as dt
 import math
 import os
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +26,13 @@ from tempcast import (
     TimeSeries,
     average_forecast,
     clean_report,
-    collect_report,
     grid_search,
     hw_fit,
     hw_forecast,
-    hw_update,
-    one_step_rmse,
     parse_cdo_csv,
-    rmse,
     run_backtest,
-    run_experiment,
-    select_origins,
 )
+from tempcast.backtest import collect_report, run_experiment, select_origins
 from tempcast.cli import main
 from tempcast.errors import (
     DuplicateDateError,
@@ -46,6 +42,9 @@ from tempcast.errors import (
     MalformedRowError,
     MissingColumnError,
 )
+from tempcast.models import hw_update
+from tempcast.series import rmse
+from tempcast.tuning import one_step_rmse
 
 DATA = Path(__file__).parent / "data"
 LEADS = (1, 2, 3, 4)
@@ -307,3 +306,22 @@ def test_c7_ingest_golden_files():
     with pytest.raises(EmptyAfterFilterError):
         clean_report(records, CleanConfig(station_filter="NOPE"))
     print("ACCEPTANCE C7 (ingest golden files): PASS")
+
+
+def test_top_level_exports_the_user_api():
+    import tempcast
+
+    assert tempcast.__all__ == [
+        "__version__", "errors", "MODEL_NAMES", "BacktestConfig",
+        "BacktestReport", "run_backtest", "UNITS", "CleanConfig", "CleanStats",
+        "RawRecordSet", "parse_cdo_csv", "clean_report", "TimeSeries", "read_csv",
+        "SmoothingParams", "HWState", "hw_fit", "hw_forecast",
+        "persistence_forecast", "average_forecast", "GridSpec", "FitResult",
+        "grid_search",
+    ]
+    # imported names only: submodules are bound as attributes once loaded
+    public = {
+        name for name, value in vars(tempcast).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(tempcast.__all__) - {"__version__", "errors"}

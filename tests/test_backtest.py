@@ -11,14 +11,12 @@ from tempcast import (
     CleanConfig,
     GridSpec,
     TimeSeries,
-    clean,
-    collect_report,
     run_backtest,
     parse_cdo_csv,
-    run_experiment,
-    select_origins,
 )
+from tempcast.backtest import collect_report, run_experiment, select_origins
 from tempcast.errors import EmptyInputError, InsufficientDataError, OutOfRangeError
+from tempcast.ingest import clean
 
 JAN1 = dt.date(2015, 1, 1)
 STATION_CSV = Path(__file__).parent / "data" / "synthetic_station_daily.csv"
@@ -71,6 +69,19 @@ class TestConfig:
             small_config(models=("nonsense",))
         with pytest.raises(ValueError):
             small_config(seed=-1)
+
+    @pytest.mark.parametrize(
+        "leads", [(1.5,), (True, 2), (1, 2.0), ("1",)],
+        ids=["half", "bool", "whole-float", "string"],
+    )
+    def test_non_integer_leads_rejected(self, leads):
+        with pytest.raises(ValueError, match="whole days >= 1"):
+            small_config(leads=leads)
+
+    def test_numpy_integer_leads_accepted(self):
+        config = small_config(leads=np.arange(1, 5))
+        assert config.leads == (1, 2, 3, 4)
+        assert all(type(m) is int for m in config.leads)
 
 
 class TestSelectOrigins:

@@ -12,9 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempcast import SmoothingParams, hw_fit, hw_forecast
+from tempcast import (
+    SmoothingParams,
+    clean_report,
+    hw_fit,
+    hw_forecast,
+    parse_cdo_csv,
+    read_csv,
+)
 from tempcast.cli import main
-from tempcast.series import calendar_dates
+from tempcast.series import calendar_days
 
 DATA = Path(__file__).parent / "data"
 STATION_CSV = DATA / "synthetic_station_daily.csv"
@@ -55,6 +62,13 @@ class TestIngestCommand:
         assert manifest["command"] == "ingest"
         assert manifest["config"]["unit"] == "celsius"
         assert len(manifest["input_sha256"]) == 64
+
+    def test_written_series_reads_back_as_cleaned(self, clean_series_file):
+        records = parse_cdo_csv(STATION_CSV.read_text(encoding="utf-8"), "celsius")
+        cleaned, _ = clean_report(records)
+        series = read_csv(clean_series_file.read_text(encoding="utf-8"))
+        assert series.start_date == cleaned.start_date
+        assert series.values.tobytes() == cleaned.values.tobytes()
 
     def test_output_naming_the_input_is_refused(self, tmp_path, capsys):
         export = tmp_path / "export.csv"
@@ -310,7 +324,7 @@ class TestForecastCommand:
         series = tmp_path / "late.csv"
         series.write_text("date,kelvin\n" + "".join(
             f"{day.isoformat()},280.0\n"
-            for day in calendar_dates(dt.date(9995, 1, 1), 0, 4 * 365)
+            for day in calendar_days(dt.date(9995, 1, 1), 0, 4 * 365).tolist()
         ))
         explicit = ["--season", "7", "--alpha", "0.1", "--beta", "0.1",
                     "--gamma", "0.1"]
@@ -348,14 +362,14 @@ class TestForecastCommand:
         assert len(rows) == 1 + 365 + horizon
         assert rows[1] == [history[n - 365][0], history[n - 365][1], ""]
         start = dt.date.fromisoformat(history[0][0])
-        last = calendar_dates(start, n + horizon - 1, n + horizon)[0]
+        last = calendar_days(start, n + horizon - 1, n + horizon).tolist()[0]
         assert rows[-1][0] == last.isoformat()
         params = SmoothingParams(0.4, 0.1, 0.2, season_length=365)
         state = hw_fit(np.array([float(r[1]) for r in history]), params)
         sample = [1, 2, 365, 366, 730, 50_000, 99_999, 100_000]
         sample += np.random.default_rng(7).integers(1, horizon + 1, 20).tolist()
         for m in sample:
-            day = calendar_dates(start, n + m - 1, n + m)[0]
+            day = calendar_days(start, n + m - 1, n + m).tolist()[0]
             assert rows[365 + m] == [day.isoformat(), "", repr(hw_forecast(state, m, params))]
 
     @pytest.mark.parametrize("season", ["1", "0", "-3"])
@@ -459,7 +473,7 @@ def _consecutive_days(start, count):
     if start.month == 2 and start.day == 29:
         start = start.replace(day=28)
     available = (dt.date.max - start).days + 1
-    return calendar_dates(start, 0, min(count, available))
+    return calendar_days(start, 0, min(count, available)).tolist()
 
 
 junk = st.one_of(

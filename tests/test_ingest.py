@@ -9,10 +9,8 @@ from tempcast import (
     UNITS,
     CleanConfig,
     RawRecordSet,
-    clean,
     clean_report,
     parse_cdo_csv,
-    to_kelvin,
 )
 from tempcast.errors import (
     DuplicateDateError,
@@ -26,6 +24,7 @@ from tempcast.errors import (
     NonFiniteError,
     ValidationError,
 )
+from tempcast.ingest import clean, to_kelvin
 
 HEADER = "STATION,DATE,TAVG\n"
 

@@ -11,8 +11,6 @@ from tempcast import (
     average_forecast,
     hw_fit,
     hw_forecast,
-    hw_update,
-    init_state,
     persistence_forecast,
 )
 from tempcast.errors import (
@@ -21,6 +19,7 @@ from tempcast.errors import (
     NonFiniteError,
     TooShortError,
 )
+from tempcast.models import hw_update, init_state
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 param_triples = st.tuples(unit_floats, unit_floats, unit_floats)
@@ -312,6 +311,13 @@ class TestHwForecast:
         params = SmoothingParams(0.5, 0.5, 0.5, season_length=4)
         with pytest.raises(InvalidLeadError):
             hw_forecast(self.make_state(), lead, params)
+
+    @pytest.mark.parametrize("lead", [3, np.arange(1, 8)], ids=["scalar", "array"])
+    def test_ring_length_must_match_params(self, lead):
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
+        state = HWState(level=280.0, trend=0.5, seasonal=np.zeros(5), phase=0)
+        with pytest.raises(ValueError, match="state ring has 5 slots, params expect 7"):
+            hw_forecast(state, lead, params)
 
     def test_array_of_leads_keeps_its_shape(self):
         params = SmoothingParams(0.5, 0.5, 0.5, season_length=4)

@@ -6,23 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempcast import (
-    TimeSeries,
-    calendar_dates,
-    drop_leap_days,
-    is_leap_day,
-    next_calendar_day,
-    rmse,
-    split_at_origin,
-    validate_series,
-)
+from tempcast import TimeSeries
 from tempcast.errors import (
     EmptyInputError,
     LengthMismatchError,
     OutOfRangeError,
     ValidationError,
 )
-from tempcast.series import calendar_days, parse_date
+from tempcast.series import (
+    CSV_HEADER,
+    KELVIN_MAX,
+    KELVIN_MIN,
+    calendar_days,
+    drop_leap_days,
+    is_leap_day,
+    iso_dates,
+    next_calendar_day,
+    parse_date,
+    read_csv,
+    rmse,
+    split_at_origin,
+    to_csv_rows,
+    validate_series,
+)
 
 JAN1 = dt.date(2015, 1, 1)
 
@@ -126,9 +132,10 @@ class TestClosedFormCalendar:
         index = data.draw(st.integers(min_value=0, max_value=n - 1))
         assert series.date_at(index) == expected[index]
         first = data.draw(st.integers(min_value=0, max_value=n))
-        assert calendar_dates(start, first, n) == expected[first:]
+        assert calendar_days(start, first, n).tolist() == expected[first:]
         iso = np.datetime_as_string(calendar_days(start, first, n)).tolist()
         assert iso == [day.isoformat() for day in expected[first:]]
+        assert list(iso_dates(start, first, n)) == iso
 
     def test_past_year_9999_overflows_like_date_arithmetic(self):
         series = TimeSeries(dt.date(9999, 12, 30), np.full(3, 280.0))
@@ -140,7 +147,32 @@ class TestClosedFormCalendar:
 
     def test_no_offsets_from_february_29(self):
         with pytest.raises(ValidationError):
-            calendar_dates(dt.date(2016, 2, 29), 0, 1)
+            calendar_days(dt.date(2016, 2, 29), 0, 1)
+
+
+class TestSeriesCsv:
+    @given(
+        start=near_leap_day,
+        values=st.lists(
+            st.floats(min_value=KELVIN_MIN, max_value=KELVIN_MAX,
+                      exclude_min=True, exclude_max=True),
+            min_size=1, max_size=800,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_written_rows_read_back_bit_for_bit(self, start, values):
+        series = TimeSeries(start, values)
+        text = "\n".join(map(",".join, [CSV_HEADER, *to_csv_rows(series)])) + "\n"
+        back = read_csv(text)
+        assert back.start_date == start
+        assert back.values.tobytes() == series.values.tobytes()
+
+    def test_february_29_rows_are_dropped(self):
+        text = "date,kelvin\n2020-02-28,280.0\n2020-02-29,281.0\n2020-03-01,282.0\n"
+        series = read_csv(text, station_id="X")
+        assert series.start_date == dt.date(2020, 2, 28)
+        assert series.values.tolist() == [280.0, 282.0]
+        assert series.station_id == "X"
 
 
 class TestParseDate:

@@ -11,16 +11,18 @@ from tempcast import (
     GridSpec,
     SmoothingParams,
     grid_search,
-    grid_search_windows,
     hw_fit,
     hw_forecast,
-    hw_update,
-    init_state,
-    one_step_rmse,
 )
 from tempcast.errors import LengthMismatchError, NonFiniteError, TooShortError
+from tempcast.models import hw_update, init_state
 from tempcast import tuning
-from tempcast.tuning import _one_step_errors_batch, _pack
+from tempcast.tuning import (
+    _one_step_errors_batch,
+    _pack,
+    grid_search_windows,
+    one_step_rmse,
+)
 
 
 def fold_scored(values, params):
