@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, OutOfRangeError
-from .models import average_forecast, hw_forecast, persistence_forecast
+from .models import _whole, average_forecast, hw_forecast, persistence_forecast
 from .series import TimeSeries, validate_series
 from .tuning import FitResult, GridSpec, grid_search, grid_search_windows
 
@@ -59,6 +59,9 @@ class BacktestConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
+        for name in ("train_length", "n_experiments", "seed", "season_length"):
+            value = _whole(getattr(self, name), f"{name} must be a whole number")
+            object.__setattr__(self, name, value)
         if self.season_length < 2:
             raise ValueError("season_length must be at least 2")
         minimum_train = 2 * self.season_length + 1
@@ -67,13 +70,11 @@ class BacktestConfig:
                 f"train_length must be at least {minimum_train} "
                 f"(two seasons plus one), got {self.train_length}"
             )
-        leads = tuple(self.leads)
-        if not leads or any(
-            isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1
-            for m in leads
-        ):
-            raise ValueError("leads must be a nonempty list of whole days >= 1")
-        object.__setattr__(self, "leads", tuple(map(int, leads)))
+        message = "leads must be a nonempty list of whole days >= 1"
+        leads = tuple(_whole(m, message) for m in self.leads)
+        if not leads or min(leads) < 1:
+            raise ValueError(message)
+        object.__setattr__(self, "leads", leads)
         if any(b <= a for a, b in zip(self.leads, self.leads[1:])):
             raise ValueError("leads must be strictly increasing")
         if self.n_experiments < 1:

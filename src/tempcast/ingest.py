@@ -15,9 +15,7 @@ safe.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,7 +51,8 @@ class RawRecordSet:
     """Parsed rows as three equal-length columns, plus their unit.
 
     Row ``i`` is ``stations[i]``, ``dates[i]`` and ``tavg[i]``, the last
-    being None when the cell was empty.
+    being None when the cell was empty. :func:`parse_cdo_csv` builds one;
+    the package reads the export format but never writes it.
     """
 
     stations: tuple[str, ...]
@@ -74,22 +73,6 @@ class RawRecordSet:
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    def to_csv(self) -> str:
-        """Serialize back to the three-column export format.
-
-        Lines end in CRLF, as RFC 4180 has them; the writer quotes any
-        field holding a character of the line terminator, so a station
-        id containing a carriage return or a line feed reads back intact.
-        """
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\r\n")
-        writer.writerow(["STATION", "DATE", "TAVG"])
-        writer.writerows(
-            (station, date.isoformat(), "" if value is None else repr(value))
-            for station, date, value in zip(self.stations, self.dates, self.tavg)
-        )
-        return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -266,18 +249,14 @@ def clean_report(
     first = int(ordinals[present][0])
     offsets = ordinals[present] - first
     day_count = int(offsets[-1]) + 1
-    have = np.zeros(day_count, dtype=bool)
-    have[offsets] = True
 
-    # Both span ends are observed, so missing runs are interior and the
-    # mask's falling and rising edges pair up in order.
-    edges = np.diff(have.view(np.int8))
-    run_starts = np.flatnonzero(edges == -1) + 1
-    run_lengths = np.flatnonzero(edges == 1) + 1 - run_starts
+    # Both span ends are observed, so every missing run lies between two
+    # consecutive observed days; most of these runs are empty.
+    run_lengths = np.diff(offsets) - 1
     too_long = np.flatnonzero(run_lengths > config.max_gap)
     if too_long.size:
         run = too_long[0]
-        start = dt.date.fromordinal(first + int(run_starts[run]))
+        start = dt.date.fromordinal(first + int(offsets[run]) + 1)
         raise GapTooLargeError(start, int(run_lengths[run]))
     # A huge Fahrenheit value overflows to inf here; it stays present, so
     # validation rejects it instead of interpolating over it.

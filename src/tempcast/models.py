@@ -32,7 +32,16 @@ from .errors import (
     NonFiniteError,
     TooShortError,
 )
-from .series import TimeSeries
+from .series import TimeSeries, _ByValue
+
+
+def _whole(value, message: str) -> int:
+    """``value`` as an int if it is an int or a numpy integer other than
+    a bool; anything else raises ``ValueError(f"{message}, got {value!r}")``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -53,31 +62,34 @@ class SmoothingParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        L = _whole(self.season_length, "season_length must be a whole number")
+        object.__setattr__(self, "season_length", L)
         if self.season_length < 2:
             raise ValueError(
                 f"season_length must be at least 2, got {self.season_length}"
             )
 
 
-@dataclass(frozen=True)
-class HWState:
+@dataclass(frozen=True, eq=False)
+class HWState(_ByValue):
     """Smoother state between observations.
 
     ``seasonal[phase]`` is the correction for the next incoming
-    observation's season phase; ``steps_seen`` counts update calls since
-    initialization. Instances are immutable.
+    observation's season phase. Instances are immutable, and equal when
+    their level, trend, phase and ring bytes are.
     """
 
     level: float
     trend: float
     seasonal: np.ndarray
     phase: int
-    steps_seen: int = 0
 
     def __post_init__(self):
         ring = np.array(self.seasonal, dtype=np.float64)
         ring.flags.writeable = False
         object.__setattr__(self, "seasonal", ring)
+        phase = _whole(self.phase, "phase must be a whole number")
+        object.__setattr__(self, "phase", phase)
         if ring.ndim != 1 or ring.size < 2:
             raise ValueError("seasonal ring needs at least two phases")
         if not 0 <= self.phase < ring.size:
@@ -131,7 +143,7 @@ def init_state(train, params: SmoothingParams) -> HWState:
     """Estimate a starting state from at least two full seasons.
 
     The returned state is positioned before the first observation
-    (``steps_seen == 0``, phase 0): folding the training values through
+    (phase 0): folding the training values through
     :func:`hw_update` replays the window from the top.
     """
     values = _train_values(train)
@@ -176,7 +188,6 @@ def hw_update(
         trend=trend,
         seasonal=ring,
         phase=(state.phase + 1) % L,
-        steps_seen=state.steps_seen + 1,
     )
 
 

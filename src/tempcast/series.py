@@ -27,7 +27,7 @@ import datetime as dt
 import io
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -135,13 +135,31 @@ def next_calendar_day(day: dt.date) -> dt.date:
     return nxt
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class _ByValue:
+    """Equality and hash by field values, an array field by its bytes,
+    for frozen dataclasses declared with ``eq=False``."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class TimeSeries(_ByValue):
     """Daily air-temperature observations in Kelvin.
 
     Dates are implied: index ``i`` holds the value for the ``i``-th day
     after ``start_date``, counting in the 365-day calendar. Instances
-    are immutable (the value buffer is read-only) and safe to share.
+    are immutable (the value buffer is read-only) and safe to share, and
+    equal when their start date, station id and value bytes are.
     """
 
     start_date: dt.date

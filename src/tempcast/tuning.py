@@ -23,9 +23,15 @@ day; a scored block's squared errors are added to the running sum one
 day after another, in time order. The results stay bit-for-bit those of
 folding :func:`~tempcast.models.hw_update`.
 
+A window's winner is the smallest ``(score, alpha, beta, gamma)``: the
+lowest score, exact ties going to the smallest triple. That one order
+picks the best column of a sweep and decides between rounds.
+
 :func:`grid_search_windows` tunes many windows together, round by
 round: round ``r`` runs for every window before round ``r + 1`` starts,
-because each window's refined grid depends on its incumbent. Within a
+because each window's refined grid is centred on its incumbent. The
+refined spacing does not depend on the incumbent, so one schedule
+serves every window. Within a
 round the windows' sweeps are packed greedily, in window order, into
 chunks; each sweep is padded to the chunk's widest by repeating its last
 triple, and a chunk's padded column count may not exceed the larger of
@@ -39,8 +45,9 @@ allocated once per call and reused by every chunk, never exceeds season
 length × that budget floats; a one-window call allocates one sweep's.
 Padding is sliced off before a winner is picked and before
 ``evaluations`` is counted, and each column's arithmetic does not depend
-on its neighbours, so packing changes no result. :func:`grid_search` and
-:func:`one_step_rmse` are one-window calls of the same code.
+on its neighbours, so packing changes no result. :func:`grid_search` is
+the one-window call of the same code, and :func:`one_step_rmse` the
+one-triple :func:`grid_search`.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatchError, NonFiniteError, TooShortError
-from .models import HWState, SmoothingParams, _initial_components, _train_values
+from .models import HWState, SmoothingParams, _initial_components, _train_values, _whole
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,8 @@ class GridSpec:
                 raise ValueError(f"{name} values must lie in [0, 1]")
             if any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
+        rounds = _whole(self.refine_rounds, "refine_rounds must be a whole number")
+        object.__setattr__(self, "refine_rounds", rounds)
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be non-negative")
         if not 0.0 < self.refine_shrink < 1.0:
@@ -122,25 +131,6 @@ class FitResult:
             raise ValueError("in_sample_rmse cannot be negative")
         if self.evaluations < 1:
             raise ValueError("at least one evaluation is required")
-
-
-def _require_scorable(n: int, season_length: int) -> None:
-    needed = 2 * season_length + 1
-    if n < needed:
-        raise TooShortError(
-            f"need at least {needed} observations to score one-step "
-            f"forecasts (two seasons of warm-up plus one), got {n}"
-        )
-
-
-def _require_finite(values: np.ndarray) -> None:
-    """Raise on the first NaN or infinity of a (k, n) window stack."""
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        window, index = (int(i) for i in bad[0])
-        raise NonFiniteError(
-            f"window {window} value {index} is not finite: {values[window, index]!r}"
-        )
 
 
 # Columns of one chunk of grid_search_windows, unless the first round is
@@ -277,32 +267,6 @@ def _one_step_errors_batch(
     return np.sqrt(sq_sum, out=sq_sum), level, trend, ring
 
 
-def one_step_rmse(train, params: SmoothingParams) -> float:
-    """In-sample one-step error of the smoother under ``params``.
-
-    The first two seasons only warm the state up, so the window must
-    extend at least one observation past the initialization span.
-    Raises :class:`NonFiniteError` on a NaN or infinite value.
-    """
-    values = _stack_windows([train])
-    _require_scorable(values.shape[1], params.season_length)
-    _require_finite(values)
-    scores, _, _, _ = _one_step_errors_batch(
-        values,
-        params.season_length,
-        np.array([[params.alpha]]),
-        np.array([[params.beta]]),
-        np.array([[params.gamma]]),
-    )
-    return float(scores[0, 0])
-
-
-def _axis_spacing(axis: np.ndarray) -> float:
-    if axis.size < 2:
-        return 0.0
-    return float(axis[-1] - axis[0]) / (axis.size - 1)
-
-
 def _mesh(axis_a, axis_b, axis_g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mesh = np.meshgrid(axis_a, axis_b, axis_g, indexing="ij")
     return tuple(m.ravel() for m in mesh)
@@ -310,32 +274,28 @@ def _mesh(axis_a, axis_b, axis_g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _best_of_batch(
     scores: np.ndarray, a: np.ndarray, b: np.ndarray, g: np.ndarray
-) -> int:
-    """Index of the lowest score; exact ties go to the smallest
-    (alpha, beta, gamma)."""
-    tied = np.flatnonzero(scores == scores.min())
-    order = np.lexsort((g[tied], b[tied], a[tied]))
-    return int(tied[order[0]])
+) -> tuple[float, float, float, float, int]:
+    """The smallest ``(score, alpha, beta, gamma, column)`` among the
+    columns with the lowest score; NaN scores rank last."""
+    low = np.fmin.reduce(scores)
+    tied = np.flatnonzero((scores == low) | np.isnan(low))
+    j = min(tied.tolist(), key=lambda j: (a[j], b[j], g[j], j))
+    return float(scores[j]), float(a[j]), float(b[j]), float(g[j]), j
 
 
-def _refine(center, cardinalities, spacings, shrink):
-    """Axes of the next refinement round around ``center`` and the
-    spacings they leave behind."""
+def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
+    """Axes of the next refinement round around ``center``: each axis's
+    cardinality of points across ±(spacing × shrink), clipped to [0, 1],
+    or the center alone for a one-point or zero-spacing axis."""
     refined = []
-    next_spacings = []
-    for axis_index in range(3):
-        n_points = cardinalities[axis_index]
-        half = spacings[axis_index] * shrink
+    for point, n_points, spacing in zip(center, cardinalities, spacings):
+        half = spacing * shrink
         if n_points == 1 or half == 0.0:
-            refined.append(np.array([center[axis_index]]))
-            next_spacings.append(0.0)
-            continue
-        points = np.linspace(
-            center[axis_index] - half, center[axis_index] + half, n_points
-        )
-        refined.append(np.unique(np.clip(points, 0.0, 1.0)))
-        next_spacings.append(2.0 * half / (n_points - 1))
-    return refined, next_spacings
+            refined.append(np.array([point]))
+        else:
+            points = np.linspace(point - half, point + half, n_points)
+            refined.append(np.unique(np.clip(points, 0.0, 1.0)))
+    return refined
 
 
 def _pack(widths: list[int], budget: int) -> list[list[int]]:
@@ -375,16 +335,26 @@ def grid_search_windows(
     ``grid_search(window, spec, season_length)``. Raises
     :class:`NonFiniteError` on a NaN or infinite value in any window,
     :class:`LengthMismatchError` when lengths differ, ``ValueError``
-    when ``season_length`` is below 2.
+    when ``season_length`` is not a whole number of at least 2.
     """
+    season_length = _whole(season_length, "season_length must be a whole number")
     if season_length < 2:
         raise ValueError(f"season_length must be at least 2, got {season_length}")
     values = _stack_windows(windows)
     k, n = values.shape
     if k == 0:
         return ()
-    _require_scorable(n, season_length)
-    _require_finite(values)
+    if n < 2 * season_length + 1:
+        raise TooShortError(
+            f"need at least {2 * season_length + 1} observations to score one-step "
+            f"forecasts (two seasons of warm-up plus one), got {n}"
+        )
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        window, index = (int(i) for i in bad[0])
+        raise NonFiniteError(
+            f"window {window} value {index} is not finite: {values[window, index]!r}"
+        )
 
     axes = [
         np.asarray(spec.alpha_grid, dtype=np.float64),
@@ -398,19 +368,28 @@ def grid_search_windows(
     # one sweep's ring.
     ring = np.empty(season_length * min(budget, k * first_width))
 
+    # The spacings shrink by the same rule for every window, whatever its
+    # incumbent: one schedule serves them all.
+    spacings = [
+        float(axis[-1] - axis[0]) / (axis.size - 1) if axis.size > 1 else 0.0
+        for axis in axes
+    ]
     sweeps = [_mesh(*axes)] * k
-    spacings = [[_axis_spacing(axis) for axis in axes]] * k
     evaluations = [0] * k
-    best: list[tuple[float, float, float, float] | None] = [None] * k
-    states: list[HWState | None] = [None] * k
+    # Per window: the best (score, alpha, beta, gamma, column) so far and
+    # the state its column ended in.
+    best: list = [None] * k
 
     for round_index in range(spec.refine_rounds + 1):
         if round_index:
-            for i in range(k):
-                refined, spacings[i] = _refine(
-                    best[i][1:], cardinalities, spacings[i], spec.refine_shrink
-                )
-                sweeps[i] = _mesh(*refined)
+            sweeps = [
+                _mesh(*_refine(won[1:4], cardinalities, spacings, spec.refine_shrink))
+                for won, _ in best
+            ]
+            spacings = [
+                2.0 * (spacing * spec.refine_shrink) / (size - 1) if size > 1 else 0.0
+                for spacing, size in zip(spacings, cardinalities)
+            ]
         for chunk in _pack([sweep[0].size for sweep in sweeps], budget):
             width = max(sweeps[i][0].size for i in chunk)
             padded = np.empty((3, len(chunk), width))
@@ -423,31 +402,26 @@ def grid_search_windows(
             )
             for row, i in enumerate(chunk):
                 a, b, g = sweeps[i]
-                j = _best_of_batch(scores[row, : a.size], a, b, g)
                 evaluations[i] += a.size
-                candidate = (
-                    float(scores[row, j]), float(a[j]), float(b[j]), float(g[j])
-                )
-                # (score, alpha, beta, gamma) order: lower score wins,
-                # exact ties go to the smaller triple
-                if best[i] is None or candidate < best[i]:
-                    best[i] = candidate
-                    states[i] = HWState(
+                candidate = _best_of_batch(scores[row, : a.size], a, b, g)
+                if best[i] is None or candidate < best[i][0]:
+                    j = candidate[-1]
+                    state = HWState(
                         level=float(level[row, j]),
                         trend=float(trend[row, j]),
                         seasonal=final_ring[:, row, j],
                         phase=n % season_length,
-                        steps_seen=n,
                     )
+                    best[i] = (candidate, state)
 
     return tuple(
         FitResult(
             params=SmoothingParams(alpha, beta, gamma, season_length=season_length),
-            in_sample_rmse=value,
+            in_sample_rmse=score,
             evaluations=count,
             state=state,
         )
-        for (value, alpha, beta, gamma), count, state in zip(best, evaluations, states)
+        for ((score, alpha, beta, gamma, _), state), count in zip(best, evaluations)
     )
 
 
@@ -462,3 +436,15 @@ def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
     :class:`NonFiniteError` on a NaN or infinite value.
     """
     return grid_search_windows([train], spec, season_length)[0]
+
+
+def one_step_rmse(train, params: SmoothingParams) -> float:
+    """In-sample one-step error of the smoother under ``params``: the
+    one-triple :func:`grid_search`.
+
+    The first two seasons only warm the state up, so the window must
+    extend at least one observation past the initialization span.
+    Raises :class:`NonFiniteError` on a NaN or infinite value.
+    """
+    grid = GridSpec((params.alpha,), (params.beta,), (params.gamma,))
+    return grid_search(train, grid, params.season_length).in_sample_rmse

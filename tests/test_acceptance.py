@@ -325,3 +325,58 @@ def test_top_level_exports_the_user_api():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(tempcast.__all__) - {"__version__", "errors"}
+
+
+_SMALL = TimeSeries(dt.date(2015, 1, 1), 280.0 + np.sin(np.arange(60) * 2 * np.pi / 7))
+_POINT = GridSpec((0.5,), (0.5,), (0.5,))
+
+
+def _small_backtest(**fields):
+    config = dict(train_length=30, leads=(1,), n_experiments=2, grid=_POINT, season_length=7)
+    return run_backtest(_SMALL, BacktestConfig(**{**config, **fields}))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _small_backtest(n_experiments=2.5),
+        lambda: _small_backtest(seed=1.5),
+        lambda: _small_backtest(seed=True),
+        lambda: _small_backtest(season_length=7.5),
+        lambda: _small_backtest(train_length=30.5),
+        lambda: grid_search(_SMALL, GridSpec((0.5,), (0.5,), (0.5,), refine_rounds=1.5), 7),
+        lambda: GridSpec((0.5,), (0.5,), (0.5,), refine_rounds=True),
+        lambda: grid_search(_SMALL, _POINT, season_length=7.5),
+        lambda: hw_fit(_SMALL, SmoothingParams(0.5, 0.5, 0.5, season_length=7.5)),
+        lambda: hw_forecast(
+            HWState(280.0, 0.0, np.zeros(7), phase=1.5),
+            1,
+            SmoothingParams(0.5, 0.5, 0.5, season_length=7),
+        ),
+        lambda: HWState(280.0, 0.0, np.zeros(7), phase=True),
+    ],
+    ids=[
+        "n_experiments", "seed", "seed-bool", "backtest-season_length",
+        "train_length", "refine_rounds", "refine_rounds-bool",
+        "grid_search-season_length", "params-season_length", "phase", "phase-bool",
+    ],
+)
+def test_whole_number_fields_reject_fractions_and_bools(call):
+    with pytest.raises(ValueError, match="must be a whole number"):
+        call()
+
+
+def test_numpy_integer_fields_are_stored_as_int():
+    config = BacktestConfig(
+        train_length=np.int64(30), n_experiments=np.int32(2), seed=np.uint8(1),
+        grid=GridSpec((0.5,), (0.5,), (0.5,), refine_rounds=np.int64(1)),
+        season_length=np.int64(7),
+    )
+    params = SmoothingParams(0.5, 0.5, 0.5, season_length=np.int16(7))
+    state = HWState(280.0, 0.0, np.zeros(7), phase=np.int64(3))
+    values = [
+        config.train_length, config.n_experiments, config.seed,
+        config.season_length, config.grid.refine_rounds,
+        params.season_length, state.phase,
+    ]
+    assert [type(v) for v in values] == [int] * len(values)

@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from tempcast import (
     HWState,
     SmoothingParams,
+    TimeSeries,
     average_forecast,
     hw_fit,
     hw_forecast,
@@ -76,7 +78,6 @@ class TestInitState:
         assert state.trend == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(state.seasonal, [-1.5, -0.5, 0.5, 1.5], atol=1e-12)
         assert state.phase == 0
-        assert state.steps_seen == 0
 
     def test_linear_ramp_with_cycle_recovers_generators(self):
         # 10,10,12,12 decomposes as 9.5 + i + [0.5, -0.5][i % 2]; the
@@ -135,7 +136,6 @@ class TestHwUpdate:
         assert updated.trend == 1.25
         np.testing.assert_array_equal(updated.seasonal, [2.25, -2.0])
         assert updated.phase == 1
-        assert updated.steps_seen == 1
 
     def test_pure_update_leaves_input_state_alone(self):
         params = SmoothingParams(0.5, 0.5, 0.5, season_length=2)
@@ -187,7 +187,6 @@ class TestHwUpdate:
             seen = nxt
         assert sorted(touched_per_step) == list(range(season_length))
         assert seen.phase == state.phase
-        assert seen.steps_seen == season_length
 
 
 class TestHwFit:
@@ -439,3 +438,46 @@ class TestBaselines:
         expected = math.fsum(values) / len(values)
         got = average_forecast(np.array(values), 1)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+_DAY = dt.date(2015, 1, 1)
+_RING = np.array([1.0, -1.0])
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (TimeSeries(_DAY, [280.0, 281.0]), TimeSeries(_DAY, np.array([280.0, 281.0]))),
+            (TimeSeries(_DAY, [], "X"), TimeSeries(_DAY, (), "X")),
+            (HWState(280.0, 0.1, _RING, 1), HWState(280.0, 0.1, _RING.copy(), np.int64(1))),
+        ],
+        ids=["series", "empty-series", "state"],
+    )
+    def test_equal_values_are_equal_and_hash_alike(self, left, right):
+        assert left == right
+        assert not left != right
+        assert hash(left) == hash(right)
+        assert len({left, right}) == 1
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (TimeSeries(_DAY, [280.0, 281.0]), TimeSeries(_DAY, [280.0, 281.5])),
+            (TimeSeries(_DAY, [280.0]), TimeSeries(dt.date(2015, 1, 2), [280.0])),
+            (TimeSeries(_DAY, [280.0]), TimeSeries(_DAY, [280.0], "X")),
+            (TimeSeries(_DAY, [280.0]), TimeSeries(_DAY, [280.0, 280.0])),
+            (HWState(280.0, 0.1, _RING, 1), HWState(280.5, 0.1, _RING, 1)),
+            (HWState(280.0, 0.1, _RING, 1), HWState(280.0, 0.2, _RING, 1)),
+            (HWState(280.0, 0.1, _RING, 1), HWState(280.0, 0.1, [1.0, -2.0], 1)),
+            (HWState(280.0, 0.1, _RING, 1), HWState(280.0, 0.1, _RING, 0)),
+            (TimeSeries(_DAY, _RING), HWState(280.0, 0.1, _RING, 1)),
+        ],
+        ids=[
+            "values", "start", "station", "length",
+            "level", "trend", "ring", "phase", "other-type",
+        ],
+    )
+    def test_unequal_values_are_unequal(self, left, right):
+        assert left != right
+        assert not left == right

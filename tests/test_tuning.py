@@ -64,6 +64,46 @@ def exhaustive_search(values, spec, season_length):
     return best, count
 
 
+def refined_search(values, spec, season_length):
+    """Plain-Python oracle for every round: each round after the first
+    lays each axis's cardinality of points across ±(spacing × shrink)
+    around the incumbent, clipped to [0, 1] and deduplicated, or the
+    incumbent alone for a one-point or zero-spacing axis; the spacing
+    then becomes the refined grid's. Triples are scored by the hw_update
+    fold, and the smallest (score, alpha, beta, gamma) wins."""
+    axes = [list(spec.alpha_grid), list(spec.beta_grid), list(spec.gamma_grid)]
+    sizes = [len(axis) for axis in axes]
+    spacings = [
+        (axis[-1] - axis[0]) / (len(axis) - 1) if len(axis) > 1 else 0.0
+        for axis in axes
+    ]
+    best = None
+    count = 0
+    for round_index in range(spec.refine_rounds + 1):
+        if round_index:
+            axes = []
+            for center, size, spacing in zip(best[1:], sizes, spacings):
+                half = spacing * spec.refine_shrink
+                if size == 1 or half == 0.0:
+                    axes.append([center])
+                else:
+                    points = np.linspace(center - half, center + half, size)
+                    axes.append(np.unique(np.clip(points, 0.0, 1.0)).tolist())
+            spacings = [
+                2.0 * (spacing * spec.refine_shrink) / (size - 1) if size > 1 else 0.0
+                for spacing, size in zip(spacings, sizes)
+            ]
+        for a in axes[0]:
+            for b in axes[1]:
+                for g in axes[2]:
+                    params = SmoothingParams(a, b, g, season_length=season_length)
+                    key = (fold_scored_rmse(values, params), a, b, g)
+                    count += 1
+                    if best is None or key < best:
+                        best = key
+    return best, count
+
+
 class TestOneStepRmse:
     def test_constant_series_scores_zero(self):
         values = np.full(2 * 4 + 5, 280.0)
@@ -161,6 +201,12 @@ class TestGridSpec:
             GridSpec((0.5,), (0.5,), (0.5,), refine_shrink=1.0)
 
 
+# one to three distinct points in [0, 1], spaced unevenly
+thousandths_axis = st.lists(
+    st.integers(0, 1000), min_size=1, max_size=3, unique=True
+).map(lambda points: tuple(sorted(p / 1000 for p in points)))
+
+
 class TestGridSearch:
     def test_constant_series_breaks_tie_lexicographically(self):
         values = np.full(20, 280.0)
@@ -173,6 +219,17 @@ class TestGridSearch:
         )
         assert result.in_sample_rmse == 0.0
         assert result.evaluations == 27
+
+    def test_overflowed_scores_give_nan_not_an_index_error(self):
+        # every triple's squared error overflows to NaN on these values
+        values = np.array([1e308, -1e308] * 10)
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=2)
+        with np.errstate(all="ignore"):
+            result = grid_search(values, GridSpec.coarse(), season_length=2)
+            single = one_step_rmse(values, params)
+        assert math.isnan(result.in_sample_rmse)
+        assert result.params.alpha == result.params.beta == result.params.gamma == 0.0
+        assert math.isnan(single)
 
     def test_singleton_grids_return_that_point(self, rng):
         values = 280.0 + rng.normal(0, 3, 25)
@@ -193,6 +250,29 @@ class TestGridSearch:
         spec = GridSpec(axes, axes, axes, refine_rounds=0)
         result = grid_search(values, spec, season_length=L)
         (score, a, b, g), count = exhaustive_search(values, spec, L)
+        assert result.in_sample_rmse == score
+        assert (result.params.alpha, result.params.beta, result.params.gamma) == (a, b, g)
+        assert result.evaluations == count
+
+    @given(
+        season_length=st.integers(min_value=2, max_value=4),
+        axes=st.tuples(thousandths_axis, thousandths_axis, thousandths_axis),
+        refine_rounds=st.integers(min_value=1, max_value=3),
+        shrink=st.sampled_from([0.25, 0.5, 0.9]),
+        extra=st.integers(min_value=1, max_value=10),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_refinement_rounds_match_plain_oracle(
+        self, season_length, axes, refine_rounds, shrink, extra, seed
+    ):
+        gen = np.random.default_rng(seed)
+        n = 2 * season_length + extra
+        cycle = 4 * np.sin(np.arange(n) * 2 * np.pi / season_length)
+        values = 280.0 + cycle + gen.normal(0, 2, n)
+        spec = GridSpec(*axes, refine_rounds=refine_rounds, refine_shrink=shrink)
+        result = grid_search(values, spec, season_length)
+        (score, a, b, g), count = refined_search(values, spec, season_length)
         assert result.in_sample_rmse == score
         assert (result.params.alpha, result.params.beta, result.params.gamma) == (a, b, g)
         assert result.evaluations == count
@@ -236,12 +316,7 @@ class TestGridSearch:
 
 
 def assert_state_is_hw_fit(state, values, params):
-    expected = hw_fit(values, params)
-    assert state.level == expected.level
-    assert state.trend == expected.trend
-    assert state.seasonal.tobytes() == expected.seasonal.tobytes()
-    assert state.phase == expected.phase
-    assert state.steps_seen == expected.steps_seen
+    assert state == hw_fit(values, params)
 
 
 class TestFittedState:
