@@ -194,19 +194,21 @@ def _cmd_ingest(args) -> int:
     text, input_sha256 = _read_text(Path(args.input))
     try:
         records = parse_cdo_csv(
-            text, unit=args.unit, tmax_tmin_fallback=args.tmax_tmin_fallback
+            text,
+            unit=args.unit,
+            tmax_tmin_fallback=args.tmax_tmin_fallback,
+            station=args.station,
         )
         config = CleanConfig(
             max_gap=args.max_gap,
             start=_date_flag(args.date_from, "--from") if args.date_from else None,
             end=_date_flag(args.date_to, "--to") if args.date_to else None,
-            station_filter=args.station,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    # Neither the export's text nor its parsed rows (several times the
-    # file's size) is needed past the stage that reads it; freeing each
-    # before the next stage lowers the command's peak memory.
+    # Neither the export's text nor the kept station's parsed rows is
+    # needed past the stage that reads it; freeing each before the next
+    # stage lowers the command's peak memory.
     del text
     series, stats = clean_report(records, config)
     del records

@@ -112,7 +112,9 @@ class EmptyAfterFilterError(TempcastError):
 
 
 class MultipleStationsError(TempcastError):
-    """The record set mixes stations and no station filter was given."""
+    """The record set mixes stations: it was parsed without a station
+    (:func:`tempcast.ingest.parse_cdo_csv`'s ``station``, the CLI's
+    ``--station``) from an export holding several."""
 
     def __init__(self, stations):
         self.stations = tuple(stations)

@@ -2,11 +2,14 @@
 
 Handles the export format as downloaded: a header row naming columns in
 any order (STATION, DATE and TAVG are used, anything else ignored),
-RFC-4180 quoting, empty cells for missing values. Parsing checks each
-row and stores the rows as columns (:class:`RawRecordSet`). The cleaning
-pass works on whole arrays: it filters, sorts and rejects duplicate
-dates, converts the declared unit to Kelvin, linearly fills short
-interior gaps, drops February 29, and returns a validated series.
+RFC-4180 quoting, empty cells for missing values. Parsing checks every
+row and stores the rows as columns (:class:`RawRecordSet`); given a
+station, it stores only that station's rows, so memory follows the kept
+station rather than the export, though rows of other stations are still
+checked. The cleaning pass works on whole arrays: it filters by date,
+sorts and rejects duplicate dates, converts the declared unit to
+Kelvin, linearly fills short interior gaps, drops February 29, and
+returns a validated series.
 
 Units are declared by the caller rather than sniffed: Celsius and
 Fahrenheit overlap too much across a temperate year for guessing to be
@@ -32,6 +35,7 @@ from .errors import (
     MultipleStationsError,
     NonFiniteError,
 )
+from .models import _whole
 from .series import (
     TimeSeries,
     csv_rows,
@@ -51,14 +55,17 @@ class RawRecordSet:
     """Parsed rows as three equal-length columns, plus their unit.
 
     Row ``i`` is ``stations[i]``, ``dates[i]`` and ``tavg[i]``, the last
-    being None when the cell was empty. :func:`parse_cdo_csv` builds one;
-    the package reads the export format but never writes it.
+    being None when the cell was empty. ``rows_read`` counts the
+    non-blank data rows the parser read, kept or not; it defaults to the
+    number of rows held and may not be smaller. :func:`parse_cdo_csv`
+    builds one; the package reads the export format but never writes it.
     """
 
     stations: tuple[str, ...]
     dates: tuple[dt.date, ...]
     tavg: tuple[float | None, ...]
     unit: str
+    rows_read: int | None = None
 
     def __post_init__(self):
         for name in ("stations", "dates", "tavg"):
@@ -70,6 +77,12 @@ class RawRecordSet:
             )
         if self.unit not in UNITS:
             raise ValueError(f"unknown unit {self.unit!r}; expected one of {UNITS}")
+        read = len(self)
+        if self.rows_read is not None:
+            read = _whole(self.rows_read, "rows_read must be a whole number")
+        if read < len(self):
+            raise ValueError(f"rows_read {read} is below the {len(self)} rows held")
+        object.__setattr__(self, "rows_read", read)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -77,21 +90,23 @@ class RawRecordSet:
 
 @dataclass(frozen=True)
 class CleanConfig:
-    """Filtering and gap policy for the cleaning pass.
+    """Date filter and gap policy for the cleaning pass.
 
     Interior runs of up to ``max_gap`` missing days are filled by linear
     interpolation; longer runs abort loudly. Leading and trailing
     missing days are trimmed, never extrapolated. Date bounds are
-    inclusive.
+    inclusive. The station is chosen earlier, when parsing
+    (:func:`parse_cdo_csv`'s ``station``).
     """
 
     max_gap: int = 7
     start: dt.date | None = None
     end: dt.date | None = None
-    station_filter: str | None = None
 
     def __post_init__(self):
-        if self.max_gap < 0:
+        max_gap = _whole(self.max_gap, "max_gap must be a whole number")
+        object.__setattr__(self, "max_gap", max_gap)
+        if max_gap < 0:
             raise ValueError("max_gap must be non-negative")
         if self.start is not None and self.end is not None and self.end < self.start:
             raise ValueError("date range end precedes start")
@@ -99,7 +114,11 @@ class CleanConfig:
 
 @dataclass(frozen=True)
 class CleanStats:
-    """Bookkeeping from one cleaning pass."""
+    """Bookkeeping from one cleaning pass.
+
+    ``raw_rows`` is the record set's ``rows_read``: every non-blank data
+    row parsed, including those of stations the parser did not keep.
+    """
 
     raw_rows: int
     kept_rows: int
@@ -119,7 +138,10 @@ def _parse_temperature(cell: str, line: int) -> float | None:
 
 
 def parse_cdo_csv(
-    text: str, unit: str, tmax_tmin_fallback: bool = False
+    text: str,
+    unit: str,
+    tmax_tmin_fallback: bool = False,
+    station: str | None = None,
 ) -> RawRecordSet:
     """Parse a daily-summaries export into raw records.
 
@@ -131,6 +153,11 @@ def parse_cdo_csv(
     TAVG is replaced by the TMAX/TMIN midpoint when both are present,
     and the TAVG column itself becomes optional. Text the csv module
     cannot read raises :class:`MalformedRowError`.
+
+    With ``station`` given, only rows whose stripped STATION cell equals
+    it are stored. Every row is still checked first, whatever its
+    station, so a bad row raises the same error at the same line either
+    way; ``rows_read`` of the result counts every row read.
     """
     if unit not in UNITS:
         raise ValueError(f"unknown unit {unit!r}; expected one of {UNITS}")
@@ -157,9 +184,11 @@ def parse_cdo_csv(
     stations: list[str] = []
     dates: list[dt.date] = []
     tavg: list[float | None] = []
+    rows_read = 0
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
+        rows_read += 1
         if len(row) != len(header):
             raise MalformedRowError(
                 line, f"{len(row)} fields where the header has {len(header)}"
@@ -174,10 +203,13 @@ def parse_cdo_csv(
             tmin = _parse_temperature(row[i_tmin], line)
             if tmax is not None and tmin is not None:
                 value = (tmax + tmin) / 2.0
-        stations.append(row[i_station].strip())
+        name = row[i_station].strip()
+        if station is not None and name != station:
+            continue
+        stations.append(name)
         dates.append(date)
         tavg.append(value)
-    return RawRecordSet(stations, dates, tavg, unit)
+    return RawRecordSet(stations, dates, tavg, unit, rows_read)
 
 
 def _kelvin(value, unit: str):
@@ -213,8 +245,6 @@ def clean_report(
         map(dt.date.toordinal, records.dates), dtype=np.int64, count=len(records)
     )
     keep = np.ones(len(records), dtype=bool)
-    if config.station_filter is not None:
-        keep &= np.array(records.stations, dtype=object) == config.station_filter
     if config.start is not None:
         keep &= ordinals >= config.start.toordinal()
     if config.end is not None:
@@ -270,7 +300,7 @@ def clean_report(
     span = first + np.arange(day_count, dtype=np.int64)
     series = series_from_ordinals(span, filled, station_id=stations[0])
     stats = CleanStats(
-        raw_rows=len(records),
+        raw_rows=records.rows_read,
         kept_rows=int(rows.size),
         observed_days=int(offsets.size),
         interpolated_days=day_count - int(offsets.size),

@@ -60,6 +60,8 @@ _FROMISOFORMAT = dt.date.fromisoformat
 CSV_HEADER = ("date", "kelvin")
 # Dates per calendar conversion in iso_dates.
 _ISO_BLOCK_DAYS = 8192
+# Least characters per slice of text that csv_rows hands the reader.
+_CSV_SLICE_CHARS = 65536
 
 
 def is_leap_day(day: dt.date) -> bool:
@@ -267,11 +269,30 @@ def series_from_ordinals(
     return TimeSeries(start, values[keep], station_id)
 
 
+def _line_slices(text: str) -> Iterator[str]:
+    """``text`` in consecutive slices of at least ``_CSV_SLICE_CHARS``
+    characters, each but the last ending just after a ``"\\n"``."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CSV_SLICE_CHARS - 1) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
 def csv_rows(text: str) -> Iterator[list[str]]:
     """The rows of CSV text, raising :class:`MalformedRowError` at the
     reader's current line where the csv module cannot read it (a field
-    over its size limit, a line break inside an unquoted field)."""
-    reader = csv.reader(io.StringIO(text))
+    over its size limit, a line break inside an unquoted field).
+
+    The reader takes its lines from one ``StringIO`` per slice of
+    :func:`_line_slices`, never from a copy of the whole text, which a
+    ``StringIO`` holds at four bytes per character. ``StringIO`` ends a
+    line only at ``"\\n"`` and each slice ends just after one, so the
+    reader sees the same lines, line numbers and errors as it would on
+    the whole text; a quoted field spanning two slices still joins.
+    """
+    lines = itertools.chain.from_iterable(map(io.StringIO, _line_slices(text)))
+    reader = csv.reader(lines)
     try:
         yield from reader
     except csv.Error as exc:

@@ -304,7 +304,8 @@ def test_c7_ingest_golden_files():
     assert excinfo.value.length == 10
 
     with pytest.raises(EmptyAfterFilterError):
-        clean_report(records, CleanConfig(station_filter="NOPE"))
+        clean_report(parse_cdo_csv(text, unit="celsius", station="NOPE"),
+                     CleanConfig())
     print("ACCEPTANCE C7 (ingest golden files): PASS")
 
 
@@ -354,11 +355,15 @@ def _small_backtest(**fields):
             SmoothingParams(0.5, 0.5, 0.5, season_length=7),
         ),
         lambda: HWState(280.0, 0.0, np.zeros(7), phase=True),
+        lambda: CleanConfig(max_gap=1.5),
+        lambda: CleanConfig(max_gap=True),
+        lambda: CleanConfig(max_gap="3"),
     ],
     ids=[
         "n_experiments", "seed", "seed-bool", "backtest-season_length",
         "train_length", "refine_rounds", "refine_rounds-bool",
         "grid_search-season_length", "params-season_length", "phase", "phase-bool",
+        "max_gap", "max_gap-bool", "max_gap-str",
     ],
 )
 def test_whole_number_fields_reject_fractions_and_bools(call):

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tempcast.errors import (
     MissingColumnError,
     MultipleStationsError,
     NonFiniteError,
+    TempcastError,
     ValidationError,
 )
 from tempcast.ingest import clean, to_kelvin
@@ -175,6 +177,16 @@ class TestParse:
         )
         assert parse_cdo_csv(export_csv(rs), rs.unit) == rs
 
+    @pytest.mark.parametrize("rows_read", [0, 1.5, True, "2"])
+    def test_rows_read_is_a_whole_number_no_smaller_than_the_rows(self, rows_read):
+        with pytest.raises(ValueError):
+            RawRecordSet(("A",), (dt.date(2015, 1, 1),), (1.0,), "celsius", rows_read)
+
+    def test_rows_read_defaults_to_the_rows_held(self):
+        rs = RawRecordSet(("A",), (dt.date(2015, 1, 1),), (1.0,), "celsius")
+        assert rs.rows_read == 1
+        assert RawRecordSet((), (), (), "celsius", rows_read=5).rows_read == 5
+
     def test_columns_must_have_equal_lengths(self):
         with pytest.raises(ValueError):
             RawRecordSet(("A", "A"), (dt.date(2015, 1, 1),), (1.0,), "celsius")
@@ -186,6 +198,84 @@ class TestParse:
         with pytest.raises(NonFiniteError) as excinfo:
             clean(rs)
         assert str(excinfo.value) == f"temperature is not finite: {float(cell)!r}"
+
+
+def spoil(cells, kind):
+    """STATION, NAME, DATE and TAVG cells made to fail one parse check:
+    the date, the number or the field count."""
+    if kind == "ragged":
+        return cells[:-1]
+    column, cell = {"date": (2, "01/02/2015"), "number": (3, "warm")}[kind]
+    return [*cells[:column], cell, *cells[column + 1:]]
+
+
+class TestStationFilter:
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["A", " A", "A ", "B", "C"]),
+                st.sampled_from(["X", "TOWN, XX US", "ONE\nTWO", 'Q "U", \r\nZ']),
+                st.dates(dt.date(1900, 1, 1), dt.date(2100, 12, 31)),
+                st.none() | st.floats(min_value=-60.0, max_value=60.0),
+                st.booleans(),
+            ),
+            max_size=25,
+        ),
+        bad=st.none() | st.tuples(st.integers(min_value=0),
+                                  st.sampled_from(["date", "number", "ragged"])),
+        station=st.sampled_from(["A", "B", "C", "D"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_parse_time_filter_matches_filtering_afterwards(self, rows, bad, station):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(["STATION", "NAME", "DATE", "TAVG"])
+        for index, (sid, name, date, value, blank_before) in enumerate(rows):
+            if blank_before:
+                out.write("\r\n")
+            cells = [sid, name, date.isoformat(), "" if value is None else repr(value)]
+            if bad is not None and index == bad[0] % len(rows):
+                cells = spoil(cells, bad[1])
+            writer.writerow(cells)
+        text = out.getvalue()
+
+        if bad is not None and rows:
+            with pytest.raises(TempcastError) as whole:
+                parse_cdo_csv(text, "celsius")
+            with pytest.raises(TempcastError) as one:
+                parse_cdo_csv(text, "celsius", station=station)
+            assert type(one.value) is type(whole.value)
+            assert one.value.line == whole.value.line
+            return
+        every = parse_cdo_csv(text, "celsius")
+        kept = parse_cdo_csv(text, "celsius", station=station)
+        where = [i for i, sid in enumerate(every.stations) if sid == station]
+        assert kept.stations == tuple(every.stations[i] for i in where)
+        assert kept.dates == tuple(every.dates[i] for i in where)
+        assert kept.tavg == tuple(every.tavg[i] for i in where)
+        assert kept.rows_read == every.rows_read == len(every) == len(rows)
+
+    def test_parse_memory_follows_the_kept_station(self):
+        # 4 stations x 9,000 days, about 1.5 M characters; holding every
+        # station's rows as Python objects takes several times that.
+        days = np.datetime_as_string(
+            np.arange(9000) + np.datetime64("1990-01-01", "D")
+        ).tolist()
+        values = np.round(np.random.default_rng(5).normal(8.0, 9.0, 9000), 1).tolist()
+        text = "STATION,NAME,DATE,TAVG\n" + "".join(
+            f'USW0002000{k},"ST {k}, XX US",{day},{value}\n'
+            for k in range(4)
+            for day, value in zip(days, values)
+        )
+        tracemalloc.start()
+        try:
+            records = parse_cdo_csv(text, "celsius", station="USW00020002")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 9000
+        assert records.rows_read == 36000
+        assert peak <= 2 * len(text), f"peak {peak} B for {len(text)} characters"
 
 
 class TestToKelvin:
@@ -247,9 +337,10 @@ class TestClean:
         assert excinfo.value.date == dt.date(2015, 3, 5)
 
     def test_empty_after_station_filter(self):
-        rs = record_set(("2015-01-01", 1.0))
+        rs = parse_cdo_csv(HEADER + "USW00099999,2015-01-01,1.0\n", "celsius",
+                           station="OTHER")
         with pytest.raises(EmptyAfterFilterError):
-            clean(rs, CleanConfig(station_filter="OTHER"))
+            clean(rs)
 
     def test_all_values_missing_rejected(self):
         rs = record_set(("2015-01-01", None), ("2015-01-02", None))
@@ -284,7 +375,7 @@ class TestClean:
         )
         with pytest.raises(MultipleStationsError):
             clean(rs)
-        series = clean(rs, CleanConfig(station_filter="A"))
+        series = clean(parse_cdo_csv(export_csv(rs), "celsius", station="A"))
         assert series.station_id == "A"
 
     def test_observed_values_pass_through_exactly(self, rng):

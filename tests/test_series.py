@@ -1,15 +1,19 @@
+import csv
 import datetime as dt
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempcast import TimeSeries
+from tempcast import TimeSeries, series as series_module
 from tempcast.errors import (
     EmptyInputError,
     LengthMismatchError,
+    MalformedRowError,
     OutOfRangeError,
     ValidationError,
 )
@@ -18,6 +22,7 @@ from tempcast.series import (
     KELVIN_MAX,
     KELVIN_MIN,
     calendar_days,
+    csv_rows,
     drop_leap_days,
     is_leap_day,
     iso_dates,
@@ -164,6 +169,32 @@ class TestSeriesCsv:
         series = TimeSeries(start, values)
         text = "\n".join(map(",".join, [CSV_HEADER, *to_csv_rows(series)])) + "\n"
         assert read_csv(text) == series
+
+    @given(
+        text=st.lists(
+            st.sampled_from(["a", "b,", ",", '"', '""', "\n", "\r", "\r\n", "\x0b",
+                             "\x0c", "\x1c", "\x85", "\u2028", "\x00", " "]),
+            max_size=80,
+        ).map("".join),
+        slice_chars=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_slices_read_like_the_whole_text(self, text, slice_chars):
+        reader = csv.reader(io.StringIO(text))
+        expected, error = [], None
+        try:
+            expected.extend(reader)
+        except csv.Error as exc:
+            error = f"malformed row at line {reader.line_num}: {exc}"
+        got = []
+        with mock.patch.object(series_module, "_CSV_SLICE_CHARS", slice_chars):
+            try:
+                got.extend(csv_rows(text))
+            except MalformedRowError as exc:
+                assert (exc.line, str(exc)) == (reader.line_num, error)
+            else:
+                assert error is None
+        assert got == expected
 
     def test_february_29_rows_are_dropped(self):
         text = "date,kelvin\n2020-02-28,280.0\n2020-02-29,281.0\n2020-03-01,282.0\n"
