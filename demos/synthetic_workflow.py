@@ -30,7 +30,7 @@ values = (
     + 0.0003 * t
     + rng.normal(0.0, 3.0, n_days)
 )
-series = TimeSeries(dt.date(2018, 1, 1), values, station_id="DEMO0001")
+series = TimeSeries(dt.date(2018, 1, 1), values)
 print(f"series: {len(series)} days, {series.start_date} .. {series.end_date}")
 
 # --- tune coefficients on the first three years, forecast the rest ---

@@ -141,7 +141,7 @@ def _read_text(path: Path) -> tuple[str, str]:
 def _read_series_csv(path: Path) -> tuple[TimeSeries, str]:
     """The series in a ``date,kelvin`` file and the file's SHA-256."""
     text, digest = _read_text(path)
-    return read_csv(text, station_id=path.stem), digest
+    return read_csv(text), digest
 
 
 def build_parser() -> _Parser:

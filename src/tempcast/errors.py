@@ -37,7 +37,10 @@ class EmptyInputError(TempcastError):
 
 
 class OutOfRangeError(TempcastError):
-    """A split origin or lead does not fit inside the series."""
+    """A position falls outside the series or the calendar: an origin,
+    lead or training window that does not fit the series, a
+    :meth:`TimeSeries.date_at` index outside it, or a forecast horizon
+    past 9999-12-31."""
 
 
 class TooShortError(TempcastError):

@@ -298,7 +298,7 @@ def clean_report(
         )
 
     span = first + np.arange(day_count, dtype=np.int64)
-    series = series_from_ordinals(span, filled, station_id=stations[0])
+    series = series_from_ordinals(span, filled)
     stats = CleanStats(
         raw_rows=records.rows_read,
         kept_rows=int(rows.size),

@@ -99,8 +99,13 @@ class HWState(_ByValue):
 
 
 def _train_values(train) -> np.ndarray:
+    """A window's values as a one-dimensional float64 array: a scalar
+    reads as one value, more than one dimension raises ``ValueError``."""
     values = train.values if isinstance(train, TimeSeries) else train
-    return np.asarray(values, dtype=np.float64)
+    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    if values.ndim != 1:
+        raise ValueError("each window must be one-dimensional")
+    return values
 
 
 def _initial_components(

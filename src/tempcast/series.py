@@ -161,12 +161,11 @@ class TimeSeries(_ByValue):
     Dates are implied: index ``i`` holds the value for the ``i``-th day
     after ``start_date``, counting in the 365-day calendar. Instances
     are immutable (the value buffer is read-only) and safe to share, and
-    equal when their start date, station id and value bytes are.
+    equal when their start date and value bytes are.
     """
 
     start_date: dt.date
     values: np.ndarray
-    station_id: str = ""
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64)
@@ -220,11 +219,7 @@ def validate_series(series: TimeSeries) -> TimeSeries:
     return series
 
 
-def drop_leap_days(
-    dates,
-    values,
-    station_id: str = "",
-) -> TimeSeries:
+def drop_leap_days(dates, values) -> TimeSeries:
     """Build a TimeSeries from dated observations, removing February 29.
 
     This is the gate where explicit dates become implied ones: the input
@@ -250,12 +245,10 @@ def drop_leap_days(
     bad = np.flatnonzero((step != 1) & ~skips_leap_day)
     if bad.size:
         raise ValidationError(int(bad[0]) + 1, "non-consecutive")
-    return series_from_ordinals(ordinals, arr, station_id)
+    return series_from_ordinals(ordinals, arr)
 
 
-def series_from_ordinals(
-    ordinals: np.ndarray, values: np.ndarray, station_id: str = ""
-) -> TimeSeries:
+def series_from_ordinals(ordinals: np.ndarray, values: np.ndarray) -> TimeSeries:
     """Build a TimeSeries from day ordinals and values, removing February 29.
 
     ``ordinals`` are ``date.toordinal()`` values that the caller has
@@ -266,7 +259,7 @@ def series_from_ordinals(
     if not keep.any():
         raise EmptyInputError("every observation fell on February 29")
     start = dt.date.fromordinal(int(ordinals[np.argmax(keep)]))
-    return TimeSeries(start, values[keep], station_id)
+    return TimeSeries(start, values[keep])
 
 
 def _line_slices(text: str) -> Iterator[str]:
@@ -307,7 +300,7 @@ def to_csv_rows(series: TimeSeries) -> Iterator[tuple[str, str]]:
     )
 
 
-def read_csv(text: str, station_id: str = "") -> TimeSeries:
+def read_csv(text: str) -> TimeSeries:
     """The series in the text of a series file, through
     :func:`drop_leap_days` and :func:`validate_series`. Blank lines are
     skipped; a row that cannot be read raises :class:`MalformedRowError`
@@ -333,7 +326,7 @@ def read_csv(text: str, station_id: str = "") -> TimeSeries:
             values.append(float(row[1]))
         except ValueError:
             raise MalformedRowError(line, f"not a number: {row[1]!r}") from None
-    return validate_series(drop_leap_days(dates, values, station_id=station_id))
+    return validate_series(drop_leap_days(dates, values))
 
 
 def rmse(predicted, actual) -> float:
@@ -364,6 +357,6 @@ def split_at_origin(
             f"origin {origin} with max lead {max_lead} does not fit a "
             f"series of length {n}"
         )
-    train = TimeSeries(series.start_date, series.values[:origin], series.station_id)
+    train = TimeSeries(series.start_date, series.values[:origin])
     test = series.values[origin : origin + max_lead].copy()
     return train, test

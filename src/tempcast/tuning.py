@@ -31,23 +31,23 @@ picks the best column of a sweep and decides between rounds.
 round: round ``r`` runs for every window before round ``r + 1`` starts,
 because each window's refined grid is centred on its incumbent. The
 refined spacing does not depend on the incumbent, so one schedule
-serves every window. Within a
-round the windows' sweeps are packed greedily, in window order, into
-chunks; each sweep is padded to the chunk's widest by repeating its last
-triple, and a chunk's padded column count may not exceed the larger of
-the first-round width (the product of the axis cardinalities) and
-``_CHUNK_COLUMNS``, two default-grid sweeps. So the default protocol
-runs two windows per kernel call in the first round and about six in
-each refinement round, while a first round wider than ``_CHUNK_COLUMNS``
-(``GridSpec.fine``) runs one window per call. Refined grids are never
-wider than the first round, so every sweep fits, and the seasonal ring,
-allocated once per call and reused by every chunk, never exceeds season
-length × that budget floats; a one-window call allocates one sweep's.
-Padding is sliced off before a winner is picked and before
-``evaluations`` is counted, and each column's arithmetic does not depend
-on its neighbours, so packing changes no result. :func:`grid_search` is
-the one-window call of the same code, and :func:`one_step_rmse` the
-one-triple :func:`grid_search`.
+serves every window. Each round is one ``(3, windows, width)`` block of
+triples, every window's sweep padded to the round's widest by repeating
+its last triple, and each kernel call takes the next ``budget // width``
+windows in order. The budget is the larger of the first-round width (the
+product of the axis cardinalities) and ``_CHUNK_COLUMNS``, two
+default-grid sweeps: the default protocol runs two windows per kernel
+call in the first round and six in each refinement round, and
+``GridSpec.fine``, wider than ``_CHUNK_COLUMNS``, one. When a round's
+widths differ (an incumbent on a grid edge clips its refined axes),
+every window pays for the widest sweep; that is never wider than the
+first round, so the seasonal ring, allocated once and reused by every
+kernel call, never exceeds season length × the budget floats, and a
+one-window search allocates one sweep's. Padding is sliced off before a
+winner is picked and before ``evaluations`` is counted, and no column's
+arithmetic depends on its neighbours, so the blocking changes no result.
+:func:`grid_search` is the one-window call of the same code, and
+:func:`one_step_rmse` the one-triple :func:`grid_search`.
 """
 
 from __future__ import annotations
@@ -117,14 +117,14 @@ class FitResult:
     """Winning coefficients with their objective value and search cost.
 
     ``state`` is the smoother after the winner has consumed the whole
-    training window, equal to ``hw_fit(train, params)``; it takes no
-    part in equality.
+    training window, equal to ``hw_fit(train, params)``; it takes part
+    in equality, so equal results also hold equal fitted states.
     """
 
     params: SmoothingParams
     in_sample_rmse: float
     evaluations: int
-    state: HWState = field(compare=False, repr=False)
+    state: HWState = field(repr=False)
 
     def __post_init__(self):
         if self.in_sample_rmse < 0.0:
@@ -157,14 +157,14 @@ def _one_step_errors_batch(
     alphas: np.ndarray,
     betas: np.ndarray,
     gammas: np.ndarray,
-    ring: np.ndarray | None = None,
+    ring: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One-step RMSE and final state for k windows × W triples in one sweep.
 
     ``values`` is (k, n), one equal-length window per row; ``alphas``,
     ``betas`` and ``gammas`` are (k, W), row ``i`` holding the triples
-    scored on window ``i``. ``ring`` is an optional flat float64 buffer
-    of at least ``season_length * k * W`` elements to work in.
+    scored on window ``i``. ``ring`` is the flat float64 buffer to work
+    in, of at least ``season_length * k * W`` elements.
 
     Returns ``(rmse, level, trend, ring)``: the first three are (k, W),
     the ring is (season_length, k, W) with ``ring[p]`` the correction for
@@ -192,8 +192,6 @@ def _one_step_errors_batch(
     L = season_length
     k, n = values.shape
     shape = alphas.shape
-    if ring is None:
-        ring = np.empty(L * alphas.size)
     ring = ring[: L * alphas.size].reshape(L, *shape)
     level = np.empty(shape)
     trend = np.empty(shape)
@@ -267,9 +265,9 @@ def _one_step_errors_batch(
     return np.sqrt(sq_sum, out=sq_sum), level, trend, ring
 
 
-def _mesh(axis_a, axis_b, axis_g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mesh = np.meshgrid(axis_a, axis_b, axis_g, indexing="ij")
-    return tuple(m.ravel() for m in mesh)
+def _mesh(axis_a, axis_b, axis_g) -> np.ndarray:
+    """The axes' triples as a (3, W) array, gamma fastest."""
+    return np.array(np.meshgrid(axis_a, axis_b, axis_g, indexing="ij")).reshape(3, -1)
 
 
 def _best_of_batch(
@@ -298,26 +296,9 @@ def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
     return refined
 
 
-def _pack(widths: list[int], budget: int) -> list[list[int]]:
-    """Group sweeps, in order, into chunks whose padded column count
-    (sweeps × widest sweep) stays within ``budget``."""
-    chunks: list[list[int]] = []
-    widest = 0
-    for index, width in enumerate(widths):
-        if chunks and (len(chunks[-1]) + 1) * max(widest, width) <= budget:
-            chunks[-1].append(index)
-            widest = max(widest, width)
-        else:
-            chunks.append([index])
-            widest = width
-    return chunks
-
-
 def _stack_windows(windows) -> np.ndarray:
-    rows = [np.atleast_1d(_train_values(window)) for window in windows]
+    rows = [_train_values(window) for window in windows]
     for row in rows:
-        if row.ndim != 1:
-            raise ValueError("each window must be one-dimensional")
         if row.size != rows[0].size:
             raise LengthMismatchError(
                 f"windows must share one length, got {rows[0].size} and {row.size}"
@@ -364,7 +345,7 @@ def grid_search_windows(
     cardinalities = [axis.size for axis in axes]
     first_width = math.prod(cardinalities)
     budget = max(first_width, _CHUNK_COLUMNS)
-    # No chunk is wider than k first-round sweeps, so one window touches
+    # No call is wider than k first-round sweeps, so one window touches
     # one sweep's ring.
     ring = np.empty(season_length * min(budget, k * first_width))
 
@@ -390,18 +371,19 @@ def grid_search_windows(
                 2.0 * (spacing * spec.refine_shrink) / (size - 1) if size > 1 else 0.0
                 for spacing, size in zip(spacings, cardinalities)
             ]
-        for chunk in _pack([sweep[0].size for sweep in sweeps], budget):
-            width = max(sweeps[i][0].size for i in chunk)
-            padded = np.empty((3, len(chunk), width))
-            for row, i in enumerate(chunk):
-                for axis, points in enumerate(sweeps[i]):
-                    padded[axis, row, : points.size] = points
-                    padded[axis, row, points.size :] = points[-1]
+        # each sweep padded to the round's widest by repeating its last triple
+        width = max(sweep.shape[1] for sweep in sweeps)
+        block = np.stack(
+            [np.pad(s, ((0, 0), (0, width - s.shape[1])), "edge") for s in sweeps], axis=1
+        )
+        per_call = budget // width
+        for lo in range(0, k, per_call):
+            hi = lo + per_call
             scores, level, trend, final_ring = _one_step_errors_batch(
-                values[chunk], season_length, *padded, ring=ring
+                values[lo:hi], season_length, *block[:, lo:hi], ring
             )
-            for row, i in enumerate(chunk):
-                a, b, g = sweeps[i]
+            for row, (a, b, g) in enumerate(sweeps[lo:hi]):
+                i = lo + row
                 evaluations[i] += a.size
                 candidate = _best_of_batch(scores[row, : a.size], a, b, g)
                 if best[i] is None or candidate < best[i][0]:

@@ -18,8 +18,8 @@ def rng():
 def make_series():
     """Factory for quick Kelvin series starting 2015-01-01."""
 
-    def build(values, start=dt.date(2015, 1, 1), station="TEST0001"):
-        return TimeSeries(start, np.asarray(values, dtype=float), station)
+    def build(values, start=dt.date(2015, 1, 1)):
+        return TimeSeries(start, np.asarray(values, dtype=float))
 
     return build
 

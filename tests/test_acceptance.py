@@ -112,7 +112,7 @@ def test_c3_noise_floor_band():
         t = np.arange(6 * 365)
         values = (278.0 + 15.0 * np.sin(2.0 * np.pi * t / 365.0)
                   + 0.001 * t + gen.normal(0.0, 3.0, t.size))
-        series = TimeSeries(dt.date(2015, 1, 1), values, "SYNTH")
+        series = TimeSeries(dt.date(2015, 1, 1), values)
         report = run_backtest(series, BacktestConfig(seed=config_seed))
         lead_one = report.rmse["proposed"][1]
         assert 2.4 <= lead_one <= 4.2, (

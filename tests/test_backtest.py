@@ -40,7 +40,7 @@ def noisy_series(n, seed=0, sigma=2.0):
     gen = np.random.default_rng(seed)
     t = np.arange(n)
     values = 280.0 + 5.0 * np.sin(2 * np.pi * t / 7) + gen.normal(0, sigma, n)
-    return TimeSeries(JAN1, values, "TEST")
+    return TimeSeries(JAN1, values)
 
 
 class TestConfig:
@@ -120,12 +120,12 @@ class TestRunExperiment:
     def test_persistence_error_is_zero_when_actual_repeats(self):
         values = np.full(24, 281.0)
         values[-4:] = 281.0  # actuals equal the last train value
-        series = TimeSeries(JAN1, values, "T")
+        series = TimeSeries(JAN1, values)
         result = run_experiment(series, 18, small_config(models=("persistence",)))
         assert all(err == 0.0 for err in result.errors["persistence"].values())
 
     def test_constant_series_gives_zero_errors_for_all_models(self):
-        series = TimeSeries(JAN1, np.full(30, 280.0), "T")
+        series = TimeSeries(JAN1, np.full(30, 280.0))
         result = run_experiment(series, 20, small_config())
         for model_errors in result.errors.values():
             for err in model_errors.values():
@@ -133,7 +133,7 @@ class TestRunExperiment:
 
     def test_noiseless_signal_proposed_errors_tiny(self, trend_seasonal):
         values, _ = trend_seasonal(40, 7, slope=0.03, seed=5)
-        series = TimeSeries(JAN1, values, "T")
+        series = TimeSeries(JAN1, values)
         result = run_experiment(series, 30, small_config(models=("proposed",)))
         for err in result.errors["proposed"].values():
             assert abs(err) < 1e-5
@@ -142,7 +142,7 @@ class TestRunExperiment:
         # persistence sees the last value before the origin even when the
         # prefix is longer than the training window
         values = np.arange(280.0, 280.0 + 40.0)
-        series = TimeSeries(JAN1, values, "T")
+        series = TimeSeries(JAN1, values)
         result = run_experiment(series, 30, small_config(models=("persistence",)))
         assert result.errors["persistence"][1] == values[29] - values[30]
 
@@ -197,7 +197,7 @@ class TestRunBacktest:
                 assert cell == pytest.approx(abs(err), rel=1e-12)
 
     def test_constant_series_all_cells_zero(self):
-        series = TimeSeries(JAN1, np.full(60, 280.0), "T")
+        series = TimeSeries(JAN1, np.full(60, 280.0))
         report = run_backtest(series, small_config())
         for model in report.config.models:
             for lead in report.config.leads:

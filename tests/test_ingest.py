@@ -376,7 +376,8 @@ class TestClean:
         with pytest.raises(MultipleStationsError):
             clean(rs)
         series = clean(parse_cdo_csv(export_csv(rs), "celsius", station="A"))
-        assert series.station_id == "A"
+        assert series.start_date == dt.date(2015, 1, 1)
+        assert series.values.tolist() == [1.0 + 273.15]
 
     def test_observed_values_pass_through_exactly(self, rng):
         days = [(f"2015-02-{d:02d}", float(v)) for d, v in

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempcast import (
+    GridSpec,
     HWState,
     SmoothingParams,
     TimeSeries,
     average_forecast,
+    grid_search,
     hw_fit,
     hw_forecast,
     persistence_forecast,
@@ -22,6 +24,7 @@ from tempcast.errors import (
     TooShortError,
 )
 from tempcast.models import hw_update, init_state
+from tempcast.tuning import one_step_rmse
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 param_triples = st.tuples(unit_floats, unit_floats, unit_floats)
@@ -440,6 +443,30 @@ class TestBaselines:
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+_PARAMS = SmoothingParams(0.3, 0.2, 0.7, season_length=4)
+
+
+class TestOneDimensionalWindows:
+    @pytest.mark.parametrize("forecaster", [persistence_forecast, average_forecast])
+    def test_scalar_reads_as_one_value(self, forecaster):
+        assert forecaster(281.0) == 281.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: persistence_forecast(np.full((2, 3), 281.0)),
+            lambda: average_forecast(np.full((2, 3), 281.0)),
+            lambda: hw_fit(np.full((3, 4), 281.0), _PARAMS),
+            lambda: grid_search(np.full((2, 12), 281.0), GridSpec.coarse(), 4),
+            lambda: one_step_rmse(np.full((2, 12), 281.0), _PARAMS),
+        ],
+        ids=["persistence", "average", "hw_fit", "grid_search", "one_step_rmse"],
+    )
+    def test_more_dimensions_raise(self, call):
+        with pytest.raises(ValueError, match="each window must be one-dimensional"):
+            call()
+
+
 _DAY = dt.date(2015, 1, 1)
 _RING = np.array([1.0, -1.0])
 
@@ -449,7 +476,7 @@ class TestValueEquality:
         "left, right",
         [
             (TimeSeries(_DAY, [280.0, 281.0]), TimeSeries(_DAY, np.array([280.0, 281.0]))),
-            (TimeSeries(_DAY, [], "X"), TimeSeries(_DAY, (), "X")),
+            (TimeSeries(_DAY, []), TimeSeries(_DAY, ())),
             (HWState(280.0, 0.1, _RING, 1), HWState(280.0, 0.1, _RING.copy(), np.int64(1))),
         ],
         ids=["series", "empty-series", "state"],
@@ -465,7 +492,6 @@ class TestValueEquality:
         [
             (TimeSeries(_DAY, [280.0, 281.0]), TimeSeries(_DAY, [280.0, 281.5])),
             (TimeSeries(_DAY, [280.0]), TimeSeries(dt.date(2015, 1, 2), [280.0])),
-            (TimeSeries(_DAY, [280.0]), TimeSeries(_DAY, [280.0], "X")),
             (TimeSeries(_DAY, [280.0]), TimeSeries(_DAY, [280.0, 280.0])),
             (HWState(280.0, 0.1, _RING, 1), HWState(280.5, 0.1, _RING, 1)),
             (HWState(280.0, 0.1, _RING, 1), HWState(280.0, 0.2, _RING, 1)),
@@ -474,7 +500,7 @@ class TestValueEquality:
             (TimeSeries(_DAY, _RING), HWState(280.0, 0.1, _RING, 1)),
         ],
         ids=[
-            "values", "start", "station", "length",
+            "values", "start", "length",
             "level", "trend", "ring", "phase", "other-type",
         ],
     )

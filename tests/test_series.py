@@ -198,10 +198,9 @@ class TestSeriesCsv:
 
     def test_february_29_rows_are_dropped(self):
         text = "date,kelvin\n2020-02-28,280.0\n2020-02-29,281.0\n2020-03-01,282.0\n"
-        series = read_csv(text, station_id="X")
+        series = read_csv(text)
         assert series.start_date == dt.date(2020, 2, 28)
         assert series.values.tolist() == [280.0, 282.0]
-        assert series.station_id == "X"
 
 
 class TestParseDate:
@@ -257,21 +256,21 @@ class TestDropLeapDays:
         kept = [i for i, day in enumerate(dates) if not is_leap_day(day)]
         if bad is not None:
             with pytest.raises(ValidationError) as excinfo:
-                drop_leap_days(dates, values, "S")
+                drop_leap_days(dates, values)
             assert excinfo.value.index == bad
             assert excinfo.value.rule == "non-consecutive"
         elif not kept:
             with pytest.raises(EmptyInputError):
-                drop_leap_days(dates, values, "S")
+                drop_leap_days(dates, values)
         else:
-            series = drop_leap_days(dates, values, "S")
+            series = drop_leap_days(dates, values)
             assert series.start_date == dates[kept[0]]
             np.testing.assert_array_equal(series.values, values[kept])
             assert series.dates() == [dates[i] for i in kept]
 
     def test_removes_feb_29(self):
         dates = daily_dates(dt.date(2016, 2, 28), 3)  # 28, 29, Mar 1
-        series = drop_leap_days(dates, [280.0, 285.0, 281.0], "S")
+        series = drop_leap_days(dates, [280.0, 285.0, 281.0])
         assert len(series) == 2
         assert list(series.values) == [280.0, 281.0]
         assert series.start_date == dt.date(2016, 2, 28)
@@ -279,7 +278,7 @@ class TestDropLeapDays:
     def test_plain_year_unchanged(self):
         dates = daily_dates(dt.date(2015, 1, 1), 365)
         values = np.linspace(260.0, 290.0, 365)
-        series = drop_leap_days(dates, values, "S")
+        series = drop_leap_days(dates, values)
         assert len(series) == 365
         np.testing.assert_array_equal(series.values, values)
 
@@ -292,14 +291,14 @@ class TestDropLeapDays:
             day += dt.timedelta(days=1)
         assert len(dates) == 2192
         assert sum(1 for d in dates if d.month == 2 and d.day == 29) == 2
-        series = drop_leap_days(dates, np.full(len(dates), 280.0), "S")
+        series = drop_leap_days(dates, np.full(len(dates), 280.0))
         assert len(series) == 2190
 
     def test_duplicate_date_reports_non_consecutive_at_index(self):
         dates = daily_dates(JAN1, 4)
         dates[2] = dates[1]
         with pytest.raises(ValidationError) as excinfo:
-            drop_leap_days(dates, [280.0] * 4, "S")
+            drop_leap_days(dates, [280.0] * 4)
         assert excinfo.value.index == 2
         assert excinfo.value.rule == "non-consecutive"
 
@@ -307,12 +306,12 @@ class TestDropLeapDays:
         dates = daily_dates(JAN1, 3)
         dates[2] = dates[2] + dt.timedelta(days=5)
         with pytest.raises(ValidationError) as excinfo:
-            drop_leap_days(dates, [280.0] * 3, "S")
+            drop_leap_days(dates, [280.0] * 3)
         assert excinfo.value.index == 2
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            drop_leap_days(daily_dates(JAN1, 3), [280.0, 281.0], "S")
+            drop_leap_days(daily_dates(JAN1, 3), [280.0, 281.0])
 
     @given(
         start_offset=st.integers(min_value=0, max_value=1500),
@@ -323,8 +322,8 @@ class TestDropLeapDays:
         start = dt.date(2015, 6, 1) + dt.timedelta(days=start_offset)
         dates = daily_dates(start, n)
         values = 280.0 + np.arange(n, dtype=float)
-        first = drop_leap_days(dates, values, "S")
-        again = drop_leap_days(first.dates(), first.values, "S")
+        first = drop_leap_days(dates, values)
+        again = drop_leap_days(first.dates(), first.values)
         assert again.start_date == first.start_date
         np.testing.assert_array_equal(again.values, first.values)
 
@@ -411,7 +410,7 @@ class TestSplitAtOrigin:
         origin = data.draw(st.integers(min_value=1, max_value=n - 1))
         max_lead = data.draw(st.integers(min_value=1, max_value=n - origin))
         values = 280.0 + np.arange(n, dtype=float)
-        series = TimeSeries(JAN1, values, "T")
+        series = TimeSeries(JAN1, values)
         train, test = split_at_origin(series, origin, max_lead)
         joined = np.concatenate([train.values, test])
         np.testing.assert_array_equal(joined, values[: origin + max_lead])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -15,11 +16,11 @@ from tempcast import (
     hw_forecast,
 )
 from tempcast.errors import LengthMismatchError, NonFiniteError, TooShortError
-from tempcast.models import hw_update, init_state
+from tempcast.models import HWState, hw_update, init_state
 from tempcast import tuning
 from tempcast.tuning import (
+    FitResult,
     _one_step_errors_batch,
-    _pack,
     grid_search_windows,
     one_step_rmse,
 )
@@ -166,7 +167,8 @@ class TestKernelBlocks:
         alphas[0, 0], betas[-1, -1], gammas[0, -1] = 0.0, 1.0, 1.0
         with mock.patch.object(tuning, "_BLOCK_ELEMENTS", block_days * k * width):
             rmse, level, trend, ring = _one_step_errors_batch(
-                values, season_length, alphas, betas, gammas
+                values, season_length, alphas, betas, gammas,
+                np.empty(season_length * k * width),
             )
         for i in range(k):
             for j in range(width):
@@ -320,6 +322,16 @@ def assert_state_is_hw_fit(state, values, params):
 
 
 class TestFittedState:
+    def test_state_takes_part_in_equality(self):
+        params = SmoothingParams(0.3, 0.2, 0.7, season_length=2)
+        ring = np.array([1.0, -1.0])
+        first = FitResult(params, 0.5, 9, HWState(280.0, 0.1, ring, 0))
+        same = FitResult(params, 0.5, 9, HWState(280.0, 0.1, ring.copy(), 0))
+        other = FitResult(params, 0.5, 9, HWState(280.0, 0.1, -ring, 0))
+        assert first == same
+        assert hash(first) == hash(same)
+        assert first != other
+
     def test_grid_search_state_is_the_winners_hw_fit(self, rng):
         values = 280.0 + 6 * np.sin(np.arange(60) * 2 * np.pi / 7) + rng.normal(0, 1, 60)
         spec = GridSpec((0.0, 0.4, 0.8), (0.0, 0.5), (0.2, 0.9), refine_rounds=2)
@@ -408,13 +420,43 @@ class TestGridSearchWindows:
             grid_search_windows(values, spec, season_length=4)
         assert calls == round_zero
 
-    def test_pack_respects_budget_and_order(self):
-        widths = [396, 396, 1331, 396, 6, 36, 396, 396, 396, 396]
-        chunks = _pack(widths, 1331)
-        assert [i for chunk in chunks for i in chunk] == list(range(len(widths)))
-        for chunk in chunks:
-            assert len(chunk) * max(widths[i] for i in chunk) <= 1331
-        assert chunks == [[0, 1], [2], [3, 4, 5], [6, 7, 8], [9]]
+    def test_refinement_round_is_one_padded_block(self, rng):
+        """Windows 0 and 1 refine to one point and the others to 27, so
+        the refinement round is one block 27 wide and each call takes the
+        next 60 // 27 windows: the narrow windows get no narrower call."""
+        windows = 280.0 + rng.normal(0, 2, (5, 12))
+        axis = (0.1, 0.5, 0.9)
+        spec = GridSpec(axis, axis, axis, refine_rounds=1)
+        real_refine = tuning._refine
+        refined = itertools.count()
+        widths = []
+
+        def cut_first_two(*args):
+            axes = real_refine(*args)
+            if next(refined) < 2:
+                axes = [points[:1] for points in axes]
+            widths.append(math.prod(points.size for points in axes))
+            return axes
+
+        calls = []
+
+        def spy(values, season_length, alphas, *rest):
+            calls.append((values.copy(), alphas.copy()))
+            return _one_step_errors_batch(values, season_length, alphas, *rest)
+
+        with mock.patch.object(tuning, "_CHUNK_COLUMNS", 60), mock.patch.object(
+            tuning, "_refine", cut_first_two
+        ), mock.patch.object(tuning, "_one_step_errors_batch", spy):
+            fits = grid_search_windows(windows, spec, season_length=4)
+        assert widths == [1, 1, 27, 27, 27]
+        # both rounds: calls of 60 // 27 windows, in order, 27 columns each
+        assert [alphas.shape for _, alphas in calls] == [(2, 27), (2, 27), (1, 27)] * 2
+        for lo, (values, _) in zip(range(0, 5, 2), calls[3:]):
+            assert np.array_equal(values, windows[lo : lo + 2])
+        # a one-point sweep is padded by repeating it
+        narrow = calls[3][1][:2]
+        assert (narrow == narrow[:, :1]).all()
+        assert [fit.evaluations for fit in fits] == [27 + w for w in widths]
 
     def test_accepts_time_series_windows(self, make_series, rng):
         values = 280.0 + rng.normal(0, 2, (2, 20))
