@@ -21,8 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, InsufficientDataError, OutOfRangeError
-from .models import _whole, average_forecast, hw_forecast, persistence_forecast
+from .errors import (
+    ArgumentError,
+    EmptyInputError,
+    InsufficientDataError,
+    OutOfRangeError,
+    _one_of,
+    _whole,
+)
+from .models import average_forecast, hw_forecast, persistence_forecast
 from .series import TimeSeries, validate_series
 from .tuning import FitResult, GridSpec, grid_search, grid_search_windows
 
@@ -59,37 +66,28 @@ class BacktestConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
-        for name in ("train_length", "n_experiments", "seed", "season_length"):
-            value = _whole(getattr(self, name), f"{name} must be a whole number")
-            object.__setattr__(self, name, value)
-        if self.season_length < 2:
-            raise ValueError("season_length must be at least 2")
-        minimum_train = 2 * self.season_length + 1
-        if self.train_length < minimum_train:
-            raise ValueError(
-                f"train_length must be at least {minimum_train} "
-                f"(two seasons plus one), got {self.train_length}"
-            )
+        L = _whole(self.season_length, "season_length", minimum=2)
+        object.__setattr__(self, "season_length", L)
+        train_length = _whole(self.train_length, "train_length", minimum=2 * L + 1)
+        object.__setattr__(self, "train_length", train_length)
         message = "leads must be a nonempty list of whole days >= 1"
-        leads = tuple(_whole(m, message) for m in self.leads)
-        if not leads or min(leads) < 1:
-            raise ValueError(message)
+        try:
+            leads = tuple(_whole(m, "lead", minimum=1) for m in self.leads)
+        except ArgumentError as exc:
+            raise ArgumentError(message) from exc
+        if not leads:
+            raise ArgumentError(message)
         object.__setattr__(self, "leads", leads)
         if any(b <= a for a, b in zip(self.leads, self.leads[1:])):
-            raise ValueError("leads must be strictly increasing")
-        if self.n_experiments < 1:
-            raise ValueError("n_experiments must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ArgumentError("leads must be strictly increasing")
+        for name, minimum in (("n_experiments", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, minimum))
         if not self.models:
-            raise ValueError("at least one model is required")
-        unknown = [m for m in self.models if m not in MODEL_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown models {unknown}; choose from {MODEL_NAMES}"
-            )
+            raise ArgumentError("at least one model is required")
+        for model in self.models:
+            _one_of(model, MODEL_NAMES, "model")
         if len(set(self.models)) != len(self.models):
-            raise ValueError("models must not repeat")
+            raise ArgumentError("models must not repeat")
 
 
 @dataclass(frozen=True)

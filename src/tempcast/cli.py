@@ -11,7 +11,8 @@ manifest writer (:func:`_write_manifest`). The digest is of the bytes
 the command parsed, and no artifact may be written over the input file
 (exit 2).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error (an ``ArgumentError``), 2 data error
+(another ``TempcastError`` or an ``OSError``), 3 internal error.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ import numpy as np
 from . import __version__
 from .backtest import MODEL_NAMES, BacktestConfig, BacktestReport, run_backtest
 from .errors import (
+    ArgumentError,
+    CalendarOverflowError,
     MalformedRowError,
     OutOfRangeError,
     OutputIsInputError,
     TempcastError,
+    _whole,
 )
 from .ingest import UNITS, CleanConfig, clean_report, parse_cdo_csv
 from .models import SmoothingParams, hw_fit, hw_forecast
@@ -59,13 +63,9 @@ GRID_PRESETS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
-        raise _UsageError(message)
+        raise ArgumentError(message)
 
 
 def _refuse_overwrite(input_path: str, outputs) -> None:
@@ -119,7 +119,7 @@ def _date_flag(raw: str, flag: str) -> dt.date:
     try:
         return parse_date(raw)
     except ValueError:
-        raise _UsageError(f"{flag} expects YYYY-MM-DD, got {raw!r}") from None
+        raise ArgumentError(f"{flag} expects YYYY-MM-DD, got {raw!r}") from None
 
 
 def _read_text(path: Path) -> tuple[str, str]:
@@ -192,20 +192,17 @@ def _cmd_ingest(args) -> int:
     manifest = output.parent / (output.name + ".manifest.json")
     _refuse_overwrite(args.input, [output, manifest])
     text, input_sha256 = _read_text(Path(args.input))
-    try:
-        records = parse_cdo_csv(
-            text,
-            unit=args.unit,
-            tmax_tmin_fallback=args.tmax_tmin_fallback,
-            station=args.station,
-        )
-        config = CleanConfig(
-            max_gap=args.max_gap,
-            start=_date_flag(args.date_from, "--from") if args.date_from else None,
-            end=_date_flag(args.date_to, "--to") if args.date_to else None,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    records = parse_cdo_csv(
+        text,
+        unit=args.unit,
+        tmax_tmin_fallback=args.tmax_tmin_fallback,
+        station=args.station,
+    )
+    config = CleanConfig(
+        max_gap=args.max_gap,
+        start=_date_flag(args.date_from, "--from") if args.date_from else None,
+        end=_date_flag(args.date_to, "--to") if args.date_to else None,
+    )
     # Neither the export's text nor the kept station's parsed rows is
     # needed past the stage that reads it; freeing each before the next
     # stage lowers the command's peak memory.
@@ -240,7 +237,7 @@ def _parse_leads(raw: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise _UsageError(f"--leads expects comma-separated days, got {raw!r}") from None
+        raise ArgumentError(f"--leads expects comma-separated days, got {raw!r}") from None
 
 
 def _rmse_rows(report: BacktestReport):
@@ -273,17 +270,14 @@ def _cmd_backtest(args) -> int:
         args.series, [out_dir / name for name in [*artifacts, "manifest.json"]]
     )
     series, input_sha256 = _read_series_csv(Path(args.series))
-    try:
-        config = BacktestConfig(
-            train_length=args.train_days,
-            leads=_parse_leads(args.leads),
-            n_experiments=args.experiments,
-            seed=args.seed,
-            models=[part.strip() for part in args.models.split(",") if part.strip()],
-            grid=GRID_PRESETS[args.grid](),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    config = BacktestConfig(
+        train_length=args.train_days,
+        leads=_parse_leads(args.leads),
+        n_experiments=args.experiments,
+        seed=args.seed,
+        models=[part.strip() for part in args.models.split(",") if part.strip()],
+        grid=GRID_PRESETS[args.grid](),
+    )
     report = run_backtest(series, config)
 
     _write_csv(out_dir / "rmse.csv", ("lead", *config.models), _rmse_rows(report))
@@ -334,15 +328,14 @@ def _forecast_rows(series: TimeSeries, forecasts, season_length: int):
 
 def _cmd_forecast(args) -> int:
     if args.horizon < 1:
-        raise _UsageError("--horizon must be at least 1 day")
+        raise ArgumentError("--horizon must be at least 1 day")
     explicit = (args.alpha, args.beta, args.gamma)
     given = [v for v in explicit if v is not None]
     if given and args.auto:
-        raise _UsageError("--auto excludes --alpha/--beta/--gamma")
+        raise ArgumentError("--auto excludes --alpha/--beta/--gamma")
     if given and len(given) != 3:
-        raise _UsageError("provide --alpha, --beta and --gamma together")
-    if args.season < 2:
-        raise _UsageError(f"--season must be at least 2, got {args.season}")
+        raise ArgumentError("provide --alpha, --beta and --gamma together")
+    _whole(args.season, "--season", minimum=2)
 
     output = Path(args.output)
     manifest = output.parent / (output.name + ".manifest.json")
@@ -351,16 +344,13 @@ def _cmd_forecast(args) -> int:
     last_target = len(series) + args.horizon - 1
     try:
         calendar_days(series.start_date, last_target, last_target + 1)
-    except OverflowError:
+    except CalendarOverflowError:
         raise OutOfRangeError(
             f"--horizon {args.horizon} runs past 9999-12-31, the last date "
             "the calendar can name"
         ) from None
     if len(given) == 3:
-        try:
-            params = SmoothingParams(*explicit, season_length=args.season)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        params = SmoothingParams(*explicit, season_length=args.season)
         state = hw_fit(series, params)
         tuned = None
     else:
@@ -398,12 +388,8 @@ def _cmd_forecast(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.handler(args)
-    except _UsageError as exc:
+    except ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (TempcastError, OSError) as exc:

@@ -1,17 +1,42 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and its argument checks.
 
 Everything raised on bad data or bad protocol parameters derives from
 TempcastError, so callers (and the CLI) can separate data problems from
-genuine bugs with one except clause.
+genuine bugs with one except clause. A bad argument raises
+:class:`ArgumentError`, also a ``ValueError``, often from :func:`_whole`
+or :func:`_one_of`; the CLI exits 1 on it and 2 on any other error here.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 
+import numpy as np
+
 
 class TempcastError(Exception):
     """Base class for all toolkit errors."""
+
+
+class ArgumentError(TempcastError, ValueError):
+    """An argument is outside its domain, in type, value or shape."""
+
+
+def _whole(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int if it is an int or a numpy integer, not a bool,
+    of at least ``minimum``; anything else raises :class:`ArgumentError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be a whole number, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ArgumentError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _one_of(value, choices: tuple, name: str) -> None:
+    """Raise :class:`ArgumentError` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ArgumentError(f"unknown {name} {value!r}; expected one of {choices}")
 
 
 class ValidationError(TempcastError):
@@ -39,8 +64,12 @@ class EmptyInputError(TempcastError):
 class OutOfRangeError(TempcastError):
     """A position falls outside the series or the calendar: an origin,
     lead or training window that does not fit the series, a
-    :meth:`TimeSeries.date_at` index outside it, or a forecast horizon
-    past 9999-12-31."""
+    :meth:`TimeSeries.date_at` index outside it, or a date past
+    9999-12-31 (:class:`CalendarOverflowError`)."""
+
+
+class CalendarOverflowError(OutOfRangeError, OverflowError):
+    """A date outside years 1-9999, an ``OverflowError`` as in datetime."""
 
 
 class TooShortError(TempcastError):
@@ -51,7 +80,7 @@ class NonFiniteError(TempcastError):
     """An observation or conversion input is NaN or infinite."""
 
 
-class InvalidLeadError(TempcastError):
+class InvalidLeadError(ArgumentError):
     """Forecast lead times must be at least one day."""
 
 

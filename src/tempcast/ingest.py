@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     DuplicateDateError,
     EmptyAfterFilterError,
     GapTooLargeError,
@@ -34,8 +35,9 @@ from .errors import (
     MissingColumnError,
     MultipleStationsError,
     NonFiniteError,
+    _one_of,
+    _whole,
 )
-from .models import _whole
 from .series import (
     TimeSeries,
     csv_rows,
@@ -71,18 +73,13 @@ class RawRecordSet:
         for name in ("stations", "dates", "tavg"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not len(self.stations) == len(self.dates) == len(self.tavg):
-            raise ValueError(
+            raise ArgumentError(
                 f"column lengths differ: {len(self.stations)} stations, "
                 f"{len(self.dates)} dates, {len(self.tavg)} values"
             )
-        if self.unit not in UNITS:
-            raise ValueError(f"unknown unit {self.unit!r}; expected one of {UNITS}")
-        read = len(self)
-        if self.rows_read is not None:
-            read = _whole(self.rows_read, "rows_read must be a whole number")
-        if read < len(self):
-            raise ValueError(f"rows_read {read} is below the {len(self)} rows held")
-        object.__setattr__(self, "rows_read", read)
+        _one_of(self.unit, UNITS, "unit")
+        read = len(self) if self.rows_read is None else self.rows_read
+        object.__setattr__(self, "rows_read", _whole(read, "rows_read", len(self)))
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -104,12 +101,9 @@ class CleanConfig:
     end: dt.date | None = None
 
     def __post_init__(self):
-        max_gap = _whole(self.max_gap, "max_gap must be a whole number")
-        object.__setattr__(self, "max_gap", max_gap)
-        if max_gap < 0:
-            raise ValueError("max_gap must be non-negative")
+        object.__setattr__(self, "max_gap", _whole(self.max_gap, "max_gap", minimum=0))
         if self.start is not None and self.end is not None and self.end < self.start:
-            raise ValueError("date range end precedes start")
+            raise ArgumentError("date range end precedes start")
 
 
 @dataclass(frozen=True)
@@ -159,8 +153,6 @@ def parse_cdo_csv(
     station, so a bad row raises the same error at the same line either
     way; ``rows_read`` of the result counts every row read.
     """
-    if unit not in UNITS:
-        raise ValueError(f"unknown unit {unit!r}; expected one of {UNITS}")
     rows = csv_rows(text)
     try:
         header = next(rows)
@@ -223,8 +215,7 @@ def _kelvin(value, unit: str):
 
 def to_kelvin(value: float, unit: str) -> float:
     """Convert a temperature in the declared unit to Kelvin."""
-    if unit not in UNITS:
-        raise ValueError(f"unknown unit {unit!r}; expected one of {UNITS}")
+    _one_of(unit, UNITS, "unit")
     if not math.isfinite(value):
         raise NonFiniteError(f"temperature is not finite: {value!r}")
     return _kelvin(value, unit)

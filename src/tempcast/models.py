@@ -27,21 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     EmptyInputError,
     InvalidLeadError,
     NonFiniteError,
     TooShortError,
+    _whole,
 )
 from .series import TimeSeries, _ByValue
-
-
-def _whole(value, message: str) -> int:
-    """``value`` as an int if it is an int or a numpy integer other than
-    a bool; anything else raises ``ValueError(f"{message}, got {value!r}")``.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{message}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -61,13 +54,9 @@ class SmoothingParams:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        L = _whole(self.season_length, "season_length must be a whole number")
+                raise ArgumentError(f"{name} must lie in [0, 1], got {value}")
+        L = _whole(self.season_length, "season_length", minimum=2)
         object.__setattr__(self, "season_length", L)
-        if self.season_length < 2:
-            raise ValueError(
-                f"season_length must be at least 2, got {self.season_length}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,23 +77,22 @@ class HWState(_ByValue):
         ring = np.array(self.seasonal, dtype=np.float64)
         ring.flags.writeable = False
         object.__setattr__(self, "seasonal", ring)
-        phase = _whole(self.phase, "phase must be a whole number")
-        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "phase", _whole(self.phase, "phase"))
         if ring.ndim != 1 or ring.size < 2:
-            raise ValueError("seasonal ring needs at least two phases")
+            raise ArgumentError("seasonal ring needs at least two phases")
         if not 0 <= self.phase < ring.size:
-            raise ValueError(
+            raise ArgumentError(
                 f"phase {self.phase} outside ring of length {ring.size}"
             )
 
 
 def _train_values(train) -> np.ndarray:
     """A window's values as a one-dimensional float64 array: a scalar
-    reads as one value, more than one dimension raises ``ValueError``."""
+    reads as one value, more than one dimension is an ArgumentError."""
     values = train.values if isinstance(train, TimeSeries) else train
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
     if values.ndim != 1:
-        raise ValueError("each window must be one-dimensional")
+        raise ArgumentError("each window must be one-dimensional")
     return values
 
 
@@ -158,10 +146,10 @@ def init_state(train, params: SmoothingParams) -> HWState:
 
 def _season_length(state: HWState, params: SmoothingParams) -> int:
     """``params.season_length``, once checked to be the state's ring
-    length; a mismatch raises ``ValueError``."""
+    length; a mismatch raises :class:`ArgumentError`."""
     L = params.season_length
     if state.seasonal.size != L:
-        raise ValueError(
+        raise ArgumentError(
             f"state ring has {state.seasonal.size} slots, params expect {L}"
         )
     return L
@@ -204,9 +192,13 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     holds the winner's state, computed by the tuning kernel with the
     same arithmetic. This per-step path serves explicit coefficients
     (``tempcast forecast --alpha/--beta/--gamma``) and is the tests'
-    reference for that state.
+    reference for that state. NaN or infinity raises :class:`NonFiniteError`
+    before initializing, as :func:`hw_update` would.
     """
     values = _train_values(train)
+    non_finite = values[~np.isfinite(values)]
+    if non_finite.size:
+        raise NonFiniteError(f"observation is not finite: {float(non_finite[0])!r}")
     state = init_state(values, params)
     for observation in values.tolist():
         state = hw_update(state, observation, params)
@@ -232,7 +224,7 @@ def hw_forecast(state: HWState, m, params: SmoothingParams):
     the scalar's arithmetic, so the two agree bit for bit. A lead that
     is not an integer or is below 1 raises :class:`InvalidLeadError`;
     a state whose ring length is not ``params.season_length`` raises
-    ``ValueError``, as in :func:`hw_update`.
+    that error's base, :class:`ArgumentError`, as in :func:`hw_update`.
     """
     leads = _leads(m)
     slots = (state.phase + leads - 1) % _season_length(state, params)

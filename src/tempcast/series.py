@@ -32,6 +32,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (
+    ArgumentError,
+    CalendarOverflowError,
     EmptyInputError,
     LengthMismatchError,
     MalformedDateError,
@@ -88,19 +90,18 @@ def calendar_days(start: dt.date, first: int, stop: int) -> np.ndarray:
 
     Offset 0 is ``start`` itself; February 29 is skipped, exactly as
     folding :func:`next_calendar_day` would. Offsets may run past the
-    end of any series (forecast targets). Raises ``OverflowError``, as
-    date arithmetic does, when a date would fall outside years 1-9999.
+    end of any series (forecast targets). Raises ``CalendarOverflowError``,
+    an ``OverflowError`` and a ``TempcastError``, outside years 1-9999.
     """
     if is_leap_day(start):
         raise ValidationError(
             0, "non-consecutive", "the 365-day calendar has no February 29"
         )
     start_365 = start.year * 365 + _MONTH_STARTS[start.month - 1] + start.day - 1
-    year, day_of_year = np.divmod(
-        np.arange(start_365 + first, start_365 + stop, dtype=np.int64), 365
-    )
-    if year.size and (year[0] < dt.MINYEAR or year[-1] > dt.MAXYEAR):
-        raise OverflowError("date value out of range")
+    lo, hi = start_365 + int(first), start_365 + int(stop)
+    if lo < hi and (lo // 365 < dt.MINYEAR or (hi - 1) // 365 > dt.MAXYEAR):
+        raise CalendarOverflowError("date value out of range")
+    year, day_of_year = np.divmod(np.arange(lo, hi, dtype=np.int64), 365)
     day_of_year += _is_leap_year(year) & (day_of_year >= _FEB_29)
     return (year - 1970).astype("datetime64[Y]").astype("datetime64[D]") + day_of_year
 
@@ -170,7 +171,7 @@ class TimeSeries(_ByValue):
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1:
-            raise ValueError("values must be one-dimensional")
+            raise ArgumentError("values must be one-dimensional")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         if is_leap_day(self.start_date):

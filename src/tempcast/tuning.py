@@ -57,8 +57,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatchError, NonFiniteError, TooShortError
-from .models import HWState, SmoothingParams, _initial_components, _train_values, _whole
+from .errors import (
+    ArgumentError,
+    LengthMismatchError,
+    NonFiniteError,
+    TooShortError,
+    _whole,
+)
+from .models import HWState, SmoothingParams, _initial_components, _train_values
 
 
 @dataclass(frozen=True)
@@ -81,17 +87,15 @@ class GridSpec:
             axis = tuple(float(v) for v in getattr(self, name))
             object.__setattr__(self, name, axis)
             if not axis:
-                raise ValueError(f"{name} is empty")
+                raise ArgumentError(f"{name} is empty")
             if any(not 0.0 <= v <= 1.0 for v in axis):
-                raise ValueError(f"{name} values must lie in [0, 1]")
+                raise ArgumentError(f"{name} values must lie in [0, 1]")
             if any(b <= a for a, b in zip(axis, axis[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-        rounds = _whole(self.refine_rounds, "refine_rounds must be a whole number")
+                raise ArgumentError(f"{name} must be strictly increasing")
+        rounds = _whole(self.refine_rounds, "refine_rounds", minimum=0)
         object.__setattr__(self, "refine_rounds", rounds)
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be non-negative")
         if not 0.0 < self.refine_shrink < 1.0:
-            raise ValueError("refine_shrink must lie strictly in (0, 1)")
+            raise ArgumentError("refine_shrink must lie strictly in (0, 1)")
 
     @classmethod
     def default(cls) -> "GridSpec":
@@ -128,9 +132,9 @@ class FitResult:
 
     def __post_init__(self):
         if self.in_sample_rmse < 0.0:
-            raise ValueError("in_sample_rmse cannot be negative")
+            raise ArgumentError("in_sample_rmse cannot be negative")
         if self.evaluations < 1:
-            raise ValueError("at least one evaluation is required")
+            raise ArgumentError("at least one evaluation is required")
 
 
 # Columns of one chunk of grid_search_windows, unless the first round is
@@ -315,12 +319,10 @@ def grid_search_windows(
     Returns one result per window, in input order, each identical to
     ``grid_search(window, spec, season_length)``. Raises
     :class:`NonFiniteError` on a NaN or infinite value in any window,
-    :class:`LengthMismatchError` when lengths differ, ``ValueError``
+    :class:`LengthMismatchError` when lengths differ, ``ArgumentError``
     when ``season_length`` is not a whole number of at least 2.
     """
-    season_length = _whole(season_length, "season_length must be a whole number")
-    if season_length < 2:
-        raise ValueError(f"season_length must be at least 2, got {season_length}")
+    season_length = _whole(season_length, "season_length", minimum=2)
     values = _stack_windows(windows)
     k, n = values.shape
     if k == 0:

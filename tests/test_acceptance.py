@@ -22,6 +22,7 @@ from tempcast import (
     CleanConfig,
     GridSpec,
     HWState,
+    RawRecordSet,
     SmoothingParams,
     TimeSeries,
     average_forecast,
@@ -30,17 +31,20 @@ from tempcast import (
     hw_fit,
     hw_forecast,
     parse_cdo_csv,
+    persistence_forecast,
     run_backtest,
 )
 from tempcast.backtest import collect_report, run_experiment, select_origins
 from tempcast.cli import main
 from tempcast.errors import (
+    ArgumentError,
     DuplicateDateError,
     EmptyAfterFilterError,
     GapTooLargeError,
     MalformedDateError,
     MalformedRowError,
     MissingColumnError,
+    TempcastError,
 )
 from tempcast.models import hw_update
 from tempcast.series import rmse
@@ -367,8 +371,69 @@ def _small_backtest(**fields):
     ],
 )
 def test_whole_number_fields_reject_fractions_and_bools(call):
-    with pytest.raises(ValueError, match="must be a whole number"):
+    with pytest.raises(ArgumentError, match="must be a whole number"):
         call()
+
+
+_DAY = dt.date(2015, 1, 1)
+_PARAMS = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SmoothingParams(0.5, 0.5, 0.5, season_length=1),
+        lambda: _small_backtest(n_experiments=0),
+        lambda: _small_backtest(seed=-1),
+        lambda: _small_backtest(train_length=14),
+        lambda: GridSpec((0.5,), (0.5,), (0.5,), refine_rounds=-1),
+        lambda: CleanConfig(max_gap=-1),
+        lambda: RawRecordSet(("A",), (_DAY,), (1.0,), "celsius", rows_read=0),
+        lambda: SmoothingParams(1.5, 0.5, 0.5, season_length=7),
+        lambda: SmoothingParams(0.5, math.nan, 0.5, season_length=7),
+        lambda: GridSpec((0.5,), (0.5, 1.5), (0.5,)),
+        lambda: GridSpec((0.5,), (0.5,), (math.nan,)),
+        lambda: GridSpec((0.5,), (0.5,), (0.5,), refine_shrink=0.0),
+        lambda: GridSpec((0.5,), (0.5,), (0.5,), refine_shrink=1.0),
+        lambda: GridSpec((), (0.5,), (0.5,)),
+        lambda: GridSpec((0.5, 0.2), (0.5,), (0.5,)),
+        lambda: RawRecordSet(("A",), (_DAY,), (1.0,), "kelvin"),
+        lambda: parse_cdo_csv("STATION,DATE,TAVG\nA,2015-01-01,1.0\n", unit="kelvin"),
+        lambda: _small_backtest(models=("nonsense",)),
+        lambda: _small_backtest(models=("average", "average")),
+        lambda: _small_backtest(models=()),
+        lambda: _small_backtest(leads=(0,)),
+        lambda: _small_backtest(leads=()),
+        lambda: _small_backtest(leads=(1.5,)),
+        lambda: _small_backtest(leads=(2, 1)),
+        lambda: CleanConfig(start=dt.date(2020, 1, 1), end=dt.date(2019, 1, 1)),
+        lambda: RawRecordSet(("A", "A"), (_DAY,), (1.0,), "celsius"),
+        lambda: persistence_forecast(np.full((2, 3), 280.0)),
+        lambda: grid_search(np.full((2, 30), 280.0), _POINT, 7),
+        lambda: TimeSeries(_DAY, np.full((2, 3), 280.0)),
+        lambda: HWState(280.0, 0.0, np.zeros(1), phase=0),
+        lambda: HWState(280.0, 0.0, np.zeros(7), phase=7),
+        lambda: hw_forecast(HWState(280.0, 0.0, np.zeros(5), phase=0), 1, _PARAMS),
+        lambda: hw_forecast(HWState(280.0, 0.0, np.zeros(7), phase=0), 0, _PARAMS),
+    ],
+    ids=[
+        "season_length", "n_experiments", "seed", "train_length", "refine_rounds",
+        "max_gap", "rows_read", "params-coefficient", "params-nan", "grid-coefficient",
+        "grid-nan", "refine_shrink-0", "refine_shrink-1", "empty-axis",
+        "unsorted-axis", "record-unit", "parse-unit", "unknown-model",
+        "repeated-model", "no-models", "lead-zero", "no-leads", "lead-fraction",
+        "leads-decreasing", "clean-dates", "record-columns", "persistence-2d",
+        "grid_search-2d", "series-2d", "ring-one-slot", "phase-outside-ring",
+        "ring-mismatch", "hw_forecast-lead-zero",
+    ],
+)
+def test_bad_arguments_raise_argument_error(call):
+    """Every bad argument raises ArgumentError: a TempcastError, so the CLI
+    reports it (exit 1, never 3), and a ValueError, as before."""
+    with pytest.raises(ArgumentError) as excinfo:
+        call()
+    assert isinstance(excinfo.value, TempcastError)
+    assert isinstance(excinfo.value, ValueError)
 
 
 def test_numpy_integer_fields_are_stored_as_int():

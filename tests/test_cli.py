@@ -421,6 +421,28 @@ class TestTopLevel:
         assert main(["frobnicate"]) == 1
 
     @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["ingest", "--input", str(GOLDEN_CSV), "--unit", "celsius",
+              "--max-gap", "-1"], "max_gap must be at least 0, got -1"),
+            (["ingest", "--input", str(GOLDEN_CSV), "--unit", "celsius",
+              "--from", "2020-01-01", "--to", "2019-01-01"],
+             "date range end precedes start"),
+            (["forecast", "--series", "SERIES", "--horizon", "3", "--alpha", "2",
+              "--beta", "0", "--gamma", "0"], "alpha must lie in [0, 1], got 2.0"),
+        ],
+        ids=["max-gap", "from-after-to", "alpha"],
+    )
+    def test_library_argument_error_is_usage_error(
+        self, clean_series_file, tmp_path, capsys, command, message
+    ):
+        argv = [str(clean_series_file) if a == "SERIES" else a for a in command]
+        code = main(argv + ["--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "command",
         [["forecast", "--auto", "--horizon", "1", "--output", "f.csv"],
          ["backtest", "--out-dir", "out"]],

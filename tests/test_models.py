@@ -193,6 +193,14 @@ class TestHwUpdate:
 
 
 class TestHwFit:
+    @pytest.mark.parametrize("bad, shown", [(math.inf, "inf"), (-math.inf, "-inf")])
+    def test_non_finite_window_raises_before_initializing(self, bad, shown):
+        # Initializing on the window first would warn (inf - inf) before
+        # hw_update raised; pytest turns that warning into a failure.
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
+        with pytest.raises(NonFiniteError, match=f"^observation is not finite: {shown}$"):
+            hw_fit([280.0] * 20 + [bad, 281.0], params)
+
     def test_deterministic_bit_for_bit(self, rng):
         values = 280.0 + rng.normal(0, 3, 60)
         params = SmoothingParams(0.4, 0.2, 0.6, season_length=5)

@@ -15,6 +15,7 @@ from tempcast.errors import (
     LengthMismatchError,
     MalformedRowError,
     OutOfRangeError,
+    TempcastError,
     ValidationError,
 )
 from tempcast.series import (
@@ -149,6 +150,20 @@ class TestClosedFormCalendar:
             next_calendar_day(dt.date(9999, 12, 31))
         with pytest.raises(OverflowError):
             series.end_date
+
+    def test_dates_past_year_9999_are_tempcast_errors(self):
+        series = TimeSeries(dt.date(9999, 12, 1), np.full(100, 280.0))
+        with pytest.raises(TempcastError):
+            series.end_date
+        with pytest.raises(TempcastError):
+            series.date_at(31)
+        with pytest.raises(TempcastError):
+            list(to_csv_rows(series))
+
+    @pytest.mark.parametrize("offset", [10**30, -(10**30), 2**62])
+    def test_offsets_too_large_for_an_array_are_out_of_range(self, offset):
+        with pytest.raises(OutOfRangeError, match="date value out of range"):
+            calendar_days(JAN1, offset, offset + 1)
 
     def test_no_offsets_from_february_29(self):
         with pytest.raises(ValidationError):
