@@ -65,7 +65,14 @@ class BacktestConfig:
     season_length: int = 365
 
     def __post_init__(self):
+        if isinstance(self.models, str):
+            raise ArgumentError(
+                "models must be a sequence of model names, "
+                f"not the string {self.models!r}"
+            )
         object.__setattr__(self, "models", tuple(self.models))
+        if not isinstance(self.grid, GridSpec):
+            raise ArgumentError(f"grid must be a GridSpec, got {self.grid!r}")
         L = _whole(self.season_length, "season_length", minimum=2)
         object.__setattr__(self, "season_length", L)
         train_length = _whole(self.train_length, "train_length", minimum=2 * L + 1)

@@ -41,7 +41,6 @@ from .errors import (
 from .series import (
     TimeSeries,
     csv_rows,
-    parse_date,
     series_from_ordinals,
     validate_series,
 )
@@ -102,6 +101,14 @@ class CleanConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_gap", _whole(self.max_gap, "max_gap", minimum=0))
+        for name in ("start", "end"):
+            bound = getattr(self, name)
+            if bound is not None and (
+                not isinstance(bound, dt.date) or isinstance(bound, dt.datetime)
+            ):
+                raise ArgumentError(
+                    f"{name} must be a datetime.date or None, got {bound!r}"
+                )
         if self.start is not None and self.end is not None and self.end < self.start:
             raise ArgumentError("date range end precedes start")
 
@@ -140,10 +147,10 @@ def parse_cdo_csv(
     """Parse a daily-summaries export into raw records.
 
     Header matching is case-insensitive and order-free; extra columns
-    are ignored. DATE cells must read ``YYYY-MM-DD``
-    (:func:`~tempcast.series.parse_date`). Empty TAVG cells become
-    missing values. With
-    ``tmax_tmin_fallback`` enabled (for exports lacking TAVG), a missing
+    are ignored. DATE cells must read ``YYYY-MM-DD``, checked as
+    :func:`~tempcast.series.parse_date` checks them. Empty TAVG cells
+    become missing values. With ``tmax_tmin_fallback`` enabled (for
+    exports lacking TAVG), a missing
     TAVG is replaced by the TMAX/TMIN midpoint when both are present,
     and the TAVG column itself becomes optional. Text the csv module
     cannot read raises :class:`MalformedRowError`.
@@ -177,19 +184,29 @@ def parse_cdo_csv(
     dates: list[dt.date] = []
     tavg: list[float | None] = []
     rows_read = 0
+    n_fields = len(header)
+    fromisoformat = dt.date.fromisoformat
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
         rows_read += 1
-        if len(row) != len(header):
+        if len(row) != n_fields:
             raise MalformedRowError(
-                line, f"{len(row)} fields where the header has {len(header)}"
+                line, f"{len(row)} fields where the header has {n_fields}"
             )
+        # parse_date inlined, guard and all; tests hold the two equal.
+        cell = row[i_date].strip()
         try:
-            date = parse_date(row[i_date].strip())
+            if len(cell) != 10 or cell[4] != "-" or cell[7] != "-":
+                raise ValueError
+            date = fromisoformat(cell)
         except ValueError:
             raise MalformedDateError(line) from None
-        value = None if i_tavg is None else _parse_temperature(row[i_tavg], line)
+        cell = "" if i_tavg is None else row[i_tavg].strip()
+        try:
+            value = float(cell) if cell else None
+        except ValueError:
+            raise MalformedRowError(line, f"not a number: {cell!r}") from None
         if value is None and tmax_tmin_fallback:
             tmax = _parse_temperature(row[i_tmax], line)
             tmin = _parse_temperature(row[i_tmin], line)

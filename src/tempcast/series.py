@@ -56,12 +56,15 @@ _MONTH_STARTS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
 _FEB_29 = 31 + 28
 # Proleptic Gregorian ordinal (``date.toordinal()``) of datetime64 day 0.
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
-# Looked up once: parse_date runs once per row of an export.
+# Looked up once: parse_date runs once per row of a series file.
 _FROMISOFORMAT = dt.date.fromisoformat
 
 CSV_HEADER = ("date", "kelvin")
-# Dates per calendar conversion in iso_dates.
-_ISO_BLOCK_DAYS = 8192
+# "-MM-DD" of each day of a 365-day year, in order; year 1 has no
+# February 29.
+_ISO_SUFFIXES = tuple(
+    (dt.date(1, 1, 1) + dt.timedelta(days=day)).isoformat()[4:] for day in range(365)
+)
 # Least characters per slice of text that csv_rows hands the reader.
 _CSV_SLICE_CHARS = 65536
 
@@ -84,6 +87,21 @@ def leap_day_mask(ordinals: np.ndarray) -> np.ndarray:
     return (day_of_year.astype(np.int64) == _FEB_29) & _is_leap_year(year)
 
 
+def _calendar_span(start: dt.date, first: int, stop: int) -> tuple[int, int]:
+    """365-day ordinals (year times 365 plus day of the year) of offsets
+    ``first`` and ``stop`` from ``start``, checked as :func:`calendar_days`
+    says."""
+    if is_leap_day(start):
+        raise ValidationError(
+            0, "non-consecutive", "the 365-day calendar has no February 29"
+        )
+    start_365 = start.year * 365 + _MONTH_STARTS[start.month - 1] + start.day - 1
+    lo, hi = start_365 + int(first), start_365 + int(stop)
+    if lo < hi and (lo // 365 < dt.MINYEAR or (hi - 1) // 365 > dt.MAXYEAR):
+        raise CalendarOverflowError("date value out of range")
+    return lo, hi
+
+
 def calendar_days(start: dt.date, first: int, stop: int) -> np.ndarray:
     """Days at 365-day-calendar offsets ``first .. stop - 1`` from ``start``,
     as a ``datetime64[D]`` array.
@@ -93,27 +111,31 @@ def calendar_days(start: dt.date, first: int, stop: int) -> np.ndarray:
     end of any series (forecast targets). Raises ``CalendarOverflowError``,
     an ``OverflowError`` and a ``TempcastError``, outside years 1-9999.
     """
-    if is_leap_day(start):
-        raise ValidationError(
-            0, "non-consecutive", "the 365-day calendar has no February 29"
-        )
-    start_365 = start.year * 365 + _MONTH_STARTS[start.month - 1] + start.day - 1
-    lo, hi = start_365 + int(first), start_365 + int(stop)
-    if lo < hi and (lo // 365 < dt.MINYEAR or (hi - 1) // 365 > dt.MAXYEAR):
-        raise CalendarOverflowError("date value out of range")
+    lo, hi = _calendar_span(start, first, stop)
     year, day_of_year = np.divmod(np.arange(lo, hi, dtype=np.int64), 365)
     day_of_year += _is_leap_year(year) & (day_of_year >= _FEB_29)
     return (year - 1970).astype("datetime64[Y]").astype("datetime64[D]") + day_of_year
 
 
 def iso_dates(start: dt.date, first: int, stop: int) -> Iterator[str]:
-    """``YYYY-MM-DD`` strings of :func:`calendar_days`, computed a block
-    of ``_ISO_BLOCK_DAYS`` at a time."""
+    """``YYYY-MM-DD`` strings of :func:`calendar_days`, in closed form.
+
+    Every year of the 365-day calendar has the same days, so each string
+    is the year followed by one of :data:`_ISO_SUFFIXES`. The range is
+    checked when this is called, before any string is made: a start on
+    February 29 or a date past 9999-12-31 raises as ``calendar_days``
+    does. An empty range yields nothing and raises nothing.
+    """
+    if first >= stop:
+        return iter(())
+    lo, hi = _calendar_span(start, first, stop)
+
+    def year_dates(year: int) -> Iterator[str]:
+        days = _ISO_SUFFIXES[max(lo - 365 * year, 0) : hi - 365 * year]
+        return map(f"{year:04d}".__add__, days)
+
     return itertools.chain.from_iterable(
-        np.datetime_as_string(
-            calendar_days(start, lo, min(lo + _ISO_BLOCK_DAYS, stop))
-        ).tolist()
-        for lo in range(first, stop, _ISO_BLOCK_DAYS)
+        map(year_dates, range(lo // 365, (hi - 1) // 365 + 1))
     )
 
 
@@ -124,6 +146,8 @@ def parse_date(text: str) -> dt.date:
     week dates such as ``2020-W01-5``; of its forms only ``YYYY-MM-DD``
     has ten characters with dashes at offsets 4 and 7, a check cheap
     enough to run per row. ``fromisoformat`` then checks the digits.
+    ``ingest.parse_cdo_csv``'s row loop inlines this guard and call;
+    tests compare that loop's dates and errors against this function.
     """
     if len(text) != 10 or text[4] != "-" or text[7] != "-":
         raise ValueError(f"expected YYYY-MM-DD, got {text!r}")

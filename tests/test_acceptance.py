@@ -415,6 +415,8 @@ _PARAMS = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
         lambda: HWState(280.0, 0.0, np.zeros(7), phase=7),
         lambda: hw_forecast(HWState(280.0, 0.0, np.zeros(5), phase=0), 1, _PARAMS),
         lambda: hw_forecast(HWState(280.0, 0.0, np.zeros(7), phase=0), 0, _PARAMS),
+        lambda: _small_backtest(grid=None),
+        lambda: _small_backtest(models="average"),
     ],
     ids=[
         "season_length", "n_experiments", "seed", "train_length", "refine_rounds",
@@ -424,7 +426,7 @@ _PARAMS = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
         "repeated-model", "no-models", "lead-zero", "no-leads", "lead-fraction",
         "leads-decreasing", "clean-dates", "record-columns", "persistence-2d",
         "grid_search-2d", "series-2d", "ring-one-slot", "phase-outside-ring",
-        "ring-mismatch", "hw_forecast-lead-zero",
+        "ring-mismatch", "hw_forecast-lead-zero", "grid-none", "models-str",
     ],
 )
 def test_bad_arguments_raise_argument_error(call):
@@ -434,6 +436,11 @@ def test_bad_arguments_raise_argument_error(call):
         call()
     assert isinstance(excinfo.value, TempcastError)
     assert isinstance(excinfo.value, ValueError)
+
+
+def test_models_given_as_one_string_is_named():
+    with pytest.raises(ArgumentError, match="not the string 'average'"):
+        BacktestConfig(models="average")
 
 
 def test_numpy_integer_fields_are_stored_as_int():

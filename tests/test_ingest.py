@@ -16,6 +16,7 @@ from tempcast import (
     parse_cdo_csv,
 )
 from tempcast.errors import (
+    ArgumentError,
     DuplicateDateError,
     EmptyAfterFilterError,
     EmptyInputError,
@@ -29,6 +30,7 @@ from tempcast.errors import (
     ValidationError,
 )
 from tempcast.ingest import clean, to_kelvin
+from tempcast.series import parse_date
 
 HEADER = "STATION,DATE,TAVG\n"
 
@@ -55,6 +57,16 @@ def record_set(*rows, unit="celsius"):
         tavg=tuple(v for _, v in rows),
         unit=unit,
     )
+
+
+# Characters of ISO dates, week dates and times, and a fullwidth digit.
+DATE_CHARS = "0123456789-W:T /\uff11"
+# ISO dates with one character replaced by one of DATE_CHARS.
+near_miss_dates = st.tuples(
+    st.dates().map(dt.date.isoformat),
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from(DATE_CHARS),
+).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + 1 :])
 
 
 class TestParse:
@@ -199,6 +211,29 @@ class TestParse:
             clean(rs)
         assert str(excinfo.value) == f"temperature is not finite: {float(cell)!r}"
 
+    @given(
+        cell=st.tuples(
+            st.text(" ", max_size=2),
+            st.text(st.sampled_from(DATE_CHARS), max_size=12)
+            | st.dates().map(dt.date.isoformat)
+            | near_miss_dates
+            | st.from_regex(r"[0-9]{4}-?W[0-9]{2}(-?[0-9])?", fullmatch=True),
+            st.text(" ", max_size=2),
+        ).map("".join)
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_date_cells_read_as_parse_date_reads_them(self, cell):
+        """The row loop's inlined date check agrees with parse_date."""
+        text = f"STATION,DATE,TAVG\nA,{cell},1.0\n"
+        try:
+            expected = parse_date(cell.strip())
+        except ValueError:
+            with pytest.raises(MalformedDateError) as excinfo:
+                parse_cdo_csv(text, "celsius")
+            assert excinfo.value.line == 2
+        else:
+            assert parse_cdo_csv(text, "celsius").dates == (expected,)
+
 
 def spoil(cells, kind):
     """STATION, NAME, DATE and TAVG cells made to fail one parse check:
@@ -255,6 +290,46 @@ class TestStationFilter:
         assert kept.tavg == tuple(every.tavg[i] for i in where)
         assert kept.rows_read == every.rows_read == len(every) == len(rows)
 
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B"]),
+                st.dates(dt.date(1900, 1, 1), dt.date(2100, 12, 31)),
+                st.none() | st.floats(min_value=-60.0, max_value=60.0),
+            ),
+            min_size=2,
+            max_size=15,
+        ),
+        kinds=st.lists(st.sampled_from(["date", "number", "ragged"]),
+                       min_size=2, max_size=2, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_earlier_of_two_faults_wins(self, rows, kinds, data):
+        at = data.draw(st.lists(st.integers(0, len(rows) - 1),
+                                min_size=2, max_size=2, unique=True))
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["STATION", "NAME", "DATE", "TAVG"])
+        for index, (sid, date, value) in enumerate(rows):
+            cells = [sid, "X", date.isoformat(), "" if value is None else repr(value)]
+            if index in at:
+                cells = spoil(["B", *cells[1:]], kinds[at.index(index)])
+            writer.writerow(cells)
+        text = out.getvalue()
+        first = min(at)
+        date_first = kinds[at.index(first)] == "date"
+        expected_type = MalformedDateError if date_first else MalformedRowError
+
+        with pytest.raises(TempcastError) as whole:
+            parse_cdo_csv(text, "celsius")
+        with pytest.raises(TempcastError) as one:
+            parse_cdo_csv(text, "celsius", station="A")
+        for excinfo in (whole, one):
+            assert type(excinfo.value) is expected_type
+            assert excinfo.value.line == first + 2
+        assert str(one.value) == str(whole.value)
+
     def test_parse_memory_follows_the_kept_station(self):
         # 4 stations x 9,000 days, about 1.5 M characters; holding every
         # station's rows as Python objects takes several times that.
@@ -309,6 +384,22 @@ class TestToKelvin:
 
 
 class TestClean:
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"start": "2015-01-01"},
+            {"start": "2015-01-01", "end": dt.date(2015, 1, 1)},
+            {"start": dt.date(2015, 1, 1), "end": dt.datetime(2015, 1, 2)},
+            {"end": dt.datetime(2015, 1, 2)},
+            {"start": dt.date(2015, 1, 1).toordinal()},
+        ],
+        ids=["start-str", "start-str-end-date", "end-datetime", "end-datetime-alone",
+             "start-ordinal"],
+    )
+    def test_date_bounds_must_be_dates(self, bounds):
+        with pytest.raises(ArgumentError, match="must be a datetime.date or None"):
+            CleanConfig(**bounds)
+
     def test_midpoint_interpolation(self):
         rs = record_set(("2015-01-01", -3.15), ("2015-01-03", 0.85))
         series = clean(rs, CleanConfig(max_gap=1))
