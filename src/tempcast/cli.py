@@ -45,7 +45,6 @@ from .models import SmoothingParams, hw_fit, hw_forecast
 from .series import (
     CSV_HEADER,
     TimeSeries,
-    calendar_days,
     iso_dates,
     parse_date,
     read_csv,
@@ -343,7 +342,7 @@ def _cmd_forecast(args) -> int:
     series, input_sha256 = _read_series_csv(Path(args.series))
     last_target = len(series) + args.horizon - 1
     try:
-        calendar_days(series.start_date, last_target, last_target + 1)
+        iso_dates(series.start_date, last_target, last_target + 1)
     except CalendarOverflowError:
         raise OutOfRangeError(
             f"--horizon {args.horizon} runs past 9999-12-31, the last date "

@@ -160,64 +160,64 @@ def parse_cdo_csv(
     station, so a bad row raises the same error at the same line either
     way; ``rows_read`` of the result counts every row read.
     """
-    rows = csv_rows(text)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise MissingColumnError("STATION") from None
-    columns = {name.strip().upper(): i for i, name in enumerate(header)}
-
-    def column(name: str, required: bool) -> int | None:
-        if name in columns:
-            return columns[name]
-        if required:
-            raise MissingColumnError(name)
-        return None
-
-    i_station = column("STATION", required=True)
-    i_date = column("DATE", required=True)
-    i_tavg = column("TAVG", required=not tmax_tmin_fallback)
-    i_tmax = column("TMAX", required=True) if tmax_tmin_fallback else None
-    i_tmin = column("TMIN", required=True) if tmax_tmin_fallback else None
-
-    stations: list[str] = []
-    dates: list[dt.date] = []
-    tavg: list[float | None] = []
-    rows_read = 0
-    n_fields = len(header)
-    fromisoformat = dt.date.fromisoformat
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        rows_read += 1
-        if len(row) != n_fields:
-            raise MalformedRowError(
-                line, f"{len(row)} fields where the header has {n_fields}"
-            )
-        # parse_date inlined, guard and all; tests hold the two equal.
-        cell = row[i_date].strip()
+    with csv_rows(text) as rows:
         try:
-            if len(cell) != 10 or cell[4] != "-" or cell[7] != "-":
-                raise ValueError
-            date = fromisoformat(cell)
-        except ValueError:
-            raise MalformedDateError(line) from None
-        cell = "" if i_tavg is None else row[i_tavg].strip()
-        try:
-            value = float(cell) if cell else None
-        except ValueError:
-            raise MalformedRowError(line, f"not a number: {cell!r}") from None
-        if value is None and tmax_tmin_fallback:
-            tmax = _parse_temperature(row[i_tmax], line)
-            tmin = _parse_temperature(row[i_tmin], line)
-            if tmax is not None and tmin is not None:
-                value = (tmax + tmin) / 2.0
-        name = row[i_station].strip()
-        if station is not None and name != station:
-            continue
-        stations.append(name)
-        dates.append(date)
-        tavg.append(value)
+            header = next(rows)
+        except StopIteration:
+            raise MissingColumnError("STATION") from None
+        columns = {name.strip().upper(): i for i, name in enumerate(header)}
+
+        def column(name: str, required: bool) -> int | None:
+            if name in columns:
+                return columns[name]
+            if required:
+                raise MissingColumnError(name)
+            return None
+
+        i_station = column("STATION", required=True)
+        i_date = column("DATE", required=True)
+        i_tavg = column("TAVG", required=not tmax_tmin_fallback)
+        i_tmax = column("TMAX", required=True) if tmax_tmin_fallback else None
+        i_tmin = column("TMIN", required=True) if tmax_tmin_fallback else None
+
+        stations: list[str] = []
+        dates: list[dt.date] = []
+        tavg: list[float | None] = []
+        rows_read = 0
+        n_fields = len(header)
+        fromisoformat = dt.date.fromisoformat
+        for line, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            rows_read += 1
+            if len(row) != n_fields:
+                raise MalformedRowError(
+                    line, f"{len(row)} fields where the header has {n_fields}"
+                )
+            # parse_date inlined, guard and all; tests hold the two equal.
+            cell = row[i_date].strip()
+            try:
+                if len(cell) != 10 or cell[4] != "-" or cell[7] != "-":
+                    raise ValueError
+                date = fromisoformat(cell)
+            except ValueError:
+                raise MalformedDateError(line) from None
+            cell = "" if i_tavg is None else row[i_tavg].strip()
+            try:
+                value = float(cell) if cell else None
+            except ValueError:
+                raise MalformedRowError(line, f"not a number: {cell!r}") from None
+            if value is None and tmax_tmin_fallback:
+                tmax = _parse_temperature(row[i_tmax], line)
+                tmin = _parse_temperature(row[i_tmin], line)
+                if tmax is not None and tmin is not None:
+                    value = (tmax + tmin) / 2.0
+            name = row[i_station].strip()
+            if station is not None and name != station:
+                continue
+            stations.append(name)
+            dates.append(date)
+            tavg.append(value)
     return RawRecordSet(stations, dates, tavg, unit, rows_read)
 
 

@@ -253,10 +253,16 @@ def persistence_forecast(train, m=1):
 def average_forecast(train, m=1):
     """Predict the mean of the whole training window, whatever the lead.
 
-    ``m`` is checked and shaped as in :func:`hw_forecast`.
+    ``m`` is checked and shaped as in :func:`hw_forecast`. A mean that is
+    not finite (a NaN or infinite value, or a sum past the float range)
+    raises :class:`NonFiniteError`.
     """
     leads = _leads(m)
     values = _train_values(train)
     if values.size == 0:
         raise EmptyInputError("average forecast needs an observation")
-    return _repeat(float(values.mean()), leads)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+    if not math.isfinite(mean):
+        raise NonFiniteError(f"training window mean is not finite: {mean!r}")
+    return _repeat(mean, leads)

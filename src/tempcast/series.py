@@ -6,13 +6,12 @@ value per day in a fixed 365-day year: February 29 never appears, so
 index arithmetic is gap-free by construction and a whole number of years
 is always a whole number of seasons.
 
-Calendar arithmetic is closed-form, with no per-day loop: a date's
-365-day ordinal is its year times 365 plus its day of the year counted
-without February 29, so :func:`calendar_days` turns any range of
-offsets into dates with array arithmetic, and :func:`drop_leap_days`
-checks and filters dated input on an array of day ordinals.
-:func:`next_calendar_day` and :func:`is_leap_day` stay as the per-step
-reference that tests fold against.
+Calendar arithmetic is closed-form, with no per-day loop: every year of
+the 365-day calendar has the same days, so :func:`iso_dates` spells any
+range of offsets as a year plus one of 365 ``-MM-DD`` suffixes, and
+:func:`drop_leap_days` checks and filters dated input on an array of
+day ordinals. :func:`next_calendar_day` and :func:`is_leap_day` stay as
+the per-step reference that tests fold against.
 
 On disk a series is a CSV file: the header :data:`CSV_HEADER`
 (``date,kelvin``), then one row per day of an ISO ``YYYY-MM-DD`` date
@@ -22,6 +21,7 @@ February 29 are dropped on read (:func:`read_csv`).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
@@ -52,10 +52,6 @@ _ONE_DAY = dt.timedelta(days=1)
 
 # Days before the first of each month in a year without February 29.
 _MONTH_STARTS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
-# Zero-based day of the year of February 29 in a leap year.
-_FEB_29 = 31 + 28
-# Proleptic Gregorian ordinal (``date.toordinal()``) of datetime64 day 0.
-_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 # Looked up once: parse_date runs once per row of a series file.
 _FROMISOFORMAT = dt.date.fromisoformat
 
@@ -73,24 +69,25 @@ def is_leap_day(day: dt.date) -> bool:
     return day.month == 2 and day.day == 29
 
 
-def _is_leap_year(year):
-    """Gregorian leap-year rule, elementwise over an integer array."""
-    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-
-
 def leap_day_mask(ordinals: np.ndarray) -> np.ndarray:
-    """Which day ordinals (``date.toordinal()``) fall on February 29."""
-    days = (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
-    year_start = days.astype("datetime64[Y]")
-    day_of_year = days - year_start.astype("datetime64[D]")
-    year = year_start.astype(np.int64) + 1970
-    return (day_of_year.astype(np.int64) == _FEB_29) & _is_leap_year(year)
+    """Which day ordinals (``date.toordinal()``) fall on February 29,
+    looked up among those of the array's first year to its last."""
+    if not ordinals.size:
+        return np.zeros(0, dtype=bool)
+    # An ordinal outside years 1-9999 matches no February 29.
+    lo, hi = np.clip([ordinals.min(), ordinals.max()], 1, dt.date.max.toordinal())
+    years = range(dt.date.fromordinal(lo).year, dt.date.fromordinal(hi).year + 1)
+    ends_of_february = (dt.date(year, 3, 1) - _ONE_DAY for year in years)
+    feb_29 = [day.toordinal() for day in ends_of_february if is_leap_day(day)]
+    return np.isin(ordinals, feb_29)
 
 
 def _calendar_span(start: dt.date, first: int, stop: int) -> tuple[int, int]:
     """365-day ordinals (year times 365 plus day of the year) of offsets
-    ``first`` and ``stop`` from ``start``, checked as :func:`calendar_days`
-    says."""
+    ``first`` and ``stop`` from ``start``. A start on February 29 raises
+    :class:`ValidationError`; a non-empty range reaching outside years
+    1-9999 raises ``CalendarOverflowError``, an ``OverflowError`` and a
+    ``TempcastError``."""
     if is_leap_day(start):
         raise ValidationError(
             0, "non-consecutive", "the 365-day calendar has no February 29"
@@ -102,29 +99,15 @@ def _calendar_span(start: dt.date, first: int, stop: int) -> tuple[int, int]:
     return lo, hi
 
 
-def calendar_days(start: dt.date, first: int, stop: int) -> np.ndarray:
-    """Days at 365-day-calendar offsets ``first .. stop - 1`` from ``start``,
-    as a ``datetime64[D]`` array.
-
-    Offset 0 is ``start`` itself; February 29 is skipped, exactly as
-    folding :func:`next_calendar_day` would. Offsets may run past the
-    end of any series (forecast targets). Raises ``CalendarOverflowError``,
-    an ``OverflowError`` and a ``TempcastError``, outside years 1-9999.
-    """
-    lo, hi = _calendar_span(start, first, stop)
-    year, day_of_year = np.divmod(np.arange(lo, hi, dtype=np.int64), 365)
-    day_of_year += _is_leap_year(year) & (day_of_year >= _FEB_29)
-    return (year - 1970).astype("datetime64[Y]").astype("datetime64[D]") + day_of_year
-
-
 def iso_dates(start: dt.date, first: int, stop: int) -> Iterator[str]:
-    """``YYYY-MM-DD`` strings of :func:`calendar_days`, in closed form.
+    """``YYYY-MM-DD`` strings of the days at 365-day-calendar offsets
+    ``first .. stop - 1`` from ``start``: offset 0 is ``start``, and
+    February 29 is skipped as folding :func:`next_calendar_day` would.
 
     Every year of the 365-day calendar has the same days, so each string
     is the year followed by one of :data:`_ISO_SUFFIXES`. The range is
-    checked when this is called, before any string is made: a start on
-    February 29 or a date past 9999-12-31 raises as ``calendar_days``
-    does. An empty range yields nothing and raises nothing.
+    checked as :func:`_calendar_span` says when this is called, before
+    any string is made; an empty range yields nothing and raises nothing.
     """
     if first >= stop:
         return iter(())
@@ -212,7 +195,7 @@ class TimeSeries(_ByValue):
             raise OutOfRangeError(
                 f"index {index} outside series of length {len(self)}"
             )
-        return calendar_days(self.start_date, index, index + 1).tolist()[0]
+        return _FROMISOFORMAT(next(iso_dates(self.start_date, index, index + 1)))
 
     @property
     def end_date(self) -> dt.date:
@@ -222,7 +205,7 @@ class TimeSeries(_ByValue):
 
     def dates(self) -> list[dt.date]:
         """Implied calendar dates, one per value, skipping February 29."""
-        return calendar_days(self.start_date, 0, len(self)).tolist()
+        return list(map(_FROMISOFORMAT, iso_dates(self.start_date, 0, len(self))))
 
 
 def validate_series(series: TimeSeries) -> TimeSeries:
@@ -297,10 +280,13 @@ def _line_slices(text: str) -> Iterator[str]:
         start = stop
 
 
-def csv_rows(text: str) -> Iterator[list[str]]:
-    """The rows of CSV text, raising :class:`MalformedRowError` at the
-    reader's current line where the csv module cannot read it (a field
-    over its size limit, a line break inside an unquoted field).
+@contextlib.contextmanager
+def csv_rows(text: str) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over the rows of CSV text. Inside the ``with``
+    block, text the csv module cannot read (a field over its size limit,
+    a line break inside an unquoted field) raises
+    :class:`MalformedRowError` at the reader's current line; the caller
+    iterates the reader itself, with no generator between them.
 
     The reader takes its lines from one ``StringIO`` per slice of
     :func:`_line_slices`, never from a copy of the whole text, which a
@@ -312,7 +298,7 @@ def csv_rows(text: str) -> Iterator[list[str]]:
     lines = itertools.chain.from_iterable(map(io.StringIO, _line_slices(text)))
     reader = csv.reader(lines)
     try:
-        yield from reader
+        yield reader
     except csv.Error as exc:
         raise MalformedRowError(reader.line_num, str(exc)) from None
 
@@ -330,27 +316,27 @@ def read_csv(text: str) -> TimeSeries:
     :func:`drop_leap_days` and :func:`validate_series`. Blank lines are
     skipped; a row that cannot be read raises :class:`MalformedRowError`
     or :class:`MalformedDateError` naming its line."""
-    rows = csv_rows(text)
-    header = next(rows, None)
-    if header is None:
-        raise MalformedRowError(1, "empty series file")
-    if tuple(c.strip().lower() for c in header) != CSV_HEADER:
-        raise MalformedRowError(1, f"expected header {','.join(CSV_HEADER)!r}")
     dates = []
     values = []
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise MalformedRowError(line, "expected two fields")
-        try:
-            dates.append(parse_date(row[0].strip()))
-        except ValueError:
-            raise MalformedDateError(line) from None
-        try:
-            values.append(float(row[1]))
-        except ValueError:
-            raise MalformedRowError(line, f"not a number: {row[1]!r}") from None
+    with csv_rows(text) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise MalformedRowError(1, "empty series file")
+        if tuple(c.strip().lower() for c in header) != CSV_HEADER:
+            raise MalformedRowError(1, f"expected header {','.join(CSV_HEADER)!r}")
+        for line, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise MalformedRowError(line, "expected two fields")
+            try:
+                dates.append(parse_date(row[0].strip()))
+            except ValueError:
+                raise MalformedDateError(line) from None
+            try:
+                values.append(float(row[1]))
+            except ValueError:
+                raise MalformedRowError(line, f"not a number: {row[1]!r}") from None
     return validate_series(drop_leap_days(dates, values))
 
 

@@ -381,9 +381,12 @@ def grid_search_windows(
         per_call = budget // width
         for lo in range(0, k, per_call):
             hi = lo + per_call
-            scores, level, trend, final_ring = _one_step_errors_batch(
-                values[lo:hi], season_length, *block[:, lo:hi], ring
-            )
+            # Finite values near the float limit may overflow to an inf
+            # or NaN score, which ranks as _best_of_batch says.
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores, level, trend, final_ring = _one_step_errors_batch(
+                    values[lo:hi], season_length, *block[:, lo:hi], ring
+                )
             for row, (a, b, g) in enumerate(sweeps[lo:hi]):
                 i = lo + row
                 evaluations[i] += a.size

@@ -21,7 +21,7 @@ from tempcast import (
     read_csv,
 )
 from tempcast.cli import main
-from tempcast.series import calendar_days
+from tempcast.series import iso_dates
 
 DATA = Path(__file__).parent / "data"
 STATION_CSV = DATA / "synthetic_station_daily.csv"
@@ -323,8 +323,7 @@ class TestForecastCommand:
     def test_horizon_past_year_9999_is_data_error(self, tmp_path, capsys):
         series = tmp_path / "late.csv"
         series.write_text("date,kelvin\n" + "".join(
-            f"{day.isoformat()},280.0\n"
-            for day in calendar_days(dt.date(9995, 1, 1), 0, 4 * 365).tolist()
+            f"{day},280.0\n" for day in iso_dates(dt.date(9995, 1, 1), 0, 4 * 365)
         ))
         explicit = ["--season", "7", "--alpha", "0.1", "--beta", "0.1",
                     "--gamma", "0.1"]
@@ -362,15 +361,14 @@ class TestForecastCommand:
         assert len(rows) == 1 + 365 + horizon
         assert rows[1] == [history[n - 365][0], history[n - 365][1], ""]
         start = dt.date.fromisoformat(history[0][0])
-        last = calendar_days(start, n + horizon - 1, n + horizon).tolist()[0]
-        assert rows[-1][0] == last.isoformat()
+        assert [rows[-1][0]] == list(iso_dates(start, n + horizon - 1, n + horizon))
         params = SmoothingParams(0.4, 0.1, 0.2, season_length=365)
         state = hw_fit(np.array([float(r[1]) for r in history]), params)
         sample = [1, 2, 365, 366, 730, 50_000, 99_999, 100_000]
         sample += np.random.default_rng(7).integers(1, horizon + 1, 20).tolist()
         for m in sample:
-            day = calendar_days(start, n + m - 1, n + m).tolist()[0]
-            assert rows[365 + m] == [day.isoformat(), "", repr(hw_forecast(state, m, params))]
+            (day,) = iso_dates(start, n + m - 1, n + m)
+            assert rows[365 + m] == [day, "", repr(hw_forecast(state, m, params))]
 
     @pytest.mark.parametrize("season", ["1", "0", "-3"])
     @pytest.mark.parametrize(
@@ -495,7 +493,7 @@ def _consecutive_days(start, count):
     if start.month == 2 and start.day == 29:
         start = start.replace(day=28)
     available = (dt.date.max - start).days + 1
-    return calendar_days(start, 0, min(count, available)).tolist()
+    return list(map(dt.date.fromisoformat, iso_dates(start, 0, min(count, available))))
 
 
 junk = st.one_of(

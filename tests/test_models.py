@@ -415,6 +415,15 @@ class TestBaselines:
         with pytest.raises(EmptyInputError):
             average_forecast(empty, 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values", [[1e308, 1e308], [280.0, math.nan], [math.inf, -math.inf]],
+        ids=["overflowing-sum", "nan", "opposite-infinities"],
+    )
+    def test_average_not_finite_is_non_finite_error(self, values):
+        with pytest.raises(NonFiniteError):
+            average_forecast(np.array(values), 1)
+
     def test_bad_lead_rejected(self, make_series):
         series = make_series([280.0])
         with pytest.raises(InvalidLeadError):

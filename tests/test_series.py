@@ -1,3 +1,4 @@
+import calendar
 import csv
 import datetime as dt
 import io
@@ -22,11 +23,11 @@ from tempcast.series import (
     CSV_HEADER,
     KELVIN_MAX,
     KELVIN_MIN,
-    calendar_days,
     csv_rows,
     drop_leap_days,
     is_leap_day,
     iso_dates,
+    leap_day_mask,
     next_calendar_day,
     parse_date,
     read_csv,
@@ -138,9 +139,7 @@ class TestClosedFormCalendar:
         index = data.draw(st.integers(min_value=0, max_value=n - 1))
         assert series.date_at(index) == expected[index]
         first = data.draw(st.integers(min_value=0, max_value=n))
-        assert calendar_days(start, first, n).tolist() == expected[first:]
-        iso = np.datetime_as_string(calendar_days(start, first, n)).tolist()
-        assert iso == [day.isoformat() for day in expected[first:]]
+        iso = [day.isoformat() for day in expected[first:]]
         assert list(iso_dates(start, first, n)) == iso
 
     def test_past_year_9999_overflows_like_date_arithmetic(self):
@@ -163,11 +162,27 @@ class TestClosedFormCalendar:
     @pytest.mark.parametrize("offset", [10**30, -(10**30), 2**62])
     def test_offsets_too_large_for_an_array_are_out_of_range(self, offset):
         with pytest.raises(OutOfRangeError, match="date value out of range"):
-            calendar_days(JAN1, offset, offset + 1)
+            iso_dates(JAN1, offset, offset + 1)
 
     def test_no_offsets_from_february_29(self):
         with pytest.raises(ValidationError):
-            calendar_days(dt.date(2016, 2, 29), 0, 1)
+            iso_dates(dt.date(2016, 2, 29), 0, 1)
+
+    @given(
+        ordinals=st.lists(
+            st.one_of(
+                st.dates(),
+                st.builds(dt.date, st.integers(1, 9999).filter(calendar.isleap),
+                          st.just(2), st.integers(27, 29)),
+            ).map(dt.date.toordinal),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_leap_day_mask_matches_is_leap_day(self, ordinals):
+        mask = leap_day_mask(np.array(ordinals, dtype=np.int64))
+        expected = [is_leap_day(dt.date.fromordinal(o)) for o in ordinals]
+        assert mask.tolist() == expected
 
 
 class TestSeriesCsv:
@@ -204,7 +219,8 @@ class TestSeriesCsv:
         got = []
         with mock.patch.object(series_module, "_CSV_SLICE_CHARS", slice_chars):
             try:
-                got.extend(csv_rows(text))
+                with csv_rows(text) as rows:
+                    got.extend(rows)
             except MalformedRowError as exc:
                 assert (exc.line, str(exc)) == (reader.line_num, error)
             else:
@@ -323,6 +339,14 @@ class TestDropLeapDays:
         with pytest.raises(ValidationError) as excinfo:
             drop_leap_days(dates, [280.0] * 3)
         assert excinfo.value.index == 2
+
+    def test_step_from_9999_12_31_is_non_consecutive(self):
+        # the step check looks one day past every date but the last
+        dates = [dt.date(9999, 12, 30), dt.date(9999, 12, 31), dt.date(9999, 12, 29)]
+        with pytest.raises(ValidationError) as excinfo:
+            drop_leap_days(dates, [280.0] * 3)
+        assert excinfo.value.index == 2
+        assert excinfo.value.rule == "non-consecutive"
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):

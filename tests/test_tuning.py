@@ -48,16 +48,17 @@ def fold_scored_rmse(values, params):
 
 
 def exhaustive_search(values, spec, season_length):
-    """Brute-force oracle for round-0 grid search: full triple loop with
-    explicit lexicographic tie-breaking."""
+    """Brute-force oracle for round-0 grid search: full triple loop over
+    the hw_update fold with explicit lexicographic tie-breaking; each
+    fold score is also one_step_rmse's, exactly."""
     best = None
     count = 0
     for a in spec.alpha_grid:
         for b in spec.beta_grid:
             for g in spec.gamma_grid:
-                score = one_step_rmse(
-                    values, SmoothingParams(a, b, g, season_length=season_length)
-                )
+                params = SmoothingParams(a, b, g, season_length=season_length)
+                score = fold_scored_rmse(values, params)
+                assert one_step_rmse(values, params) == score
                 count += 1
                 key = (score, a, b, g)
                 if best is None or key < best:
@@ -226,12 +227,22 @@ class TestGridSearch:
         # every triple's squared error overflows to NaN on these values
         values = np.array([1e308, -1e308] * 10)
         params = SmoothingParams(0.5, 0.5, 0.5, season_length=2)
-        with np.errstate(all="ignore"):
-            result = grid_search(values, GridSpec.coarse(), season_length=2)
-            single = one_step_rmse(values, params)
+        result = grid_search(values, GridSpec.coarse(), season_length=2)
+        single = one_step_rmse(values, params)
         assert math.isnan(result.in_sample_rmse)
         assert result.params.alpha == result.params.beta == result.params.gamma == 0.0
         assert math.isnan(single)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_near_the_float_limit_warns_nothing(self):
+        result = grid_search([1e308, -1e308] * 20, GridSpec.coarse(), 7)
+        assert (result.params.alpha, result.params.beta, result.params.gamma) == (
+            0.1,
+            0.0,
+            0.0,
+        )
+        assert result.in_sample_rmse == math.inf
+        assert result.evaluations == 312
 
     def test_singleton_grids_return_that_point(self, rng):
         values = 280.0 + rng.normal(0, 3, 25)
