@@ -26,6 +26,7 @@ from .errors import (
     EmptyInputError,
     InsufficientDataError,
     OutOfRangeError,
+    _instance,
     _one_of,
     _whole,
 )
@@ -71,8 +72,7 @@ class BacktestConfig:
                 f"not the string {self.models!r}"
             )
         object.__setattr__(self, "models", tuple(self.models))
-        if not isinstance(self.grid, GridSpec):
-            raise ArgumentError(f"grid must be a GridSpec, got {self.grid!r}")
+        _instance(self.grid, GridSpec, "grid")
         L = _whole(self.season_length, "season_length", minimum=2)
         object.__setattr__(self, "season_length", L)
         train_length = _whole(self.train_length, "train_length", minimum=2 * L + 1)

@@ -3,13 +3,15 @@
 Everything raised on bad data or bad protocol parameters derives from
 TempcastError, so callers (and the CLI) can separate data problems from
 genuine bugs with one except clause. A bad argument raises
-:class:`ArgumentError`, also a ``ValueError``, often from :func:`_whole`
-or :func:`_one_of`; the CLI exits 1 on it and 2 on any other error here.
+:class:`ArgumentError`, also a ``ValueError``, often from :func:`_whole`,
+:func:`_real`, :func:`_instance` or :func:`_one_of`; the CLI exits 1 on
+it and 2 on any other error here.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import numbers
 
 import numpy as np
 
@@ -30,6 +32,22 @@ def _whole(value, name: str, minimum: int | None = None) -> int:
     value = int(value)
     if minimum is not None and value < minimum:
         raise ArgumentError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float if it is a real number (an int, float or numpy
+    number, say), not a bool; anything else raises :class:`ArgumentError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ArgumentError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _instance(value, cls: type, name: str):
+    """``value`` if it is an instance of ``cls``; anything else raises
+    :class:`ArgumentError`."""
+    if not isinstance(value, cls):
+        raise ArgumentError(f"{name} must be a {cls.__name__}, got {value!r}")
     return value
 
 

@@ -16,7 +16,14 @@ seasonal shape repeats verbatim beyond one season while the trend keeps
 extrapolating.
 
 The baselines repeat the last observed value (persistence) or the mean
-of the whole training window (average), independent of the lead.
+of the whole training window (average), independent of the lead; both
+are one function of the window, :func:`_baseline`.
+
+Every entry point either returns finite values or raises a
+``TempcastError``: a window or argument of the wrong type or shape
+raises ``ArgumentError``, and a forecast, initial state or fitted state
+that is not finite (NaN, infinite, or past the float range) raises
+:class:`NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from .errors import (
     InvalidLeadError,
     NonFiniteError,
     TooShortError,
+    _instance,
+    _real,
     _whole,
 )
 from .series import TimeSeries, _ByValue
@@ -41,8 +50,10 @@ from .series import TimeSeries, _ByValue
 class SmoothingParams:
     """Smoothing coefficients plus the season length in days.
 
-    Coefficients live in [0, 1]; zero freezes a component at its
-    initialized value, one makes it follow the data with no memory.
+    Coefficients are real numbers in [0, 1], stored as floats; zero
+    freezes a component at its initialized value, one makes it follow
+    the data with no memory. A bool, like any other non-number, raises
+    ``ArgumentError``.
     """
 
     alpha: float
@@ -52,9 +63,10 @@ class SmoothingParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
+            value = _real(getattr(self, name), name)
             if not 0.0 <= value <= 1.0:
                 raise ArgumentError(f"{name} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, value)
         L = _whole(self.season_length, "season_length", minimum=2)
         object.__setattr__(self, "season_length", L)
 
@@ -88,9 +100,13 @@ class HWState(_ByValue):
 
 def _train_values(train) -> np.ndarray:
     """A window's values as a one-dimensional float64 array: a scalar
-    reads as one value, more than one dimension is an ArgumentError."""
+    reads as one value; values that do not convert to float64, or more
+    than one dimension, raise ArgumentError."""
     values = train.values if isinstance(train, TimeSeries) else train
-    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    try:
+        values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"each window must hold real numbers: {exc}") from exc
     if values.ndim != 1:
         raise ArgumentError("each window must be one-dimensional")
     return values
@@ -110,7 +126,8 @@ def _initial_components(
     start at the very first training value. On a series that is exactly
     linear plus a zero-sum cycle these estimates recover the generating
     components, and the update recursions then hold them fixed at every
-    step for any coefficients.
+    step for any coefficients. Values near the float limit may give
+    infinite or NaN components; that raises no warning.
     """
     L = season_length
     n = values.size
@@ -118,15 +135,16 @@ def _initial_components(
         raise TooShortError(
             f"need at least {2 * L} observations to initialize, got {n}"
         )
-    first_mean = float(values[:L].mean())
-    second_mean = float(values[L : 2 * L].mean())
-    trend = (second_mean - first_mean) / L
+    with np.errstate(over="ignore", invalid="ignore"):
+        first_mean = float(values[:L].mean())
+        second_mean = float(values[L : 2 * L].mean())
+        trend = (second_mean - first_mean) / L
 
-    n_seasons = n // L
-    by_season = values[: n_seasons * L].reshape(n_seasons, L)
-    deviations = by_season - by_season.mean(axis=1, keepdims=True)
-    ramp = trend * (np.arange(L, dtype=np.float64) - (L - 1) / 2.0)
-    seasonal = deviations.mean(axis=0) - ramp
+        n_seasons = n // L
+        by_season = values[: n_seasons * L].reshape(n_seasons, L)
+        deviations = by_season - by_season.mean(axis=1, keepdims=True)
+        ramp = trend * (np.arange(L, dtype=np.float64) - (L - 1) / 2.0)
+        seasonal = deviations.mean(axis=0) - ramp
 
     level = first_mean - trend * (L + 1) / 2.0
     return level, trend, seasonal
@@ -137,17 +155,34 @@ def init_state(train, params: SmoothingParams) -> HWState:
 
     The returned state is positioned before the first observation
     (phase 0): folding the training values through
-    :func:`hw_update` replays the window from the top.
+    :func:`hw_update` replays the window from the top. A state that is
+    not finite raises :class:`NonFiniteError`.
     """
     values = _train_values(train)
-    level, trend, seasonal = _initial_components(values, params.season_length)
-    return HWState(level=level, trend=trend, seasonal=seasonal, phase=0)
+    L = _instance(params, SmoothingParams, "params").season_length
+    level, trend, seasonal = _initial_components(values, L)
+    state = HWState(level=level, trend=trend, seasonal=seasonal, phase=0)
+    return _finite(state, "initial state")
+
+
+def _finite(state: HWState, what: str) -> HWState:
+    """``state``, once its level, trend and ring are checked to be
+    finite; otherwise :class:`NonFiniteError` names it as ``what``."""
+    if not (
+        math.isfinite(state.level)
+        and math.isfinite(state.trend)
+        and np.isfinite(state.seasonal).all()
+    ):
+        raise NonFiniteError(f"{what} is not finite")
+    return state
 
 
 def _season_length(state: HWState, params: SmoothingParams) -> int:
     """``params.season_length``, once checked to be the state's ring
-    length; a mismatch raises :class:`ArgumentError`."""
-    L = params.season_length
+    length; a mismatch, or arguments that are not an :class:`HWState`
+    and :class:`SmoothingParams`, raise :class:`ArgumentError`."""
+    _instance(state, HWState, "state")
+    L = _instance(params, SmoothingParams, "params").season_length
     if state.seasonal.size != L:
         raise ArgumentError(
             f"state ring has {state.seasonal.size} slots, params expect {L}"
@@ -193,7 +228,9 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     same arithmetic. This per-step path serves explicit coefficients
     (``tempcast forecast --alpha/--beta/--gamma``) and is the tests'
     reference for that state. NaN or infinity raises :class:`NonFiniteError`
-    before initializing, as :func:`hw_update` would.
+    before initializing, as :func:`hw_update` would; so does an initial
+    or fitted state that is not finite, as values near the float limit
+    may give.
     """
     values = _train_values(train)
     non_finite = values[~np.isfinite(values)]
@@ -202,7 +239,7 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     state = init_state(values, params)
     for observation in values.tolist():
         state = hw_update(state, observation, params)
-    return state
+    return _finite(state, "fitted state")
 
 
 def _leads(m) -> np.ndarray:
@@ -225,44 +262,46 @@ def hw_forecast(state: HWState, m, params: SmoothingParams):
     is not an integer or is below 1 raises :class:`InvalidLeadError`;
     a state whose ring length is not ``params.season_length`` raises
     that error's base, :class:`ArgumentError`, as in :func:`hw_update`.
+    A forecast that is not finite raises :class:`NonFiniteError`.
     """
     leads = _leads(m)
-    slots = (state.phase + leads - 1) % _season_length(state, params)
-    forecast = state.level + leads * state.trend + state.seasonal[slots]
+    L = _season_length(state, params)
+    # reduced before the phase is added, so no lead up to the int64 limit
+    # overflows
+    slots = (state.phase + (leads - 1) % L) % L
+    with np.errstate(over="ignore", invalid="ignore"):
+        forecast = state.level + leads * state.trend + state.seasonal[slots]
+    if not np.isfinite(forecast).all():
+        raise NonFiniteError("smoother forecast is not finite")
     return forecast if leads.ndim else float(forecast)
 
 
-def _repeat(value: float, leads: np.ndarray):
-    """``value`` for every lead: a float for a scalar lead, else an
-    array of the leads' shape."""
-    return np.full(leads.shape, value) if leads.ndim else value
+def _baseline(train, m, statistic, name: str):
+    """``statistic`` of the training window for every lead in ``m``.
+
+    The leads are checked and the result shaped as in :func:`hw_forecast`:
+    a float for an int lead, an array of the leads' shape for an integer
+    array. An empty window raises :class:`EmptyInputError`, and a forecast
+    that is not finite (a NaN or infinite value, or a sum past the float
+    range) raises :class:`NonFiniteError`.
+    """
+    leads = _leads(m)
+    values = _train_values(train)
+    if values.size == 0:
+        raise EmptyInputError(f"{name} forecast needs an observation")
+    with np.errstate(over="ignore", invalid="ignore"):
+        forecast = float(statistic(values))
+    if not math.isfinite(forecast):
+        raise NonFiniteError(f"{name} forecast is not finite: {forecast!r}")
+    return np.full(leads.shape, forecast) if leads.ndim else forecast
 
 
 def persistence_forecast(train, m=1):
-    """Repeat the last observed value, whatever the lead.
-
-    ``m`` is checked and shaped as in :func:`hw_forecast`.
-    """
-    leads = _leads(m)
-    values = _train_values(train)
-    if values.size == 0:
-        raise EmptyInputError("persistence forecast needs an observation")
-    return _repeat(float(values[-1]), leads)
+    """Repeat the last observed value, whatever the lead; see :func:`_baseline`."""
+    return _baseline(train, m, lambda values: values[-1], "persistence")
 
 
 def average_forecast(train, m=1):
-    """Predict the mean of the whole training window, whatever the lead.
-
-    ``m`` is checked and shaped as in :func:`hw_forecast`. A mean that is
-    not finite (a NaN or infinite value, or a sum past the float range)
-    raises :class:`NonFiniteError`.
-    """
-    leads = _leads(m)
-    values = _train_values(train)
-    if values.size == 0:
-        raise EmptyInputError("average forecast needs an observation")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(values.mean())
-    if not math.isfinite(mean):
-        raise NonFiniteError(f"training window mean is not finite: {mean!r}")
-    return _repeat(mean, leads)
+    """Predict the mean of the whole training window, whatever the lead;
+    see :func:`_baseline`."""
+    return _baseline(train, m, np.mean, "average")

@@ -40,6 +40,7 @@ from .errors import (
     MalformedRowError,
     OutOfRangeError,
     ValidationError,
+    _instance,
 )
 
 # Wide physical-plausibility bounds for surface air temperature, meant to
@@ -214,9 +215,10 @@ def validate_series(series: TimeSeries) -> TimeSeries:
     Implied dates cannot have gaps (storage is start date plus offset),
     so date consecutiveness is enforced where dated observations enter
     the package: :func:`drop_leap_days` and ``ingest.clean``. Here the
-    value invariants are checked, reporting the first offending index.
+    value invariants are checked, reporting the first offending index;
+    anything but a :class:`TimeSeries` raises ``ArgumentError``.
     """
-    values = series.values
+    values = _instance(series, TimeSeries, "series").values
     finite = np.isfinite(values)
     ok = finite & (values > KELVIN_MIN) & (values < KELVIN_MAX)
     bad = np.flatnonzero(~ok)

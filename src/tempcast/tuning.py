@@ -62,6 +62,8 @@ from .errors import (
     LengthMismatchError,
     NonFiniteError,
     TooShortError,
+    _instance,
+    _real,
     _whole,
 )
 from .models import HWState, SmoothingParams, _initial_components, _train_values
@@ -84,7 +86,13 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("alpha_grid", "beta_grid", "gamma_grid"):
-            axis = tuple(float(v) for v in getattr(self, name))
+            given = getattr(self, name)
+            try:
+                axis = tuple(_real(v, f"each {name} value") for v in given)
+            except TypeError:
+                raise ArgumentError(
+                    f"{name} must be a sequence of real numbers, got {given!r}"
+                ) from None
             object.__setattr__(self, name, axis)
             if not axis:
                 raise ArgumentError(f"{name} is empty")
@@ -320,8 +328,10 @@ def grid_search_windows(
     ``grid_search(window, spec, season_length)``. Raises
     :class:`NonFiniteError` on a NaN or infinite value in any window,
     :class:`LengthMismatchError` when lengths differ, ``ArgumentError``
-    when ``season_length`` is not a whole number of at least 2.
+    when ``spec`` is not a :class:`GridSpec` or ``season_length`` is not a
+    whole number of at least 2.
     """
+    _instance(spec, GridSpec, "spec")
     season_length = _whole(season_length, "season_length", minimum=2)
     values = _stack_windows(windows)
     k, n = values.shape

@@ -455,6 +455,79 @@ def test_bad_arguments_raise_argument_error(call):
     assert isinstance(excinfo.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "window", [{"a": 1}, [1, [2, 3]], ["a", "b"]], ids=["dict", "ragged", "strings"]
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        persistence_forecast,
+        average_forecast,
+        lambda window: hw_fit(window, _PARAMS),
+        lambda window: init_state(window, _PARAMS),
+        lambda window: grid_search(window, _POINT, 7),
+    ],
+    ids=["persistence", "average", "hw_fit", "init_state", "grid_search"],
+)
+def test_windows_that_are_not_numbers_raise_argument_error(entry, window):
+    with pytest.raises(ArgumentError, match="each window must hold real numbers"):
+        entry(window)
+
+
+_STATE = HWState(280.0, 0.0, np.zeros(7), phase=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hw_forecast(_STATE, 1, None), "params must be a SmoothingParams, got None"),
+        (lambda: hw_forecast(None, 1, _PARAMS), "state must be a HWState, got None"),
+        (lambda: hw_update(_STATE, 280.0, "params"), "params must be a SmoothingParams"),
+        (lambda: hw_fit(_SMALL, None), "params must be a SmoothingParams, got None"),
+        (lambda: grid_search(_SMALL, "default", 7), "spec must be a GridSpec, got 'default'"),
+        (
+            lambda: run_backtest(None, BacktestConfig()),
+            "series must be a TimeSeries, got None",
+        ),
+        (lambda: _small_backtest(grid="coarse"), "grid must be a GridSpec, got 'coarse'"),
+    ],
+    ids=["hw_forecast-params", "hw_forecast-state", "hw_update-params", "hw_fit-params",
+         "grid_search-spec", "run_backtest-series", "backtest-grid"],
+)
+def test_wrongly_typed_arguments_raise_argument_error(call, message):
+    with pytest.raises(ArgumentError, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SmoothingParams("a", 0, 0, 7),
+        lambda: SmoothingParams(None, 0, 0, 7),
+        lambda: SmoothingParams(0.5, True, 0.5, 7),
+        lambda: GridSpec(("a",), (0.0,), (0.0,)),
+        lambda: GridSpec(5, (0.0,), (0.0,)),
+        lambda: GridSpec((0.0,), (None,), (0.0,)),
+        lambda: GridSpec((0.0,), (0.0,), (True,)),
+    ],
+    ids=["params-str", "params-none", "params-bool", "grid-str", "grid-scalar",
+         "grid-none", "grid-bool"],
+)
+def test_coefficients_that_are_not_real_numbers_raise_argument_error(call):
+    """Bools are refused as _whole refuses them for whole-number fields."""
+    with pytest.raises(ArgumentError, match="must be a (real number|sequence of real)"):
+        call()
+
+
+def test_real_coefficients_are_stored_as_float():
+    params = SmoothingParams(np.float32(0.5), 0, np.int64(1), season_length=7)
+    grid = GridSpec(np.array([0.0, 0.5]), (0, 1), [np.float16(0.25)])
+    values = [params.alpha, params.beta, params.gamma,
+              *grid.alpha_grid, *grid.beta_grid, *grid.gamma_grid]
+    assert [type(v) for v in values] == [float] * len(values)
+    assert values == [0.5, 0.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.25]
+
+
 def test_models_given_as_one_string_is_named():
     with pytest.raises(ArgumentError, match="not the string 'average'"):
         BacktestConfig(models="average")

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,15 @@ from tempcast import (
     persistence_forecast,
 )
 from tempcast.errors import (
+    ArgumentError,
     EmptyInputError,
     InvalidLeadError,
     NonFiniteError,
+    TempcastError,
     TooShortError,
 )
 from tempcast.models import hw_update, init_state
-from tempcast.tuning import one_step_rmse
+from tempcast.tuning import FitResult, one_step_rmse
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 param_triples = st.tuples(unit_floats, unit_floats, unit_floats)
@@ -201,6 +204,20 @@ class TestHwFit:
         with pytest.raises(NonFiniteError, match=f"^observation is not finite: {shown}$"):
             hw_fit([280.0] * 20 + [bad, 281.0], params)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values, triple, what",
+        [
+            ([1e308] * 21, (0.1, 0.1, 0.1), "initial state"),
+            ([1e308, -1e308] * 20, (1.0, 0.0, 0.0), "fitted state"),
+        ],
+        ids=["initial-overflows", "fold-overflows"],
+    )
+    def test_state_that_is_not_finite_is_non_finite_error(self, values, triple, what):
+        params = SmoothingParams(*triple, season_length=7)
+        with pytest.raises(NonFiniteError, match=f"^{what} is not finite$"):
+            hw_fit(values, params)
+
     def test_deterministic_bit_for_bit(self, rng):
         values = 280.0 + rng.normal(0, 3, 60)
         params = SmoothingParams(0.4, 0.2, 0.6, season_length=5)
@@ -329,6 +346,30 @@ class TestHwForecast:
         with pytest.raises(ValueError, match="state ring has 5 slots, params expect 7"):
             hw_forecast(state, lead, params)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "level, trend, lead",
+        [
+            (math.nan, 0.0, 1),
+            (280.0, math.inf, np.arange(1, 4)),
+            (1e308, 1e308, 2),
+        ],
+        ids=["nan-level", "infinite-trend", "overflow"],
+    )
+    def test_forecast_that_is_not_finite_is_non_finite_error(self, level, trend, lead):
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=4)
+        state = HWState(level=level, trend=trend, seasonal=np.zeros(4), phase=0)
+        with pytest.raises(NonFiniteError, match="smoother forecast is not finite"):
+            hw_forecast(state, lead, params)
+
+    @pytest.mark.parametrize("lead", [2**63 - 1, np.array([2**63 - 1, 2**63 - 2])])
+    def test_lead_at_the_int64_limit_reads_its_own_slot(self, lead):
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
+        state = HWState(level=280.0, trend=0.0, seasonal=np.arange(7.0), phase=3)
+        slots = [(3 + m - 1) % 7 for m in np.atleast_1d(lead).tolist()]
+        got = hw_forecast(state, lead, params)
+        assert np.atleast_1d(got).tolist() == [280.0 + slot for slot in slots]
+
     def test_array_of_leads_keeps_its_shape(self):
         params = SmoothingParams(0.5, 0.5, 0.5, season_length=4)
         leads = np.array([[1, 5], [2, 6]])
@@ -423,6 +464,12 @@ class TestBaselines:
     def test_average_not_finite_is_non_finite_error(self, values):
         with pytest.raises(NonFiniteError):
             average_forecast(np.array(values), 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("last", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_persistence_not_finite_is_non_finite_error(self, last):
+        with pytest.raises(NonFiniteError, match="persistence forecast is not finite"):
+            persistence_forecast([280.0, last])
 
     def test_bad_lead_rejected(self, make_series):
         series = make_series([280.0])
@@ -524,3 +571,70 @@ class TestValueEquality:
     def test_unequal_values_are_unequal(self, left, right):
         assert left != right
         assert not left == right
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 1e308, -1e308]
+_values = st.floats(min_value=250.0, max_value=320.0) | st.sampled_from(_SPECIAL)
+_windows = st.one_of(
+    st.lists(_values, max_size=30),
+    st.builds(lambda value, n: [value] * n, _values, st.integers(14, 30)),
+    st.just(np.full((2, 15), 280.0)),
+    st.sampled_from(["abc", ["a", "b"], None, {"a": 1}, [1.0, [2.0, 3.0]]]),
+)
+_lead_values = st.one_of(
+    st.integers(min_value=-3, max_value=10**6),
+    st.sampled_from([0, -1, 2**63 - 1, 2**70, True, False]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-2, 2**62), max_size=4).map(np.array),
+)
+_PARAMS_7 = SmoothingParams(0.1, 0.1, 0.1, season_length=7)
+
+
+def _assert_finite(result, lead):
+    """A float for a scalar lead, an array of the leads' shape otherwise,
+    or a fit or state; every value in it finite."""
+    if isinstance(result, FitResult):
+        # An overflowing window scores inf or NaN, and its state may then
+        # overflow too; a finite score vouches for a finite state.
+        if math.isfinite(result.in_sample_rmse):
+            _assert_finite(result.state, lead)
+    elif isinstance(result, HWState):
+        assert math.isfinite(result.level) and math.isfinite(result.trend)
+        assert np.isfinite(result.seasonal).all()
+    elif isinstance(lead, np.ndarray):
+        assert result.shape == lead.shape and np.isfinite(result).all()
+    else:
+        assert isinstance(result, float) and math.isfinite(result)
+
+
+class TestArbitraryInput:
+    """Whatever the window and lead, each model entry point returns finite
+    values or raises a TempcastError: never a bare Python error, a
+    warning, or a NaN or infinite forecast."""
+
+    @given(window=_windows, lead=_lead_values, level=_values, trend=_values)
+    @settings(max_examples=150, deadline=None)
+    def test_returns_finite_values_or_raises_tempcast_error(
+        self, window, lead, level, trend
+    ):
+        state = HWState(level, trend, np.zeros(7), 0)
+        calls = [
+            lambda: persistence_forecast(window, lead),
+            lambda: average_forecast(window, lead),
+            lambda: hw_forecast(state, lead, _PARAMS_7),
+            lambda: grid_search(window, GridSpec.coarse(), 7),
+            lambda: hw_fit(window, _PARAMS_7),
+            # late-bound: the state hw_fit returned, if it returned one
+            lambda: hw_forecast(state, lead, _PARAMS_7),
+        ]
+        for call in calls:
+            # as under python -W error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = call()
+                except TempcastError:
+                    continue
+            _assert_finite(result, lead)
+            if isinstance(result, HWState):
+                state = result
