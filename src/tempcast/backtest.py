@@ -31,7 +31,7 @@ from .errors import (
     _whole,
 )
 from .models import average_forecast, hw_forecast, persistence_forecast
-from .series import TimeSeries, validate_series
+from .series import TimeSeries, rmse, validate_series
 from .tuning import FitResult, GridSpec, grid_search, grid_search_windows
 
 # Model name -> forecast from (training window, tuned fit, lead).
@@ -196,18 +196,19 @@ def collect_report(
     ordered = sorted(results, key=lambda r: r.origin)
     origins = tuple(r.origin for r in ordered)
     errors: dict[str, dict[int, np.ndarray]] = {}
-    rmse: dict[str, dict[int, float]] = {}
+    pooled: dict[str, dict[int, float]] = {}
     for model in config.models:
         errors[model] = {}
-        rmse[model] = {}
+        pooled[model] = {}
         for lead in config.leads:
             cell = np.array([r.errors[model][lead] for r in ordered])
             cell.flags.writeable = False
             errors[model][lead] = cell
-            rmse[model][lead] = float(np.sqrt(np.mean(cell * cell)))
+            # the RMS of the errors, exactly: cell - 0.0 is cell bit for bit
+            pooled[model][lead] = rmse(cell, np.zeros_like(cell))
     fits = tuple(r.fit for r in ordered) if "proposed" in config.models else None
     return BacktestReport(
-        config=config, origins=origins, errors=errors, rmse=rmse, fits=fits
+        config=config, origins=origins, errors=errors, rmse=pooled, fits=fits
     )
 
 

@@ -1,8 +1,11 @@
 """Command-line entry point wiring ingest, backtesting and forecasting.
 
 Every subcommand writes its artifacts plus a JSON manifest holding the
-resolved configuration, the input file digest and the toolkit version,
-so a run can be reproduced byte-for-byte from the manifest alone. All
+subcommand, its seed, the resolved configuration, the input file's path
+and digest, and tempcast's version. It does not record numpy's version,
+and backtest origins come from numpy's ``Generator.choice``, so the
+manifest reproduces a run byte for byte under the same numpy only;
+``tests/data/golden/`` pins the artifacts of one such run. All
 randomness flows from the single --seed flag. The series file's format
 belongs to :mod:`tempcast.series`; what is left here is the command
 line: arguments, reading each input once (:func:`_read_text`), the

@@ -4,8 +4,8 @@ Everything raised on bad data or bad protocol parameters derives from
 TempcastError, so callers (and the CLI) can separate data problems from
 genuine bugs with one except clause. A bad argument raises
 :class:`ArgumentError`, also a ``ValueError``, often from :func:`_whole`,
-:func:`_real`, :func:`_instance` or :func:`_one_of`; the CLI exits 1 on
-it and 2 on any other error here.
+:func:`_real`, :func:`_instance`, :func:`_date` or :func:`_one_of`; the
+CLI exits 1 on it and 2 on any other error here.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ def _whole(value, name: str, minimum: int | None = None) -> int:
 def _real(value, name: str) -> float:
     """``value`` as a float if it is a real number (an int, float or numpy
     number, say), not a bool; anything else raises :class:`ArgumentError`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # float first: the numbers.Real check is slow, and a float is one
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise ArgumentError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -48,6 +49,17 @@ def _instance(value, cls: type, name: str):
     :class:`ArgumentError`."""
     if not isinstance(value, cls):
         raise ArgumentError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
+def _date(value, name: str, optional: bool = False):
+    """``value`` if it is a ``datetime.date`` and not a ``datetime``, or
+    None when ``optional``; anything else raises :class:`ArgumentError`."""
+    if optional and value is None:
+        return value
+    if not isinstance(value, dt.date) or isinstance(value, dt.datetime):
+        expected = "a datetime.date or None" if optional else "a datetime.date"
+        raise ArgumentError(f"{name} must be {expected}, got {value!r}")
     return value
 
 

@@ -35,11 +35,15 @@ from .errors import (
     MissingColumnError,
     MultipleStationsError,
     NonFiniteError,
+    _date,
+    _instance,
     _one_of,
     _whole,
 )
 from .series import (
     TimeSeries,
+    _ordinals,
+    _vector,
     csv_rows,
     series_from_ordinals,
     validate_series,
@@ -102,13 +106,7 @@ class CleanConfig:
     def __post_init__(self):
         object.__setattr__(self, "max_gap", _whole(self.max_gap, "max_gap", minimum=0))
         for name in ("start", "end"):
-            bound = getattr(self, name)
-            if bound is not None and (
-                not isinstance(bound, dt.date) or isinstance(bound, dt.datetime)
-            ):
-                raise ArgumentError(
-                    f"{name} must be a datetime.date or None, got {bound!r}"
-                )
+            _date(getattr(self, name), name, optional=True)
         if self.start is not None and self.end is not None and self.end < self.start:
             raise ArgumentError("date range end precedes start")
 
@@ -247,11 +245,13 @@ def clean(records: RawRecordSet, config: CleanConfig | None = None) -> TimeSerie
 def clean_report(
     records: RawRecordSet, config: CleanConfig | None = None
 ) -> tuple[TimeSeries, CleanStats]:
-    """Like :func:`clean`, also returning the pass's bookkeeping."""
-    config = config or CleanConfig()
-    ordinals = np.fromiter(
-        map(dt.date.toordinal, records.dates), dtype=np.int64, count=len(records)
-    )
+    """Like :func:`clean`, also returning the pass's bookkeeping. Records
+    or a config of another type, a date that is not a ``datetime.date``
+    and a value that is not a real number raise ``ArgumentError``."""
+    _instance(records, RawRecordSet, "records")
+    config = CleanConfig() if config is None else config
+    _instance(config, CleanConfig, "config")
+    ordinals = _ordinals(records.dates)
     keep = np.ones(len(records), dtype=bool)
     if config.start is not None:
         keep &= ordinals >= config.start.toordinal()
@@ -276,7 +276,7 @@ def clean_report(
     present = np.array([value is not None for value in tavg])
     if not present.any():
         raise EmptyAfterFilterError("no usable temperature values after filtering")
-    values = np.array([value for value in tavg if value is not None], dtype=np.float64)
+    values = _vector([value for value in tavg if value is not None], "tavg")
     non_finite = np.flatnonzero(~np.isfinite(values))
     if non_finite.size:
         value = float(values[non_finite[0]])

@@ -43,7 +43,7 @@ from .errors import (
     _real,
     _whole,
 )
-from .series import TimeSeries, _ByValue
+from .series import _ByValue, _vector
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,9 @@ class HWState(_ByValue):
 
     ``seasonal[phase]`` is the correction for the next incoming
     observation's season phase. Instances are immutable, and equal when
-    their level, trend, phase and ring bytes are.
+    their level, trend, phase and ring bytes are. Level and trend are
+    stored as floats and the ring as ``series._vector`` reads values;
+    anything else raises ``ArgumentError``.
     """
 
     level: float
@@ -86,30 +88,18 @@ class HWState(_ByValue):
     phase: int
 
     def __post_init__(self):
-        ring = np.array(self.seasonal, dtype=np.float64)
+        object.__setattr__(self, "level", _real(self.level, "level"))
+        object.__setattr__(self, "trend", _real(self.trend, "trend"))
+        ring = np.array(_vector(self.seasonal, "seasonal"))
         ring.flags.writeable = False
         object.__setattr__(self, "seasonal", ring)
         object.__setattr__(self, "phase", _whole(self.phase, "phase"))
-        if ring.ndim != 1 or ring.size < 2:
+        if ring.size < 2:
             raise ArgumentError("seasonal ring needs at least two phases")
         if not 0 <= self.phase < ring.size:
             raise ArgumentError(
                 f"phase {self.phase} outside ring of length {ring.size}"
             )
-
-
-def _train_values(train) -> np.ndarray:
-    """A window's values as a one-dimensional float64 array: a scalar
-    reads as one value; values that do not convert to float64, or more
-    than one dimension, raise ArgumentError."""
-    values = train.values if isinstance(train, TimeSeries) else train
-    try:
-        values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError(f"each window must hold real numbers: {exc}") from exc
-    if values.ndim != 1:
-        raise ArgumentError("each window must be one-dimensional")
-    return values
 
 
 def _initial_components(
@@ -158,7 +148,7 @@ def init_state(train, params: SmoothingParams) -> HWState:
     :func:`hw_update` replays the window from the top. A state that is
     not finite raises :class:`NonFiniteError`.
     """
-    values = _train_values(train)
+    values = _vector(train, "each window")
     L = _instance(params, SmoothingParams, "params").season_length
     level, trend, seasonal = _initial_components(values, L)
     state = HWState(level=level, trend=trend, seasonal=seasonal, phase=0)
@@ -211,12 +201,7 @@ def hw_update(
     c_new = params.gamma * (observation - level) + (1.0 - params.gamma) * c_old
     ring = np.array(state.seasonal)
     ring[state.phase] = c_new
-    return HWState(
-        level=level,
-        trend=trend,
-        seasonal=ring,
-        phase=(state.phase + 1) % L,
-    )
+    return HWState(level, trend, ring, (state.phase + 1) % L)
 
 
 def hw_fit(train, params: SmoothingParams) -> HWState:
@@ -232,7 +217,7 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     or fitted state that is not finite, as values near the float limit
     may give.
     """
-    values = _train_values(train)
+    values = _vector(train, "each window")
     non_finite = values[~np.isfinite(values)]
     if non_finite.size:
         raise NonFiniteError(f"observation is not finite: {float(non_finite[0])!r}")
@@ -242,12 +227,19 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     return _finite(state, "fitted state")
 
 
+# The largest lead: leads are computed on as int64.
+_MAX_LEAD = np.iinfo(np.int64).max
+
+
 def _leads(m) -> np.ndarray:
-    """``m`` as an int64 array of leads, each a whole number of days
-    >= 1; anything else raises :class:`InvalidLeadError`."""
+    """``m`` as an int64 array of leads, each a whole number of days from
+    1 to the int64 limit; anything else raises :class:`InvalidLeadError`,
+    so no unsigned lead wraps negative."""
     leads = np.asarray(m)
-    if leads.dtype.kind not in "iu" or (leads < 1).any():
-        raise InvalidLeadError(f"lead must be a whole number of days >= 1, got {m!r}")
+    if leads.dtype.kind not in "iu" or (leads < 1).any() or (leads > _MAX_LEAD).any():
+        raise InvalidLeadError(
+            f"lead must be a whole number of days from 1 to {_MAX_LEAD}, got {m!r}"
+        )
     return leads.astype(np.int64, copy=False)
 
 
@@ -286,7 +278,7 @@ def _baseline(train, m, statistic, name: str):
     range) raises :class:`NonFiniteError`.
     """
     leads = _leads(m)
-    values = _train_values(train)
+    values = _vector(train, "each window")
     if values.size == 0:
         raise EmptyInputError(f"{name} forecast needs an observation")
     with np.errstate(over="ignore", invalid="ignore"):

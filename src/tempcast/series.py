@@ -13,6 +13,13 @@ range of offsets as a year plus one of 365 ``-MM-DD`` suffixes, and
 day ordinals. :func:`next_calendar_day` and :func:`is_leap_day` stay as
 the per-step reference that tests fold against.
 
+Every sequence of values entering the package, whether a series'
+values, a training window, a seasonal ring, dated observations, parsed
+temperatures or the two sides of :func:`rmse`, is read by one rule,
+:func:`_vector`: a one-dimensional float64 array, a :class:`TimeSeries`
+giving its values and a scalar one value. Values that do not convert,
+or have more than one dimension, raise ``ArgumentError``.
+
 On disk a series is a CSV file: the header :data:`CSV_HEADER`
 (``date,kelvin``), then one row per day of an ISO ``YYYY-MM-DD`` date
 and the ``repr`` of the float, which reads back bit for bit. Rows dated
@@ -38,8 +45,10 @@ from .errors import (
     LengthMismatchError,
     MalformedDateError,
     MalformedRowError,
+    NonFiniteError,
     OutOfRangeError,
     ValidationError,
+    _date,
     _instance,
 )
 
@@ -146,6 +155,20 @@ def next_calendar_day(day: dt.date) -> dt.date:
     return nxt
 
 
+def _vector(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D float64 array, not a copy if it is one: a
+    :class:`TimeSeries` gives its values and a scalar one value. Values
+    that do not convert, or have more dimensions, raise ArgumentError."""
+    values = values.values if isinstance(values, TimeSeries) else values
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"{name} must hold real numbers: {exc}") from exc
+    if values.ndim > 1:
+        raise ArgumentError(f"{name} must be one-dimensional")
+    return values if values.ndim else values.reshape(1)
+
+
 class _ByValue:
     """Equality and hash by field values, an array field by its bytes,
     for frozen dataclasses declared with ``eq=False``."""
@@ -177,12 +200,10 @@ class TimeSeries(_ByValue):
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ArgumentError("values must be one-dimensional")
+        arr = np.array(_vector(self.values, "values"))
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        if is_leap_day(self.start_date):
+        if is_leap_day(_date(self.start_date, "start_date")):
             raise ValidationError(
                 0, "non-consecutive", "a series cannot start on February 29"
             )
@@ -236,26 +257,33 @@ def drop_leap_days(dates, values) -> TimeSeries:
     must advance one day at a time (a step over an already-absent
     February 29 is accepted, which makes the operation idempotent).
     Raises :class:`ValidationError` with rule ``"non-consecutive"`` at
-    the first date that repeats, runs backward, or leaves a hole.
+    the first date that repeats, runs backward, or leaves a hole, and
+    ``ArgumentError`` as :func:`_ordinals` and :func:`_vector` say.
     """
-    dates = list(dates)
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or len(dates) != arr.size:
+    ordinals = _ordinals(dates)
+    arr = _vector(values, "values")
+    if ordinals.size != arr.size:
         raise LengthMismatchError(
-            f"{len(dates)} dates but {arr.size} values"
+            f"{ordinals.size} dates but {arr.size} values"
         )
-    if not dates:
+    if not arr.size:
         raise EmptyInputError("no dated observations")
 
-    ordinals = np.fromiter(
-        (day.toordinal() for day in dates), dtype=np.int64, count=len(dates)
-    )
     step = np.diff(ordinals)
     skips_leap_day = (step == 2) & leap_day_mask(ordinals[:-1] + 1)
     bad = np.flatnonzero((step != 1) & ~skips_leap_day)
     if bad.size:
         raise ValidationError(int(bad[0]) + 1, "non-consecutive")
     return series_from_ordinals(ordinals, arr)
+
+
+def _ordinals(dates) -> np.ndarray:
+    """``date.toordinal()`` of each of ``dates``; anything but an iterable
+    of ``datetime.date`` values raises ArgumentError."""
+    try:
+        return np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64)
+    except TypeError as exc:
+        raise ArgumentError(f"dates must be datetime.date values: {exc}") from exc
 
 
 def series_from_ordinals(ordinals: np.ndarray, values: np.ndarray) -> TimeSeries:
@@ -297,6 +325,7 @@ def csv_rows(text: str) -> Iterator[Iterator[list[str]]]:
     reader sees the same lines, line numbers and errors as it would on
     the whole text; a quoted field spanning two slices still joins.
     """
+    _instance(text, str, "text")
     lines = itertools.chain.from_iterable(map(io.StringIO, _line_slices(text)))
     reader = csv.reader(lines)
     try:
@@ -343,17 +372,24 @@ def read_csv(text: str) -> TimeSeries:
 
 
 def rmse(predicted, actual) -> float:
-    """Root mean square difference between two equal-length sequences."""
-    p = np.asarray(predicted, dtype=np.float64)
-    a = np.asarray(actual, dtype=np.float64)
+    """Root mean square difference between two equal-length sequences,
+    each read by :func:`_vector`. A result that is not finite, from a NaN
+    or infinite value or squares past the float range, raises
+    :class:`NonFiniteError`."""
+    p = _vector(predicted, "predicted")
+    a = _vector(actual, "actual")
     if p.size != a.size:
         raise LengthMismatchError(
             f"{p.size} predictions vs {a.size} actuals"
         )
     if p.size == 0:
         raise EmptyInputError("rmse of empty sequences")
-    diff = p - a
-    return float(np.sqrt(np.mean(diff * diff)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = p - a
+        result = float(np.sqrt(np.mean(diff * diff)))
+    if not np.isfinite(result):
+        raise NonFiniteError(f"rmse is not finite: {result!r}")
+    return result
 
 
 def split_at_origin(

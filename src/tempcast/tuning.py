@@ -66,7 +66,8 @@ from .errors import (
     _real,
     _whole,
 )
-from .models import HWState, SmoothingParams, _initial_components, _train_values
+from .models import HWState, SmoothingParams, _finite, _initial_components
+from .series import _vector
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,7 @@ def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
 
 
 def _stack_windows(windows) -> np.ndarray:
-    rows = [_train_values(window) for window in windows]
+    rows = [_vector(window, "each window") for window in windows]
     for row in rows:
         if row.size != rows[0].size:
             raise LengthMismatchError(
@@ -326,7 +327,9 @@ def grid_search_windows(
 
     Returns one result per window, in input order, each identical to
     ``grid_search(window, spec, season_length)``. Raises
-    :class:`NonFiniteError` on a NaN or infinite value in any window,
+    :class:`NonFiniteError` on a NaN or infinite value in any window, or
+    when a window's winning score or fitted state is not finite, as values
+    near the float limit may give (``hw_fit`` raises on them too);
     :class:`LengthMismatchError` when lengths differ, ``ArgumentError``
     when ``spec`` is not a :class:`GridSpec` or ``season_length`` is not a
     whole number of at least 2.
@@ -411,6 +414,11 @@ def grid_search_windows(
                     )
                     best[i] = (candidate, state)
 
+    # As in hw_fit, a window whose values overflow the float range raises.
+    for i, ((score, *_), state) in enumerate(best):
+        if not math.isfinite(score):
+            raise NonFiniteError(f"window {i} in-sample error is not finite")
+        _finite(state, f"window {i} fitted state")
     return tuple(
         FitResult(
             params=SmoothingParams(alpha, beta, gamma, season_length=season_length),
@@ -430,7 +438,8 @@ def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
     the evaluation count. Refinement rounds never worsen the incumbent
     (its point stays in every refined grid, or it simply keeps the
     title). Non-uniform axes refine by their average spacing. Raises
-    :class:`NonFiniteError` on a NaN or infinite value.
+    :class:`NonFiniteError` on a NaN or infinite value, or on a window
+    whose winning score or fitted state overflows.
     """
     return grid_search_windows([train], spec, season_length)[0]
 
@@ -441,7 +450,8 @@ def one_step_rmse(train, params: SmoothingParams) -> float:
 
     The first two seasons only warm the state up, so the window must
     extend at least one observation past the initialization span.
-    Raises :class:`NonFiniteError` on a NaN or infinite value.
+    Raises :class:`NonFiniteError` on a NaN or infinite value, or on a
+    score or fitted state that overflows.
     """
     grid = GridSpec((params.alpha,), (params.beta,), (params.gamma,))
     return grid_search(train, grid, params.season_length).in_sample_rmse

@@ -8,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempcast import (
+    UNITS,
     GridSpec,
     HWState,
+    RawRecordSet,
     SmoothingParams,
     TimeSeries,
     average_forecast,
+    clean_report,
     grid_search,
     hw_fit,
     hw_forecast,
+    parse_cdo_csv,
     persistence_forecast,
+    read_csv,
 )
 from tempcast.errors import (
     ArgumentError,
@@ -27,6 +32,7 @@ from tempcast.errors import (
     TooShortError,
 )
 from tempcast.models import hw_update, init_state
+from tempcast.series import drop_leap_days, rmse, validate_series
 from tempcast.tuning import FitResult, one_step_rmse
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
@@ -583,9 +589,12 @@ _windows = st.one_of(
 )
 _lead_values = st.one_of(
     st.integers(min_value=-3, max_value=10**6),
-    st.sampled_from([0, -1, 2**63 - 1, 2**70, True, False]),
+    st.sampled_from([0, -1, 2**63 - 1, 2**63, 2**64 - 1, 2**70, True, False]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.lists(st.integers(-2, 2**62), max_size=4).map(np.array),
+    st.lists(st.integers(0, 2**64 - 1), max_size=4).map(
+        lambda leads: np.array(leads, dtype=np.uint64)
+    ),
 )
 _PARAMS_7 = SmoothingParams(0.1, 0.1, 0.1, season_length=7)
 
@@ -594,10 +603,8 @@ def _assert_finite(result, lead):
     """A float for a scalar lead, an array of the leads' shape otherwise,
     or a fit or state; every value in it finite."""
     if isinstance(result, FitResult):
-        # An overflowing window scores inf or NaN, and its state may then
-        # overflow too; a finite score vouches for a finite state.
-        if math.isfinite(result.in_sample_rmse):
-            _assert_finite(result.state, lead)
+        assert math.isfinite(result.in_sample_rmse)
+        _assert_finite(result.state, lead)
     elif isinstance(result, HWState):
         assert math.isfinite(result.level) and math.isfinite(result.trend)
         assert np.isfinite(result.seasonal).all()
@@ -607,10 +614,46 @@ def _assert_finite(result, lead):
         assert isinstance(result, float) and math.isfinite(result)
 
 
+_START = dt.date(2015, 1, 1)
+# one value: a number, or something that is not one
+_cells = _values | st.sampled_from(["abc", b"abc", b"1.5", None, [280.0, 281.0]])
+_sequences = st.one_of(
+    st.lists(_cells, max_size=6),
+    _cells,
+    st.sampled_from([np.full((2, 3), 280.0), [1.0, [2.0, 3.0]], {"a": 1}]),
+)
+_starts = st.sampled_from(
+    [_START, dt.date(2016, 2, 29), "2015-01-01", None, dt.datetime(2015, 1, 1), 735599]
+)
+_CSV_CELLS = ["280.5", "nan", "inf", "-1e308", "1e400", "abc", "", '"1,2"', "280.5,1"]
+_texts = st.none() | st.binary(max_size=12) | st.text(max_size=40)
+
+
+def _days(n):
+    return [_START + dt.timedelta(days=i) for i in range(n)]
+
+
+def _ring_forecast(level, trend, ring):
+    state = HWState(level, trend, ring, 0)
+    return hw_forecast(state, 1, SmoothingParams(0.1, 0.1, 0.1, state.seasonal.size))
+
+
+def _finite_result(result) -> bool:
+    """Whether a series, a (series, stats) pair, a float or an array holds
+    finite values only."""
+    if isinstance(result, tuple):
+        result = result[0]
+    if isinstance(result, TimeSeries):
+        result = result.values
+    return bool(np.isfinite(result).all())
+
+
 class TestArbitraryInput:
     """Whatever the window and lead, each model entry point returns finite
     values or raises a TempcastError: never a bare Python error, a
-    warning, or a NaN or infinite forecast."""
+    warning, or a NaN or infinite forecast. Whatever the values, dates or
+    text, so does each series and ingest entry point, once a series it
+    builds is validated."""
 
     @given(window=_windows, lead=_lead_values, level=_values, trend=_values)
     @settings(max_examples=150, deadline=None)
@@ -638,3 +681,42 @@ class TestArbitraryInput:
             _assert_finite(result, lead)
             if isinstance(result, HWState):
                 state = result
+
+    @given(
+        values=_sequences, other=_sequences, start=_starts, level=_cells,
+        trend=_cells, cells=st.lists(st.sampled_from(_CSV_CELLS), max_size=4),
+        text=_texts, unit=st.sampled_from(UNITS), data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_series_and_ingest_return_finite_values_or_raise_tempcast_error(
+        self, values, other, start, level, trend, cells, text, unit, data
+    ):
+        n = len(values) if isinstance(values, list) else 1
+        dates = data.draw(st.sampled_from(
+            [_days(n), _days(n)[::-1], [_START] * n, ["2015-01-01"] * n, [None] * n]
+        ))
+        tavg = values if isinstance(values, list) else [values]
+        rows = [f"2015-01-{day + 1:02d},{cell}\n" for day, cell in enumerate(cells)]
+        calls = [
+            lambda: validate_series(TimeSeries(start, values)),
+            lambda: validate_series(drop_leap_days(dates, values)),
+            lambda: validate_series(drop_leap_days(text, values)),
+            lambda: rmse(values, other),
+            lambda: _ring_forecast(level, trend, values),
+            lambda: read_csv("date,kelvin\n" + "".join(rows)),
+            lambda: read_csv(text),
+            lambda: clean_report(parse_cdo_csv(
+                "STATION,DATE,TAVG\n" + "".join("A," + row for row in rows), unit
+            )),
+            lambda: clean_report(parse_cdo_csv(text, unit)),
+            lambda: clean_report(RawRecordSet(["A"] * n, dates, tavg, unit)),
+        ]
+        for call in calls:
+            # as under python -W error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = call()
+                except TempcastError:
+                    continue
+            assert _finite_result(result)

@@ -223,26 +223,23 @@ class TestGridSearch:
         assert result.in_sample_rmse == 0.0
         assert result.evaluations == 27
 
-    def test_overflowed_scores_give_nan_not_an_index_error(self):
-        # every triple's squared error overflows to NaN on these values
+    def test_overflowed_scores_raise_non_finite_error(self):
+        # every triple's squared error overflows to NaN on these values,
+        # and hw_fit raises on the same window
         values = np.array([1e308, -1e308] * 10)
         params = SmoothingParams(0.5, 0.5, 0.5, season_length=2)
-        result = grid_search(values, GridSpec.coarse(), season_length=2)
-        single = one_step_rmse(values, params)
-        assert math.isnan(result.in_sample_rmse)
-        assert result.params.alpha == result.params.beta == result.params.gamma == 0.0
-        assert math.isnan(single)
+        with pytest.raises(NonFiniteError, match="window 0 in-sample error"):
+            grid_search(values, GridSpec.coarse(), season_length=2)
+        with pytest.raises(NonFiniteError, match="window 0 in-sample error"):
+            one_step_rmse(values, params)
+        with pytest.raises(NonFiniteError):
+            hw_fit(values, params)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_near_the_float_limit_warns_nothing(self):
-        result = grid_search([1e308, -1e308] * 20, GridSpec.coarse(), 7)
-        assert (result.params.alpha, result.params.beta, result.params.gamma) == (
-            0.1,
-            0.0,
-            0.0,
-        )
-        assert result.in_sample_rmse == math.inf
-        assert result.evaluations == 312
+        # the winner, alpha = 0.1, scores inf: an error, not a warning
+        with pytest.raises(NonFiniteError, match="window 0 in-sample error"):
+            grid_search([1e308, -1e308] * 20, GridSpec.coarse(), 7)
 
     def test_singleton_grids_return_that_point(self, rng):
         values = 280.0 + rng.normal(0, 3, 25)
