@@ -62,8 +62,9 @@ class RawRecordSet:
     Row ``i`` is ``stations[i]``, ``dates[i]`` and ``tavg[i]``, the last
     being None when the cell was empty. ``rows_read`` counts the
     non-blank data rows the parser read, kept or not; it defaults to the
-    number of rows held and may not be smaller. :func:`parse_cdo_csv`
-    builds one; the package reads the export format but never writes it.
+    number of rows held and may not be smaller. A column that is not a
+    sequence raises ``ArgumentError``. :func:`parse_cdo_csv` builds one;
+    the package reads the export format but never writes it.
     """
 
     stations: tuple[str, ...]
@@ -74,7 +75,11 @@ class RawRecordSet:
 
     def __post_init__(self):
         for name in ("stations", "dates", "tavg"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            column = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(column))
+            except TypeError:
+                raise ArgumentError(f"{name} must be a sequence, got {column!r}") from None
         if not len(self.stations) == len(self.dates) == len(self.tavg):
             raise ArgumentError(
                 f"column lengths differ: {len(self.stations)} stations, "
@@ -246,8 +251,9 @@ def clean_report(
     records: RawRecordSet, config: CleanConfig | None = None
 ) -> tuple[TimeSeries, CleanStats]:
     """Like :func:`clean`, also returning the pass's bookkeeping. Records
-    or a config of another type, a date that is not a ``datetime.date``
-    and a value that is not a real number raise ``ArgumentError``."""
+    or a config of another type, a station that is not a ``str``, a date
+    that is not a ``datetime.date`` and a value that is not a real number
+    raise ``ArgumentError``."""
     _instance(records, RawRecordSet, "records")
     config = CleanConfig() if config is None else config
     _instance(config, CleanConfig, "config")
@@ -260,7 +266,12 @@ def clean_report(
     rows = np.flatnonzero(keep)
     if not rows.size:
         raise EmptyAfterFilterError("no rows left after station/date filtering")
-    stations = sorted(set(itertools.compress(records.stations, keep)))
+    try:
+        stations = sorted(set(itertools.compress(records.stations, keep)))
+    except TypeError:  # an unhashable station, or stations of mixed types
+        stations = list(itertools.compress(records.stations, keep))
+    for station in stations:
+        _instance(station, str, "each station")
     if len(stations) > 1:
         raise MultipleStationsError(stations)
 

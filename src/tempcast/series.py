@@ -17,8 +17,9 @@ Every sequence of values entering the package, whether a series'
 values, a training window, a seasonal ring, dated observations, parsed
 temperatures or the two sides of :func:`rmse`, is read by one rule,
 :func:`_vector`: a one-dimensional float64 array, a :class:`TimeSeries`
-giving its values and a scalar one value. Values that do not convert,
-or have more than one dimension, raise ``ArgumentError``.
+giving its values and a scalar one value. Values that are not real
+numbers (complex ones included), or have more than one dimension, raise
+``ArgumentError``.
 
 On disk a series is a CSV file: the header :data:`CSV_HEADER`
 (``date,kelvin``), then one row per day of an ISO ``YYYY-MM-DD`` date
@@ -33,10 +34,12 @@ import csv
 import datetime as dt
 import io
 import itertools
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .errors import (
     ArgumentError,
@@ -158,11 +161,15 @@ def next_calendar_day(day: dt.date) -> dt.date:
 def _vector(values, name: str) -> np.ndarray:
     """``values`` as a 1-D float64 array, not a copy if it is one: a
     :class:`TimeSeries` gives its values and a scalar one value. Values
-    that do not convert, or have more dimensions, raise ArgumentError."""
+    that are not real numbers, complex ones included, or have more
+    dimensions raise ArgumentError."""
     values = values.values if isinstance(values, TimeSeries) else values
     try:
-        values = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        # numpy only warns when it drops an imaginary part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ComplexWarning)
+            values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, ComplexWarning) as exc:
         raise ArgumentError(f"{name} must hold real numbers: {exc}") from exc
     if values.ndim > 1:
         raise ArgumentError(f"{name} must be one-dimensional")

@@ -48,12 +48,35 @@ winner is picked and before ``evaluations`` is counted, and no column's
 arithmetic depends on its neighbours, so the blocking changes no result.
 :func:`grid_search` is the one-window call of the same code, and
 :func:`one_step_rmse` the one-triple :func:`grid_search`.
+
+No window's search depends on another's, so :func:`grid_search_windows`
+splits its windows into equal contiguous shares, one process each. It
+runs as many processes as the smallest of the usable cores, the
+windows, and the round-0 triple-steps (windows × first-round width ×
+window length) divided by ``_SHARE_TRIPLE_STEPS``: the default backtest
+splits, a one-window search never does. The calling process tunes the
+first share and a worker process each other one, all through the one
+round loop :func:`_tune_share`; the results are put back in window
+order, so the split changes no result, and with one process nothing
+else runs. Input checks and the final finiteness checks stay in the
+calling process, so errors name global window indices. Workers are
+plain subprocesses, ``sys.executable -c``, sent their share and
+returning their results as pickles over stdin and stdout, not
+:mod:`multiprocessing` ones: forking a process that holds threads
+(numpy's BLAS starts some) is deprecated from CPython 3.12 with a
+warning, an error under ``python -W error``, and the spawn and
+forkserver methods re-run an unguarded ``__main__`` script inside every
+worker.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -162,6 +185,21 @@ _CHUNK_COLUMNS = 2 * 11**3
 # backtest's kernel took 1.54 s with 12-day blocks against 1.61 s with 8
 # and 1.63 s with 16; a whole 365-day season is slower still.
 _BLOCK_ELEMENTS = 24 * 11**3
+
+# Round-0 triple-steps (windows x first-round width x window length) per
+# process: grid_search_windows splits into at most that many processes.
+# On a 2-vCPU Xeon (CPython 3.11, numpy 2.4.6) a worker took 0.25 s to
+# start and import numpy and tempcast, and the kernel 13.4 ns per
+# triple-step, so two processes break even at about 37M triple-steps
+# (half the work equals one start-up). The constant sits above that,
+# for hosts that start processes more slowly. The default backtest's
+# 121M round-0 triple-steps split in two; a one-window search or a
+# small backtest runs in one process.
+_SHARE_TRIPLE_STEPS = 50_000_000
+
+# What a worker process runs, after the directory holding this tempcast
+# is put first on its path.
+_WORKER_ENTRY = "from tempcast.tuning import _tune_worker; _tune_worker()"
 
 
 def _one_step_errors_batch(
@@ -319,39 +357,16 @@ def _stack_windows(windows) -> np.ndarray:
     return np.stack(rows) if rows else np.empty((0, 0))
 
 
-def grid_search_windows(
-    windows, spec: GridSpec, season_length: int = 365
-) -> tuple[FitResult, ...]:
-    """:func:`grid_search` on each of several equal-length windows,
-    sweeping them together.
+def _tune_share(values: np.ndarray, spec: GridSpec, season_length: int) -> tuple:
+    """The round loop over a ``(k, n)`` block of windows.
 
-    Returns one result per window, in input order, each identical to
-    ``grid_search(window, spec, season_length)``. Raises
-    :class:`NonFiniteError` on a NaN or infinite value in any window, or
-    when a window's winning score or fitted state is not finite, as values
-    near the float limit may give (``hw_fit`` raises on them too);
-    :class:`LengthMismatchError` when lengths differ, ``ArgumentError``
-    when ``spec`` is not a :class:`GridSpec` or ``season_length`` is not a
-    whole number of at least 2.
+    Returns ``(best, evaluations, levels, trends, rings)``: per window,
+    its winning ``(score, alpha, beta, gamma, column)`` and evaluation
+    count as lists, and the winner's final level, trend and seasonal ring
+    as arrays of shape (k,), (k,) and (k, season_length). Only plain
+    values and arrays, so a worker process can pickle them.
     """
-    _instance(spec, GridSpec, "spec")
-    season_length = _whole(season_length, "season_length", minimum=2)
-    values = _stack_windows(windows)
     k, n = values.shape
-    if k == 0:
-        return ()
-    if n < 2 * season_length + 1:
-        raise TooShortError(
-            f"need at least {2 * season_length + 1} observations to score one-step "
-            f"forecasts (two seasons of warm-up plus one), got {n}"
-        )
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        window, index = (int(i) for i in bad[0])
-        raise NonFiniteError(
-            f"window {window} value {index} is not finite: {values[window, index]!r}"
-        )
-
     axes = [
         np.asarray(spec.alpha_grid, dtype=np.float64),
         np.asarray(spec.beta_grid, dtype=np.float64),
@@ -372,15 +387,18 @@ def grid_search_windows(
     ]
     sweeps = [_mesh(*axes)] * k
     evaluations = [0] * k
-    # Per window: the best (score, alpha, beta, gamma, column) so far and
-    # the state its column ended in.
+    # Per window: the best (score, alpha, beta, gamma, column) so far, and
+    # the level, trend and ring its column ended in.
     best: list = [None] * k
+    levels = np.empty(k)
+    trends = np.empty(k)
+    rings = np.empty((k, season_length))
 
     for round_index in range(spec.refine_rounds + 1):
         if round_index:
             sweeps = [
                 _mesh(*_refine(won[1:4], cardinalities, spacings, spec.refine_shrink))
-                for won, _ in best
+                for won in best
             ]
             spacings = [
                 2.0 * (spacing * spec.refine_shrink) / (size - 1) if size > 1 else 0.0
@@ -404,30 +422,144 @@ def grid_search_windows(
                 i = lo + row
                 evaluations[i] += a.size
                 candidate = _best_of_batch(scores[row, : a.size], a, b, g)
-                if best[i] is None or candidate < best[i][0]:
+                if best[i] is None or candidate < best[i]:
                     j = candidate[-1]
-                    state = HWState(
-                        level=float(level[row, j]),
-                        trend=float(trend[row, j]),
-                        seasonal=final_ring[:, row, j],
-                        phase=n % season_length,
-                    )
-                    best[i] = (candidate, state)
+                    best[i] = candidate
+                    levels[i] = level[row, j]
+                    trends[i] = trend[row, j]
+                    rings[i] = final_ring[:, row, j]
+    return best, evaluations, levels, trends, rings
 
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _tune_in_processes(
+    values: np.ndarray, spec: GridSpec, season_length: int, processes: int
+) -> list[tuple]:
+    """:func:`_tune_share` on ``processes`` equal contiguous shares of
+    the windows, in order: the first share here, each other one in a
+    worker process started meanwhile. Every worker is killed and reaped
+    before this returns or raises; one that exits non-zero raises
+    ``ChildProcessError`` naming its exit status."""
+    # Only a split needs these.
+    import subprocess
+    import tempfile
+
+    k = len(values)
+    bounds = [k * share // processes for share in range(processes + 1)]
+    shares = [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # The directory holding this tempcast goes first on the worker's path,
+    # so it imports the same code even when that directory was added to
+    # sys.path rather than to PYTHONPATH.
+    home = str(Path(__file__).resolve().parents[1])
+    command = [
+        sys.executable,
+        *(f"-W{option}" for option in sys.warnoptions),
+        "-c",
+        f"import sys; sys.path.insert(0, {home!r}); {_WORKER_ENTRY}",
+    ]
+    workers = []
+    try:
+        for share in shares[1:]:
+            # A pipe holds 64 KB, so writing a share into one would stall
+            # until the worker has imported numpy; a file is read at once.
+            with tempfile.TemporaryFile() as stdin:
+                pickle.dump((share, spec, season_length), stdin)
+                stdin.seek(0)
+                workers.append(
+                    subprocess.Popen(command, stdin=stdin, stdout=subprocess.PIPE)
+                )
+        results = [_tune_share(shares[0], spec, season_length)]
+        for worker in workers:
+            reply = worker.stdout.read()
+            if worker.wait():
+                raise ChildProcessError(
+                    f"tuning worker exited with status {worker.returncode}"
+                )
+            results.append(pickle.loads(reply))
+        return results
+    finally:
+        for worker in workers:
+            worker.kill()  # a no-op once it has been waited for
+            worker.stdout.close()
+            worker.wait()
+
+
+def _tune_worker() -> None:
+    """A worker process's entry: tune the share pickled on stdin and
+    pickle :func:`_tune_share`'s result to stdout. Ctrl-C is left to the
+    parent, which kills its workers."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    share, spec, season_length = pickle.load(sys.stdin.buffer)
+    pickle.dump(_tune_share(share, spec, season_length), sys.stdout.buffer)
+
+
+def grid_search_windows(
+    windows, spec: GridSpec, season_length: int = 365
+) -> tuple[FitResult, ...]:
+    """:func:`grid_search` on each of several equal-length windows,
+    sweeping them together.
+
+    Returns one result per window, in input order, each identical to
+    ``grid_search(window, spec, season_length)``. Raises
+    :class:`NonFiniteError` on a NaN or infinite value in any window, or
+    when a window's winning score or fitted state is not finite, as values
+    near the float limit may give (``hw_fit`` raises on them too);
+    :class:`LengthMismatchError` when lengths differ, ``ArgumentError``
+    when ``spec`` is not a :class:`GridSpec` or ``season_length`` is not a
+    whole number of at least 2. Large searches run in several processes,
+    as the module docstring says; a worker that fails raises
+    ``ChildProcessError``.
+    """
+    _instance(spec, GridSpec, "spec")
+    season_length = _whole(season_length, "season_length", minimum=2)
+    values = _stack_windows(windows)
+    k, n = values.shape
+    if k == 0:
+        return ()
+    if n < 2 * season_length + 1:
+        raise TooShortError(
+            f"need at least {2 * season_length + 1} observations to score one-step "
+            f"forecasts (two seasons of warm-up plus one), got {n}"
+        )
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        window, index = (int(i) for i in bad[0])
+        raise NonFiniteError(
+            f"window {window} value {index} is not finite: {values[window, index]!r}"
+        )
+
+    first_width = len(spec.alpha_grid) * len(spec.beta_grid) * len(spec.gamma_grid)
+    processes = min(_usable_cores(), k, k * first_width * n // _SHARE_TRIPLE_STEPS)
+    if processes > 1:
+        shares = _tune_in_processes(values, spec, season_length, processes)
+    else:
+        shares = [_tune_share(values, spec, season_length)]
+
+    fits = []
     # As in hw_fit, a window whose values overflow the float range raises.
-    for i, ((score, *_), state) in enumerate(best):
+    windows_in_order = (window for share in shares for window in zip(*share))
+    for i, (won, count, level, trend, ring) in enumerate(windows_in_order):
+        score, alpha, beta, gamma, _ = won
         if not math.isfinite(score):
             raise NonFiniteError(f"window {i} in-sample error is not finite")
-        _finite(state, f"window {i} fitted state")
-    return tuple(
-        FitResult(
-            params=SmoothingParams(alpha, beta, gamma, season_length=season_length),
-            in_sample_rmse=score,
-            evaluations=count,
-            state=state,
+        state = HWState(level, trend, ring, phase=n % season_length)
+        fits.append(
+            FitResult(
+                params=SmoothingParams(alpha, beta, gamma, season_length=season_length),
+                in_sample_rmse=score,
+                evaluations=count,
+                state=_finite(state, f"window {i} fitted state"),
+            )
         )
-        for ((score, alpha, beta, gamma, _), state), count in zip(best, evaluations)
-    )
+    return tuple(fits)
 
 
 def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:

@@ -73,6 +73,14 @@ class TestValueRule:
         with pytest.raises(ArgumentError, match="^values must be one-dimensional$"):
             drop_leap_days([JAN1], [[1.0]])
 
+    @pytest.mark.parametrize(
+        "values", [np.array([280 + 1j]), [np.complex128(280.0)], np.complex64(280.0)],
+        ids=["array", "list-of-numpy-complex", "scalar"],
+    )
+    def test_complex_values_raise(self, values):
+        with pytest.raises(ArgumentError, match="^values must hold real numbers"):
+            TimeSeries(JAN1, values)
+
     def test_ring_that_is_not_numbers_raises(self):
         with pytest.raises(ArgumentError, match="^seasonal must hold real numbers"):
             HWState(1.0, 0.0, ["a", "b"], 0)
@@ -115,6 +123,19 @@ class TestWronglyTypedArguments:
         records = RawRecordSet(("A",), (JAN1,), ("warm",), "celsius")
         with pytest.raises(ArgumentError, match="^tavg must hold real numbers"):
             clean_report(records)
+
+    @pytest.mark.parametrize(
+        "stations, bad", [(("A", None), "None"), ((["A"], ["A"]), r"\['A'\]"), ((1, 1), "1")],
+        ids=["mixed", "unhashable", "int"],
+    )
+    def test_record_stations_must_be_strings(self, stations, bad):
+        records = RawRecordSet(stations, (JAN1, JAN1 + dt.timedelta(1)), (1.0, 2.0), "celsius")
+        with pytest.raises(ArgumentError, match=f"^each station must be a str, got {bad}$"):
+            clean_report(records)
+
+    def test_record_columns_must_be_sequences(self):
+        with pytest.raises(ArgumentError, match="^tavg must be a sequence, got None$"):
+            RawRecordSet(("A",), (JAN1,), None, "celsius")
 
     def test_clean_report_arguments_are_typed(self):
         with pytest.raises(ArgumentError, match="^records must be a RawRecordSet"):

@@ -616,7 +616,9 @@ def _assert_finite(result, lead):
 
 _START = dt.date(2015, 1, 1)
 # one value: a number, or something that is not one
-_cells = _values | st.sampled_from(["abc", b"abc", b"1.5", None, [280.0, 281.0]])
+_cells = _values | st.sampled_from(
+    ["abc", b"abc", b"1.5", None, [280.0, 281.0], np.complex128(280.0)]
+)
 _sequences = st.one_of(
     st.lists(_cells, max_size=6),
     _cells,
@@ -696,6 +698,10 @@ class TestArbitraryInput:
             [_days(n), _days(n)[::-1], [_START] * n, ["2015-01-01"] * n, [None] * n]
         ))
         tavg = values if isinstance(values, list) else [values]
+        stations = data.draw(st.sampled_from(
+            [["A"] * n, ["A"] * (n - 1) + [None], [1] * n, [["A"]] * n, None, 7]
+        ))
+        column = data.draw(st.sampled_from([tavg, None, 7.0]))
         rows = [f"2015-01-{day + 1:02d},{cell}\n" for day, cell in enumerate(cells)]
         calls = [
             lambda: validate_series(TimeSeries(start, values)),
@@ -709,7 +715,7 @@ class TestArbitraryInput:
                 "STATION,DATE,TAVG\n" + "".join("A," + row for row in rows), unit
             )),
             lambda: clean_report(parse_cdo_csv(text, unit)),
-            lambda: clean_report(RawRecordSet(["A"] * n, dates, tavg, unit)),
+            lambda: clean_report(RawRecordSet(stations, dates, column, unit)),
         ]
         for call in calls:
             # as under python -W error
