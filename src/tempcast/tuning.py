@@ -8,20 +8,15 @@ followed by a few rounds of local re-gridding around the incumbent.
 
 Additive Holt-Winters is a linear innovations state-space model, so
 every (window, coefficient triple) pair is an independent column of one
-recursion. :func:`_one_step_errors_batch` is the only implementation of
-that recursion here: one in-place pass over ``k`` equal-length windows
-times ``W`` triples, returning each column's RMSE together with its
-final level, trend and seasonal ring. The winner's fitted state
-therefore comes out of the sweep itself; no replay is needed.
-
-The pass steps through time in blocks that stay inside one season and
-hold about ``_BLOCK_ELEMENTS`` elements per buffer, whatever the width.
-Day ``t`` reads the seasonal slot written on day ``t - L``, so a block's
-seasonal terms, ring update and error scoring are each computed for the
-whole block at once, and only the level-and-trend recursion runs day by
-day; a scored block's squared errors are added to the running sum one
-day after another, in time order. The results stay bit-for-bit those of
-folding :func:`~tempcast.models.hw_update`.
+recursion. That recursion lives in :mod:`tempcast.models`, beside
+:func:`~tempcast.models.hw_update`, as the kernel
+:func:`~tempcast.models._one_step_errors_batch`: one in-place pass over
+``k`` equal-length windows times ``W`` triples, returning each column's
+RMSE together with its final level, trend and seasonal ring, bit for bit
+those of folding ``hw_update``. ``hw_fit`` runs the same kernel on one
+column. This module keeps only the search: the grid, its refinement,
+the split across processes and the choice of winner. The winner's fitted
+state comes out of the sweep itself; no replay is needed.
 
 A window's winner is the smallest ``(score, alpha, beta, gamma)``: the
 lowest score, exact ties going to the smallest triple. That one order
@@ -53,18 +48,18 @@ No window's search depends on another's, so :func:`grid_search_windows`
 splits its windows into equal contiguous shares, one process each. It
 runs as many processes as the smallest of the usable cores, the
 windows, and the round-0 triple-steps (windows × first-round width ×
-window length) divided by ``_SHARE_TRIPLE_STEPS``: the default backtest
-splits, a one-window search never does. The calling process tunes the
-first share and a worker process each other one, all through the one
-round loop :func:`_tune_share`; the results are put back in window
-order, so the split changes no result, and with one process nothing
-else runs. Input checks and the final finiteness checks stay in the
-calling process, so errors name global window indices. Workers are
-plain subprocesses, ``sys.executable -c``, sent their share and
-returning their results as pickles over stdin and stdout, not
-:mod:`multiprocessing` ones: forking a process that holds threads
-(numpy's BLAS starts some) is deprecated from CPython 3.12 with a
-warning, an error under ``python -W error``, and the spawn and
+window length) divided by ``_SHARE_TRIPLE_STEPS``, and at least one:
+the default backtest splits, a one-window search never does. The
+calling process tunes the first share and a worker process each other
+one, all through the one round loop :func:`_tune_share`; the results
+are put back in window order, so the split changes no result, and with
+one process nothing else runs. Input checks and the final finiteness
+checks stay in the calling process, so errors name global window
+indices. Workers are plain subprocesses, ``sys.executable -c``, sent
+their share and returning their results as pickles over stdin and
+stdout, not :mod:`multiprocessing` ones: forking a process that holds
+threads (numpy's BLAS starts some) is deprecated from CPython 3.12 with
+a warning, an error under ``python -W error``, and the spawn and
 forkserver methods re-run an unguarded ``__main__`` script inside every
 worker.
 """
@@ -89,7 +84,7 @@ from .errors import (
     _real,
     _whole,
 )
-from .models import HWState, SmoothingParams, _finite, _initial_components
+from .models import HWState, SmoothingParams, _finite, _one_step_errors_batch
 from .series import _vector
 
 
@@ -153,8 +148,11 @@ class FitResult:
     """Winning coefficients with their objective value and search cost.
 
     ``state`` is the smoother after the winner has consumed the whole
-    training window, equal to ``hw_fit(train, params)``; it takes part
-    in equality, so equal results also hold equal fitted states.
+    training window: bit for bit the state of folding the window through
+    :func:`~tempcast.models.hw_update` from
+    :func:`~tempcast.models.init_state`'s, as ``hw_fit(train, params)``
+    also returns it. It takes part in equality, so equal results also
+    hold equal fitted states.
     """
 
     params: SmoothingParams
@@ -177,15 +175,6 @@ class FitResult:
 # window.
 _CHUNK_COLUMNS = 2 * 11**3
 
-# Elements in each per-day buffer of one kernel block: 24 days at the
-# default grid's width, 12 at two windows, so the two (days, k, W)
-# buffers and the block's ring rows (0.75 MB together) stay well inside
-# a 2 MB L2 whatever the width. On a 2-vCPU Xeon (48 KB L1d, 2 MB L2 per
-# core), 24 and 32 days tied at 1331 columns, while at 2662 the default
-# backtest's kernel took 1.54 s with 12-day blocks against 1.61 s with 8
-# and 1.63 s with 16; a whole 365-day season is slower still.
-_BLOCK_ELEMENTS = 24 * 11**3
-
 # Round-0 triple-steps (windows x first-round width x window length) per
 # process: grid_search_windows splits into at most that many processes.
 # On a 2-vCPU Xeon (CPython 3.11, numpy 2.4.6) a worker took 0.25 s to
@@ -200,120 +189,6 @@ _SHARE_TRIPLE_STEPS = 50_000_000
 # What a worker process runs, after the directory holding this tempcast
 # is put first on its path.
 _WORKER_ENTRY = "from tempcast.tuning import _tune_worker; _tune_worker()"
-
-
-def _one_step_errors_batch(
-    values: np.ndarray,
-    season_length: int,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    gammas: np.ndarray,
-    ring: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One-step RMSE and final state for k windows × W triples in one sweep.
-
-    ``values`` is (k, n), one equal-length window per row; ``alphas``,
-    ``betas`` and ``gammas`` are (k, W), row ``i`` holding the triples
-    scored on window ``i``. ``ring`` is the flat float64 buffer to work
-    in, of at least ``season_length * k * W`` elements.
-
-    Returns ``(rmse, level, trend, ring)``: the first three are (k, W),
-    the ring is (season_length, k, W) with ``ring[p]`` the correction for
-    phase ``p`` (a view into the buffer, overwritten by the next call
-    that reuses it). Per column this performs bit-for-bit the same
-    arithmetic as folding ``hw_update`` one observation at a time and
-    scoring each pre-update lead-1 forecast from the third season
-    onward, so the column's final state equals ``hw_fit``'s.
-
-    Time is stepped in blocks that never cross a season boundary and
-    hold at most ``_BLOCK_ELEMENTS // (k * W)`` days (at least one, at
-    most a season), so the block buffers keep one size whatever the
-    width. The ring slot read on day ``t`` was last written on day
-    ``t - L``, before the block began, so every season-old correction
-    of the block is known at its start: the ``alpha * (a - c_old)``
-    terms, the scored errors and the ring update are each a few calls
-    over the whole block, and only the level and trend recursion runs
-    day by day. The warm-up ends on a season boundary, so a block is
-    either all warm-up or all scored. Each element still sees the
-    per-step expression with its operands at most commuted, never
-    reassociated, and a scored block's squared errors are added to the
-    running sum one day after another in time order, so the results are
-    unchanged by the blocking.
-    """
-    L = season_length
-    k, n = values.shape
-    shape = alphas.shape
-    ring = ring[: L * alphas.size].reshape(L, *shape)
-    level = np.empty(shape)
-    trend = np.empty(shape)
-    for i in range(k):
-        level[i], trend[i], seasonal = _initial_components(values[i], L)
-        ring[:, i, :] = seasonal[:, None]
-
-    one_m_alpha = 1.0 - alphas
-    one_m_beta = 1.0 - betas
-    one_m_gamma = 1.0 - gammas
-
-    warmup = 2 * L
-    block = min(max(_BLOCK_ELEMENTS // alphas.size, 1), L)
-    sq_sum = np.zeros(shape)
-    scratch = np.empty(shape)
-    # Per day of the block: level + trend (later the squared error and
-    # the ring increment), and the new level.
-    level_trends = np.empty((block, *shape))
-    levels = np.empty((block, *shape))
-    lt_rows = list(level_trends)
-    day_rows = list(zip(lt_rows, levels))
-    observations = np.ascontiguousarray(values.T)[:, :, None]  # (n, k, 1)
-    start = 0
-    while start < n:
-        # A block ends at the next season boundary at the latest, so no
-        # ring slot it reads was written inside it, and it is either all
-        # warm-up or all scored: warmup is itself a season boundary.
-        stop = min(start + block, n, (start // L + 1) * L)
-        days = stop - start
-        obs = observations[start:stop]
-        c_old = ring[start % L : start % L + days]
-        lt = level_trends[:days]
-        new = levels[:days]
-        # level' = alpha * (a - c_old) + (1 - alpha) * (level + trend);
-        # the first term is known for the whole block before it starts
-        np.subtract(obs, c_old, new)
-        new *= alphas
-        prev = level
-        for lt_d, new_d in day_rows[:days]:
-            np.add(prev, trend, lt_d)
-            np.multiply(one_m_alpha, lt_d, scratch)
-            new_d += scratch
-            # trend' = beta * (level' - level) + (1 - beta) * trend.
-            # Operands appear in another order than in hw_update, which
-            # is exact: IEEE addition and multiplication are commutative.
-            np.subtract(new_d, prev, scratch)
-            scratch *= betas
-            trend *= one_m_beta
-            trend += scratch
-            prev = new_d
-        # carry the level out: the next block rewrites the block buffers
-        level[...] = prev
-        if start >= warmup:
-            # ((level + trend) + c_old - a)^2, added to the running sum
-            # one day at a time so the summation order stays that of a
-            # per-day fold. One np.add.reduce over [sq_sum; block] keeps
-            # that order only at two or more columns (one column is summed
-            # pairwise), and measured slower here at 1331 and 2662 columns.
-            lt += c_old
-            lt -= obs
-            lt *= lt
-            for row in lt_rows[:days]:
-                sq_sum += row
-        # c_new = gamma * (a - level') + (1 - gamma) * c_old
-        np.subtract(obs, new, lt)
-        lt *= gammas
-        c_old *= one_m_gamma
-        c_old += lt
-        start = stop
-    sq_sum /= n - warmup
-    return np.sqrt(sq_sum, out=sq_sum), level, trend, ring
 
 
 def _mesh(axis_a, axis_b, axis_g) -> np.ndarray:
@@ -335,7 +210,9 @@ def _best_of_batch(
 def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
     """Axes of the next refinement round around ``center``: each axis's
     cardinality of points across ±(spacing × shrink), clipped to [0, 1],
-    or the center alone for a one-point or zero-spacing axis."""
+    or the center alone for a one-point or zero-spacing axis. Clipping
+    keeps the points sorted, so equal ones are neighbours and only the
+    first of each run is kept."""
     refined = []
     for point, n_points, spacing in zip(center, cardinalities, spacings):
         half = spacing * shrink
@@ -343,7 +220,8 @@ def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
             refined.append(np.array([point]))
         else:
             points = np.linspace(point - half, point + half, n_points)
-            refined.append(np.unique(np.clip(points, 0.0, 1.0)))
+            points = np.clip(points, 0.0, 1.0)
+            refined.append(points[np.r_[True, points[1:] != points[:-1]]])
     return refined
 
 
@@ -443,13 +321,10 @@ def _tune_in_processes(
 ) -> list[tuple]:
     """:func:`_tune_share` on ``processes`` equal contiguous shares of
     the windows, in order: the first share here, each other one in a
-    worker process started meanwhile. Every worker is killed and reaped
-    before this returns or raises; one that exits non-zero raises
-    ``ChildProcessError`` naming its exit status."""
-    # Only a split needs these.
-    import subprocess
-    import tempfile
-
+    worker process started meanwhile, so with one share no worker
+    starts. Every worker is killed and reaped before this returns or
+    raises; one that exits non-zero raises ``ChildProcessError`` naming
+    its exit status."""
     k = len(values)
     bounds = [k * share // processes for share in range(processes + 1)]
     shares = [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -466,6 +341,10 @@ def _tune_in_processes(
     workers = []
     try:
         for share in shares[1:]:
+            # Only a worker needs these.
+            import subprocess
+            import tempfile
+
             # A pipe holds 64 KB, so writing a share into one would stall
             # until the worker has imported numpy; a file is read at once.
             with tempfile.TemporaryFile() as stdin:
@@ -538,10 +417,7 @@ def grid_search_windows(
 
     first_width = len(spec.alpha_grid) * len(spec.beta_grid) * len(spec.gamma_grid)
     processes = min(_usable_cores(), k, k * first_width * n // _SHARE_TRIPLE_STEPS)
-    if processes > 1:
-        shares = _tune_in_processes(values, spec, season_length, processes)
-    else:
-        shares = [_tune_share(values, spec, season_length)]
+    shares = _tune_in_processes(values, spec, season_length, max(processes, 1))
 
     fits = []
     # As in hw_fit, a window whose values overflow the float range raises.

@@ -202,10 +202,12 @@ class TestHwUpdate:
 
 
 class TestHwFit:
-    @pytest.mark.parametrize("bad, shown", [(math.inf, "inf"), (-math.inf, "-inf")])
+    @pytest.mark.parametrize(
+        "bad, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")]
+    )
     def test_non_finite_window_raises_before_initializing(self, bad, shown):
-        # Initializing on the window first would warn (inf - inf) before
-        # hw_update raised; pytest turns that warning into a failure.
+        # Initializing on the window first would warn (inf - inf); pytest
+        # turns that warning into a failure.
         params = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
         with pytest.raises(NonFiniteError, match=f"^observation is not finite: {shown}$"):
             hw_fit([280.0] * 20 + [bad, 281.0], params)
@@ -256,8 +258,17 @@ class TestHwFit:
             assert state.trend == pytest.approx(0.5, abs=1e-6)
 
     def test_too_short_propagates(self):
-        with pytest.raises(TooShortError):
+        with pytest.raises(
+            TooShortError, match="^need at least 8 observations to initialize, got 7$"
+        ):
             hw_fit(np.zeros(7), SmoothingParams(0.5, 0.5, 0.5, season_length=4))
+
+    @pytest.mark.filterwarnings("error")
+    def test_two_seasons_fit_without_a_warning(self):
+        # no day is scored, so the kernel's unused RMSE is 0 / 0
+        params = SmoothingParams(0.5, 0.5, 0.5, season_length=4)
+        state = hw_fit(np.full(8, 280.0), params)
+        assert state == HWState(280.0, 0.0, np.zeros(4), 0)
 
     @given(
         triple=param_triples,

@@ -3,6 +3,8 @@ import itertools
 import math
 import signal
 import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,20 +20,15 @@ from tempcast import (
     hw_forecast,
 )
 from tempcast.errors import LengthMismatchError, NonFiniteError, TooShortError
-from tempcast.models import HWState, hw_update, init_state
-from tempcast import tuning
-from tempcast.tuning import (
-    FitResult,
-    _one_step_errors_batch,
-    grid_search_windows,
-    one_step_rmse,
-)
+from tempcast import models, tuning
+from tempcast.models import HWState, _one_step_errors_batch, hw_update, init_state
+from tempcast.tuning import FitResult, grid_search_windows, one_step_rmse
 
 
 def fold_scored(values, params):
     """Reference objective and final state: replay with hw_update, score
     lead-1 forecasts from the third season onward, accumulating in time
-    order."""
+    order. A window of exactly two seasons scores no day: NaN."""
     L = params.season_length
     state = init_state(values, params)
     total = 0.0
@@ -42,7 +39,7 @@ def fold_scored(values, params):
             total += err * err
             scored += 1
         state = hw_update(state, obs, params)
-    return math.sqrt(total / scored), state
+    return (math.sqrt(total / scored) if scored else math.nan), state
 
 
 def fold_scored_rmse(values, params):
@@ -168,7 +165,7 @@ class TestKernelBlocks:
         values = 280.0 + cycle + 0.01 * np.arange(n) + gen.normal(0, 2, (k, n))
         alphas, betas, gammas = gen.uniform(0, 1, (3, k, width))
         alphas[0, 0], betas[-1, -1], gammas[0, -1] = 0.0, 1.0, 1.0
-        with mock.patch.object(tuning, "_BLOCK_ELEMENTS", block_days * k * width):
+        with mock.patch.object(models, "_BLOCK_ELEMENTS", block_days * k * width):
             rmse, level, trend, ring = _one_step_errors_batch(
                 values, season_length, alphas, betas, gammas,
                 np.empty(season_length * k * width),
@@ -184,6 +181,28 @@ class TestKernelBlocks:
                 assert level[i, j] == state.level
                 assert trend[i, j] == state.trend
                 assert ring[:, i, j].tobytes() == state.seasonal.tobytes()
+
+
+# edge coefficients: frozen, memoryless, and subnormal
+coefficients = st.one_of(st.sampled_from([0.0, 1.0, 1e-320]), st.floats(0.0, 1.0))
+
+
+class TestHwFit:
+    @given(
+        season_length=st.integers(min_value=2, max_value=7),
+        triple=st.tuples(coefficients, coefficients, coefficients),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_update_fold(self, season_length, triple, data, seed):
+        # from exactly two seasons, with no scored day, to five
+        n = data.draw(st.integers(2 * season_length, 5 * season_length), label="n")
+        gen = np.random.default_rng(seed)
+        values = 280.0 + gen.normal(0, 3, n)
+        params = SmoothingParams(*triple, season_length=season_length)
+        # HWState equality: level, trend, phase and ring bytes
+        assert hw_fit(values, params) == fold_scored(values, params)[1]
 
 
 class TestGridSpec:
@@ -327,8 +346,52 @@ class TestGridSearch:
         assert refined.in_sample_rmse <= base.in_sample_rmse
 
 
+# centres at and next to both ends of [0, 1], and anywhere between
+centres = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1e-3),
+    st.floats(1.0 - 1e-3, 1.0),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestRefine:
+    @given(
+        center=centres,
+        n_points=st.integers(min_value=2, max_value=25),
+        spacing=st.floats(min_value=1e-300, max_value=1.0),
+        shrink=st.floats(min_value=0.01, max_value=0.99),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_axis_is_the_unique_clipped_points(self, center, n_points, spacing, shrink):
+        (axis,) = tuning._refine([center], [n_points], [spacing], shrink)
+        half = spacing * shrink
+        points = np.linspace(center - half, center + half, n_points)
+        assert axis.tobytes() == np.unique(np.clip(points, 0.0, 1.0)).tobytes()
+
+    def test_refined_search_imports_neither_numpy_ma_nor_subprocess(self):
+        # np.unique imports numpy.ma on first use, a cost every tuning
+        # process would pay; subprocess is only needed to start a worker
+        home = str(Path(tuning.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {home!r}); import numpy as np; "
+            "from tempcast import GridSpec, grid_search; "
+            "before = set(sys.modules); "
+            "grid_search(280.0 + np.sin(np.arange(30.0)), GridSpec.coarse(), 4); "
+            "print(sorted({'numpy.ma', 'subprocess'} & (set(sys.modules) - before)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "[]\n"
+
+
 def assert_state_is_hw_fit(state, values, params):
-    assert state == hw_fit(values, params)
+    """``state`` and hw_fit's both equal the hw_update fold's: hw_fit runs
+    the tuner's kernel, so it is no oracle for the tuner's state."""
+    expected = fold_scored(values, params)[1]
+    assert state == expected
+    assert hw_fit(values, params) == expected
 
 
 class TestFittedState:
