@@ -71,7 +71,12 @@ class BacktestConfig:
                 "models must be a sequence of model names, "
                 f"not the string {self.models!r}"
             )
-        object.__setattr__(self, "models", tuple(self.models))
+        try:
+            object.__setattr__(self, "models", tuple(self.models))
+        except TypeError:
+            raise ArgumentError(
+                f"models must be a sequence of model names, got {self.models!r}"
+            ) from None
         _instance(self.grid, GridSpec, "grid")
         L = _whole(self.season_length, "season_length", minimum=2)
         object.__setattr__(self, "season_length", L)
@@ -80,7 +85,7 @@ class BacktestConfig:
         message = "leads must be a nonempty list of whole days >= 1"
         try:
             leads = tuple(_whole(m, "lead", minimum=1) for m in self.leads)
-        except ArgumentError as exc:
+        except (ArgumentError, TypeError) as exc:  # TypeError: not a sequence
             raise ArgumentError(message) from exc
         if not leads:
             raise ArgumentError(message)
@@ -127,7 +132,11 @@ def select_origins(series_length: int, config: BacktestConfig) -> np.ndarray:
 
     Uniform without replacement over the feasible range, from a
     generator seeded by ``config.seed``; deterministic for fixed inputs.
+    A ``series_length`` that is not a whole number, or a ``config`` that
+    is not a :class:`BacktestConfig`, raises ``ArgumentError``.
     """
+    series_length = _whole(series_length, "series_length", minimum=0)
+    _instance(config, BacktestConfig, "config")
     lo = config.train_length
     hi = series_length - max(config.leads)
     available = hi - lo + 1
@@ -155,8 +164,13 @@ def run_experiment(
     training window under ``config``, as :func:`run_backtest` does for
     all origins at once. When it is omitted the window is tuned here
     with :func:`~tempcast.tuning.grid_search`. It is ignored when
-    ``"proposed"`` is not among the requested models.
+    ``"proposed"`` is not among the requested models. A ``series``,
+    ``origin`` or ``config`` of the wrong type (an origin must be a whole
+    number) raises ``ArgumentError``.
     """
+    _instance(series, TimeSeries, "series")
+    _instance(config, BacktestConfig, "config")
+    origin = _whole(origin, "origin")
     max_lead = max(config.leads)
     if origin < 1 or origin + max_lead > len(series):
         raise OutOfRangeError(
@@ -190,10 +204,15 @@ def collect_report(
 ) -> BacktestReport:
     """Pool per-experiment errors into a report, insensitive to the
     order the experiments were run in. Raises :class:`EmptyInputError`
-    when there are no results to pool."""
+    when there are no results to pool, and ``ArgumentError`` on a
+    ``config`` that is not a :class:`BacktestConfig` or a result that is
+    not an :class:`ExperimentResult`."""
+    _instance(config, BacktestConfig, "config")
     if not results:
         raise EmptyInputError("no experiment results to pool")
-    ordered = sorted(results, key=lambda r: r.origin)
+    ordered = sorted(
+        results, key=lambda r: _instance(r, ExperimentResult, "each result").origin
+    )
     origins = tuple(r.origin for r in ordered)
     errors: dict[str, dict[int, np.ndarray]] = {}
     pooled: dict[str, dict[int, float]] = {}
@@ -216,8 +235,10 @@ def run_backtest(series: TimeSeries, config: BacktestConfig) -> BacktestReport:
     """Run the full protocol: validate, sample origins, tune every
     origin's window in one :func:`~tempcast.tuning.grid_search_windows`
     call, run every experiment, pool. Deterministic given
-    (series, config)."""
+    (series, config). A ``series`` or ``config`` of the wrong type raises
+    ``ArgumentError``."""
     validate_series(series)
+    _instance(config, BacktestConfig, "config")
     origins = [int(o) for o in select_origins(len(series), config)]
     fits: tuple[FitResult | None, ...] = (None,) * len(origins)
     if "proposed" in config.models:

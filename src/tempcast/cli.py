@@ -317,12 +317,9 @@ def _cmd_backtest(args) -> int:
     return 0
 
 
-def _forecast_rows(series: TimeSeries, forecasts, season_length: int):
-    """Date, actual, forecast: up to a season of observations, then the leads."""
-    context = series.values[-season_length:].tolist()
-    first = len(series) - len(context)
-    dates = iso_dates(series.start_date, first, len(series) + forecasts.size)
-    for value in context:
+def _forecast_rows(series: TimeSeries, first: int, forecasts, dates):
+    """Date, actual, forecast: the observations from ``first`` on, then the leads."""
+    for value in series.values[first:].tolist():
         yield next(dates), repr(value), ""
     for value in forecasts.tolist():
         yield next(dates), "", repr(value)
@@ -343,9 +340,10 @@ def _cmd_forecast(args) -> int:
     manifest = output.parent / (output.name + ".manifest.json")
     _refuse_overwrite(args.series, [output, manifest])
     series, input_sha256 = _read_series_csv(Path(args.series))
-    last_target = len(series) + args.horizon - 1
+    # Up to a season of observations comes before the leads.
+    first = max(len(series) - args.season, 0)
     try:
-        iso_dates(series.start_date, last_target, last_target + 1)
+        dates = iso_dates(series.start_date, first, len(series) + args.horizon)
     except CalendarOverflowError:
         raise OutOfRangeError(
             f"--horizon {args.horizon} runs past 9999-12-31, the last date "
@@ -365,7 +363,7 @@ def _cmd_forecast(args) -> int:
     _write_csv(
         output,
         ("date", "actual", "forecast"),
-        _forecast_rows(series, forecasts, params.season_length),
+        _forecast_rows(series, first, forecasts, dates),
     )
     resolved = {
         "horizon": args.horizon,

@@ -161,8 +161,11 @@ def parse_cdo_csv(
     With ``station`` given, only rows whose stripped STATION cell equals
     it are stored. Every row is still checked first, whatever its
     station, so a bad row raises the same error at the same line either
-    way; ``rows_read`` of the result counts every row read.
+    way; ``rows_read`` of the result counts every row read. A ``station``
+    that is neither None nor a ``str`` raises ``ArgumentError``.
     """
+    if station is not None:
+        _instance(station, str, "station")
     with csv_rows(text) as rows:
         try:
             header = next(rows)

@@ -223,6 +223,7 @@ def hw_update(
 _BLOCK_ELEMENTS = 24 * 11**3
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _one_step_errors_batch(
     values: np.ndarray,
     season_length: int,
@@ -246,10 +247,10 @@ def _one_step_errors_batch(
     from :func:`init_state`'s state and scoring each pre-update lead-1
     forecast from the third season onward, so the column's final level,
     trend and ring equal that fold's, whose phase is ``n % season_length``.
-    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
-    values near the float limit may overflow, as they do silently in the
-    fold, and a window of exactly two seasons scores no day, so its RMSE
-    is 0 / 0, NaN.
+    It runs under its own ``np.errstate(over="ignore", invalid="ignore")``,
+    whatever the caller's: values near the float limit may overflow, as
+    they do silently in the fold, and a window of exactly two seasons
+    scores no day, so its RMSE is 0 / 0, NaN.
 
     Time is stepped in blocks that never cross a season boundary and
     hold at most ``_BLOCK_ELEMENTS // (k * W)`` days (at least one, at
@@ -362,10 +363,9 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     init_state(values, params)
     L = params.season_length
     triple = np.reshape([params.alpha, params.beta, params.gamma], (3, 1, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, level, trend, ring = _one_step_errors_batch(
-            values[None, :], L, *triple, np.empty(L)
-        )
+    _, level, trend, ring = _one_step_errors_batch(
+        values[None, :], L, *triple, np.empty(L)
+    )
     state = HWState(level[0, 0], trend[0, 0], ring[:, 0, 0], values.size % L)
     return _finite(state, "fitted state")
 

@@ -53,6 +53,7 @@ from .errors import (
     ValidationError,
     _date,
     _instance,
+    _whole,
 )
 
 # Wide physical-plausibility bounds for surface air temperature, meant to
@@ -106,7 +107,7 @@ def _calendar_span(start: dt.date, first: int, stop: int) -> tuple[int, int]:
             0, "non-consecutive", "the 365-day calendar has no February 29"
         )
     start_365 = start.year * 365 + _MONTH_STARTS[start.month - 1] + start.day - 1
-    lo, hi = start_365 + int(first), start_365 + int(stop)
+    lo, hi = start_365 + first, start_365 + stop
     if lo < hi and (lo // 365 < dt.MINYEAR or (hi - 1) // 365 > dt.MAXYEAR):
         raise CalendarOverflowError("date value out of range")
     return lo, hi
@@ -121,7 +122,10 @@ def iso_dates(start: dt.date, first: int, stop: int) -> Iterator[str]:
     is the year followed by one of :data:`_ISO_SUFFIXES`. The range is
     checked as :func:`_calendar_span` says when this is called, before
     any string is made; an empty range yields nothing and raises nothing.
+    An offset that is not a whole number raises ``ArgumentError``.
     """
+    first = _whole(first, "first")
+    stop = _whole(stop, "stop")
     if first >= stop:
         return iter(())
     lo, hi = _calendar_span(start, first, stop)
@@ -219,7 +223,9 @@ class TimeSeries(_ByValue):
         return int(self.values.size)
 
     def date_at(self, index: int) -> dt.date:
-        """Calendar date of the observation at ``index``."""
+        """Calendar date of the observation at ``index``, a whole number;
+        anything else raises ``ArgumentError``."""
+        index = _whole(index, "index")
         if not 0 <= index < len(self):
             raise OutOfRangeError(
                 f"index {index} outside series of length {len(self)}"
@@ -242,7 +248,7 @@ def validate_series(series: TimeSeries) -> TimeSeries:
 
     Implied dates cannot have gaps (storage is start date plus offset),
     so date consecutiveness is enforced where dated observations enter
-    the package: :func:`drop_leap_days` and ``ingest.clean``. Here the
+    the package: :func:`drop_leap_days` and ``ingest.clean_report``. Here the
     value invariants are checked, reporting the first offending index;
     anything but a :class:`TimeSeries` raises ``ArgumentError``.
     """

@@ -20,7 +20,8 @@ state comes out of the sweep itself; no replay is needed.
 
 A window's winner is the smallest ``(score, alpha, beta, gamma)``: the
 lowest score, exact ties going to the smallest triple. That one order
-picks the best column of a sweep and decides between rounds.
+decides between rounds; within a sweep, whose triples :func:`_mesh`
+lists in increasing order, it picks the first column with the lowest score.
 
 :func:`grid_search_windows` tunes many windows together, round by
 round: round ``r`` runs for every window before round ``r + 1`` starts,
@@ -121,8 +122,10 @@ class GridSpec:
                 raise ArgumentError(f"{name} must be strictly increasing")
         rounds = _whole(self.refine_rounds, "refine_rounds", minimum=0)
         object.__setattr__(self, "refine_rounds", rounds)
-        if not 0.0 < self.refine_shrink < 1.0:
+        shrink = _real(self.refine_shrink, "refine_shrink")
+        if not 0.0 < shrink < 1.0:
             raise ArgumentError("refine_shrink must lie strictly in (0, 1)")
+        object.__setattr__(self, "refine_shrink", shrink)
 
     @classmethod
     def default(cls) -> "GridSpec":
@@ -192,18 +195,18 @@ _WORKER_ENTRY = "from tempcast.tuning import _tune_worker; _tune_worker()"
 
 
 def _mesh(axis_a, axis_b, axis_g) -> np.ndarray:
-    """The axes' triples as a (3, W) array, gamma fastest."""
+    """The axes' triples as a (3, W) array, gamma fastest: strictly
+    increasing axes give strictly increasing triples."""
     return np.array(np.meshgrid(axis_a, axis_b, axis_g, indexing="ij")).reshape(3, -1)
 
 
 def _best_of_batch(
     scores: np.ndarray, a: np.ndarray, b: np.ndarray, g: np.ndarray
 ) -> tuple[float, float, float, float, int]:
-    """The smallest ``(score, alpha, beta, gamma, column)`` among the
-    columns with the lowest score; NaN scores rank last."""
-    low = np.fmin.reduce(scores)
-    tied = np.flatnonzero((scores == low) | np.isnan(low))
-    j = min(tied.tolist(), key=lambda j: (a[j], b[j], g[j], j))
+    """``(score, alpha, beta, gamma, column)`` of the first column with
+    the lowest score, column 0 if all are NaN: on a :func:`_mesh` sweep,
+    the smallest such tuple among the lowest scores, NaN ranking last."""
+    j = int(np.argmax(scores == np.fmin.reduce(scores)))
     return float(scores[j]), float(a[j]), float(b[j]), float(g[j]), j
 
 
@@ -216,17 +219,18 @@ def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
     refined = []
     for point, n_points, spacing in zip(center, cardinalities, spacings):
         half = spacing * shrink
-        if n_points == 1 or half == 0.0:
-            refined.append(np.array([point]))
-        else:
-            points = np.linspace(point - half, point + half, n_points)
-            points = np.clip(points, 0.0, 1.0)
-            refined.append(points[np.r_[True, points[1:] != points[:-1]]])
+        points = np.clip(np.linspace(point - half, point + half, n_points), 0.0, 1.0)
+        refined.append(points[np.r_[True, points[1:] != points[:-1]]])
     return refined
 
 
 def _stack_windows(windows) -> np.ndarray:
-    rows = [_vector(window, "each window") for window in windows]
+    try:
+        rows = [_vector(window, "each window") for window in windows]
+    except TypeError:  # _vector raises ArgumentError, so windows is no sequence
+        raise ArgumentError(
+            f"windows must be a sequence of windows, got {windows!r}"
+        ) from None
     for row in rows:
         if row.size != rows[0].size:
             raise LengthMismatchError(
@@ -292,10 +296,9 @@ def _tune_share(values: np.ndarray, spec: GridSpec, season_length: int) -> tuple
             hi = lo + per_call
             # Finite values near the float limit may overflow to an inf
             # or NaN score, which ranks as _best_of_batch says.
-            with np.errstate(over="ignore", invalid="ignore"):
-                scores, level, trend, final_ring = _one_step_errors_batch(
-                    values[lo:hi], season_length, *block[:, lo:hi], ring
-                )
+            scores, level, trend, final_ring = _one_step_errors_batch(
+                values[lo:hi], season_length, *block[:, lo:hi], ring
+            )
             for row, (a, b, g) in enumerate(sweeps[lo:hi]):
                 i = lo + row
                 evaluations[i] += a.size
@@ -328,16 +331,6 @@ def _tune_in_processes(
     k = len(values)
     bounds = [k * share // processes for share in range(processes + 1)]
     shares = [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    # The directory holding this tempcast goes first on the worker's path,
-    # so it imports the same code even when that directory was added to
-    # sys.path rather than to PYTHONPATH.
-    home = str(Path(__file__).resolve().parents[1])
-    command = [
-        sys.executable,
-        *(f"-W{option}" for option in sys.warnoptions),
-        "-c",
-        f"import sys; sys.path.insert(0, {home!r}); {_WORKER_ENTRY}",
-    ]
     workers = []
     try:
         for share in shares[1:]:
@@ -345,6 +338,16 @@ def _tune_in_processes(
             import subprocess
             import tempfile
 
+            # The directory holding this tempcast goes first on the
+            # worker's path, so it imports the same code even when that
+            # directory was added to sys.path rather than to PYTHONPATH.
+            home = str(Path(__file__).resolve().parents[1])
+            command = [
+                sys.executable,
+                *(f"-W{option}" for option in sys.warnoptions),
+                "-c",
+                f"import sys; sys.path.insert(0, {home!r}); {_WORKER_ENTRY}",
+            ]
             # A pipe holds 64 KB, so writing a share into one would stall
             # until the worker has imported numpy; a file is read at once.
             with tempfile.TemporaryFile() as stdin:
@@ -461,5 +464,6 @@ def one_step_rmse(train, params: SmoothingParams) -> float:
     Raises :class:`NonFiniteError` on a NaN or infinite value, or on a
     score or fitted state that overflows.
     """
+    _instance(params, SmoothingParams, "params")
     grid = GridSpec((params.alpha,), (params.beta,), (params.gamma,))
     return grid_search(train, grid, params.season_length).in_sample_rmse

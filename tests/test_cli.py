@@ -20,6 +20,7 @@ from tempcast import (
     parse_cdo_csv,
     read_csv,
 )
+from tempcast import cli
 from tempcast.cli import main
 from tempcast.series import iso_dates
 
@@ -339,6 +340,21 @@ class TestForecastCommand:
             assert code == 2
             assert "runs past 9999-12-31" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    def test_dates_are_built_once(self, clean_series_file, tmp_path, monkeypatch):
+        # the rows' own date range is what checks the horizon
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return iso_dates(*args)
+
+        monkeypatch.setattr(cli, "iso_dates", spy)
+        code = main(["forecast", "--series", str(clean_series_file), "--horizon", "7",
+                     "--alpha", "0.3", "--beta", "0.1", "--gamma", "0.2",
+                     "--output", str(tmp_path / "f.csv")])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_series_date_not_yyyy_mm_dd_is_data_error_naming_line(self, tmp_path, capsys):
         series = tmp_path / "series.csv"

@@ -32,11 +32,24 @@ from tempcast.errors import (
     InvalidLeadError,
     NonFiniteError,
 )
-from tempcast.series import drop_leap_days, rmse
+from tempcast.backtest import (
+    BacktestConfig,
+    collect_report,
+    run_backtest,
+    run_experiment,
+    select_origins,
+)
+from tempcast.series import drop_leap_days, iso_dates, rmse
+from tempcast.tuning import grid_search_windows, one_step_rmse
 
 pytestmark = pytest.mark.filterwarnings("error")
 
 JAN1 = dt.date(2015, 1, 1)
+_SERIES = TimeSeries(JAN1, 280.0 + np.sin(np.arange(60) * 2 * np.pi / 7))
+_CONFIG = BacktestConfig(
+    train_length=30, leads=(1,), n_experiments=2, season_length=7,
+    grid=GridSpec((0.5,), (0.5,), (0.5,)),
+)
 
 
 class TestValueRule:
@@ -154,6 +167,80 @@ class TestWronglyTypedArguments:
     def test_state_level_and_trend_are_stored_as_float(self):
         state = HWState(np.float64(280.0), 1, [0.0, 0.0], 0)
         assert type(state.level) is float and type(state.trend) is float
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: run_backtest(_SERIES, "cfg"), "config must be a BacktestConfig, got 'cfg'"),
+            (
+                lambda: collect_report(_CONFIG, [1, 2]),
+                "each result must be a ExperimentResult, got 1",
+            ),
+            (
+                lambda: select_origins(40.5, _CONFIG),
+                "series_length must be a whole number, got 40.5",
+            ),
+            (
+                lambda: select_origins("40", _CONFIG),
+                "series_length must be a whole number, got '40'",
+            ),
+            (
+                lambda: run_experiment(_SERIES, 20.5, _CONFIG),
+                "origin must be a whole number, got 20.5",
+            ),
+            (
+                lambda: run_experiment(_SERIES, True, _CONFIG),
+                "origin must be a whole number, got True",
+            ),
+            (lambda: BacktestConfig(leads=5), "leads must be a nonempty list"),
+            (lambda: BacktestConfig(leads=None), "leads must be a nonempty list"),
+            (
+                lambda: BacktestConfig(models=5),
+                "models must be a sequence of model names, got 5",
+            ),
+        ],
+        ids=[
+            "run_backtest-config", "collect_report-results", "select_origins-float",
+            "select_origins-str", "run_experiment-float", "run_experiment-bool",
+            "leads-int", "leads-none", "models-int",
+        ],
+    )
+    def test_backtest_arguments_are_typed(self, call, message):
+        with pytest.raises(ArgumentError, match=f"^{message}"):
+            call()
+
+    @pytest.mark.parametrize(
+        "index, shown", [(1.5, "1.5"), (True, "True"), ("2", "'2'")],
+        ids=["float", "bool", "str"],
+    )
+    def test_date_at_index_must_be_whole(self, index, shown):
+        series = TimeSeries(JAN1, [280.0, 281.0, 282.0])
+        with pytest.raises(ArgumentError, match=f"^index must be a whole number, got {shown}$"):
+            series.date_at(index)
+
+    @pytest.mark.parametrize("first, stop", [(1.5, 3), (0, 2.5)], ids=["first", "stop"])
+    def test_iso_dates_offsets_must_be_whole(self, first, stop):
+        # both once floored to whole offsets
+        with pytest.raises(ArgumentError, match="must be a whole number"):
+            iso_dates(JAN1, first, stop)
+
+    @pytest.mark.parametrize("shrink", ["x", None], ids=["str", "none"])
+    def test_refine_shrink_must_be_real(self, shrink):
+        with pytest.raises(ArgumentError, match="^refine_shrink must be a real number"):
+            GridSpec((0.5,), (0.5,), (0.5,), refine_shrink=shrink)
+
+    def test_one_step_rmse_params_must_be_smoothing_params(self):
+        with pytest.raises(ArgumentError, match="^params must be a SmoothingParams, got 'p'$"):
+            one_step_rmse(np.full(30, 280.0), "p")
+
+    def test_windows_must_be_a_sequence(self):
+        with pytest.raises(ArgumentError, match="^windows must be a sequence of windows, got 5$"):
+            grid_search_windows(5, GridSpec.coarse())
+
+    def test_station_must_be_a_str(self):
+        # once compared with every STATION cell, so no row was kept
+        with pytest.raises(ArgumentError, match="^station must be a str, got 5$"):
+            parse_cdo_csv("STATION,DATE,TAVG\n5,2015-01-01,1.0\n", "celsius", station=5)
 
 
 _STATE = HWState(280.0, 1.0, [0.0] * 7, 0)

@@ -31,6 +31,7 @@ from tempcast.errors import (
     TempcastError,
     TooShortError,
 )
+from tempcast.backtest import MODEL_NAMES, BacktestConfig, run_backtest
 from tempcast.models import hw_update, init_state
 from tempcast.series import drop_leap_days, rmse, validate_series
 from tempcast.tuning import FitResult, one_step_rmse
@@ -661,6 +662,36 @@ def _finite_result(result) -> bool:
     return bool(np.isfinite(result).all())
 
 
+# a protocol of small valid fields, one of them at most replaced by a value
+# of the wrong type or out of range
+_field_junk = st.sampled_from([None, "7", 2.5, True, -1, 0, [1], (), {"a": 1}, 10**30])
+_config_fields = st.builds(
+    lambda valid, junk: {**valid, **junk},
+    st.fixed_dictionaries({
+        "season_length": st.integers(2, 8),
+        "train_length": st.integers(4, 40),
+        "leads": st.sets(st.integers(1, 5), min_size=1, max_size=3).map(sorted),
+        "n_experiments": st.integers(1, 4),
+        "seed": st.integers(0, 3),
+        "models": st.sets(st.sampled_from(MODEL_NAMES), min_size=1).map(sorted),
+        "grid": st.just(GridSpec((0.2, 0.6), (0.0, 0.5), (0.1,), refine_rounds=1)),
+    }),
+    st.dictionaries(
+        st.sampled_from(
+            ["season_length", "train_length", "leads", "n_experiments", "seed",
+             "models", "grid"]
+        ),
+        _field_junk,
+        max_size=1,
+    ),
+)
+_backtest_series = st.just(
+    TimeSeries(_START, 280.0 + 5 * np.sin(np.arange(60) * 2 * np.pi / 7))
+) | st.sampled_from(
+    [TimeSeries(_START, [280.0] * 5), TimeSeries(_START, [math.nan] * 60), [280.0] * 60, None]
+)
+
+
 class TestArbitraryInput:
     """Whatever the window and lead, each model entry point returns finite
     values or raises a TempcastError: never a bare Python error, a
@@ -737,3 +768,29 @@ class TestArbitraryInput:
                 except TempcastError:
                     continue
             assert _finite_result(result)
+
+    @given(
+        series=_backtest_series,
+        fields=_config_fields,
+        config=st.sampled_from([None, "cfg", 5, GridSpec.coarse()]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_backtest_returns_finite_report_or_raises_tempcast_error(
+        self, series, fields, config
+    ):
+        calls = [
+            lambda: run_backtest(series, BacktestConfig(**fields)),
+            lambda: run_backtest(series, config),
+        ]
+        for call in calls:
+            # as under python -W error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    report = call()
+                except TempcastError:
+                    continue
+            for model in report.config.models:
+                for lead in report.config.leads:
+                    assert math.isfinite(report.rmse[model][lead])
+                    assert np.isfinite(report.errors[model][lead]).all()

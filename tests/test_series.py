@@ -3,6 +3,8 @@ import csv
 import datetime as dt
 import io
 import math
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,6 +40,14 @@ from tempcast.series import (
 )
 
 JAN1 = dt.date(2015, 1, 1)
+
+
+def test_declared_numpy_floor_has_numpy_exceptions():
+    # series imports ComplexWarning from numpy.exceptions, which is new in
+    # numpy 1.25, so no older numpy can import tempcast
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (floor,) = re.findall(r'"numpy>=([\d.]+)"', pyproject.read_text(encoding="utf-8"))
+    assert tuple(map(int, floor.split("."))) >= (1, 25)
 
 
 def daily_dates(start, n):

@@ -183,6 +183,17 @@ class TestKernelBlocks:
                 assert ring[:, i, j].tobytes() == state.seasonal.tobytes()
 
 
+    def test_sets_its_own_float_policy(self):
+        # these values overflow, and their squared errors are inf - inf;
+        # the caller's policy would raise on both
+        values = np.array([[1e308, -1e308] * 10])
+        with np.errstate(over="raise", invalid="raise"):
+            rmse, _, _, _ = _one_step_errors_batch(
+                values, 2, *np.full((3, 1, 1), 0.5), np.empty(2)
+            )
+        assert np.isnan(rmse).all()
+
+
 # edge coefficients: frozen, memoryless, and subnormal
 coefficients = st.one_of(st.sampled_from([0.0, 1.0, 1e-320]), st.floats(0.0, 1.0))
 
@@ -358,16 +369,23 @@ centres = st.one_of(
 class TestRefine:
     @given(
         center=centres,
-        n_points=st.integers(min_value=2, max_value=25),
-        spacing=st.floats(min_value=1e-300, max_value=1.0),
+        # a one-point axis always has spacing 0; any axis may reach it
+        n_points_spacing=st.tuples(st.just(1), st.just(0.0))
+        | st.tuples(
+            st.integers(min_value=2, max_value=25),
+            st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0),
+        ),
         shrink=st.floats(min_value=0.01, max_value=0.99),
     )
     @settings(max_examples=200, deadline=None)
-    def test_axis_is_the_unique_clipped_points(self, center, n_points, spacing, shrink):
+    def test_axis_is_the_unique_clipped_points(self, center, n_points_spacing, shrink):
+        n_points, spacing = n_points_spacing
         (axis,) = tuning._refine([center], [n_points], [spacing], shrink)
         half = spacing * shrink
         points = np.linspace(center - half, center + half, n_points)
         assert axis.tobytes() == np.unique(np.clip(points, 0.0, 1.0)).tobytes()
+        if spacing == 0.0:
+            assert axis.tobytes() == np.array([center]).tobytes()
 
     def test_refined_search_imports_neither_numpy_ma_nor_subprocess(self):
         # np.unique imports numpy.ma on first use, a cost every tuning
@@ -384,6 +402,35 @@ class TestRefine:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert done.stdout == "[]\n"
+
+
+def smallest_tied_triple(scores, a, b, g):
+    """The winner rule _best_of_batch once spelt out: the smallest
+    ``(score, alpha, beta, gamma, column)`` among the columns with the
+    lowest score, NaN scores ranking last."""
+    low = np.fmin.reduce(scores)
+    tied = np.flatnonzero((scores == low) | np.isnan(low))
+    j = min(tied.tolist(), key=lambda j: (a[j], b[j], g[j], j))
+    return float(scores[j]), float(a[j]), float(b[j]), float(g[j]), j
+
+
+class TestBestOfBatch:
+    @given(
+        axes=st.tuples(thousandths_axis, thousandths_axis, thousandths_axis),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_first_lowest_column_is_the_smallest_tied_triple(self, axes, data):
+        a, b, g = tuning._mesh(*axes)
+        # few distinct scores, so ties, NaN and infinities are common
+        scores = np.array(data.draw(st.lists(
+            st.sampled_from([0.5, 1.0, math.nan, math.inf, -math.inf]),
+            min_size=a.size, max_size=a.size,
+        )))
+        got = tuning._best_of_batch(scores, a, b, g)
+        expected = smallest_tied_triple(scores, a, b, g)
+        assert got[-1] == expected[-1]
+        assert np.array(got[:-1]).tobytes() == np.array(expected[:-1]).tobytes()
 
 
 def assert_state_is_hw_fit(state, values, params):
@@ -599,6 +646,12 @@ class TestGridSearchWindows:
         spec = GridSpec((0.0, 0.5, 1.0), (0.0, 0.5), (0.5,), refine_rounds=1)
         from_series = grid_search_windows([make_series(v) for v in values], spec, 4)
         assert from_series == grid_search_windows(values, spec, 4)
+
+    def test_one_process_builds_no_worker_command(self, monkeypatch):
+        # resolving the package path is the first step of a worker command
+        monkeypatch.setattr(tuning, "Path", mock.Mock(side_effect=AssertionError))
+        result = grid_search(280.0 + np.sin(np.arange(30.0)), GridSpec.coarse(), 4)
+        assert result.evaluations > 0
 
     def test_no_windows_gives_no_results(self):
         assert grid_search_windows([], GridSpec.coarse(), season_length=4) == ()
