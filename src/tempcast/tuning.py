@@ -213,9 +213,9 @@ def _best_of_batch(
 def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
     """Axes of the next refinement round around ``center``: each axis's
     cardinality of points across ±(spacing × shrink), clipped to [0, 1],
-    or the center alone for a one-point or zero-spacing axis. Clipping
-    keeps the points sorted, so equal ones are neighbours and only the
-    first of each run is kept."""
+    or the center alone for a zero-spacing axis, as every one-point axis
+    is. Clipping keeps the points sorted, so equal ones are neighbours
+    and only the first of each run is kept."""
     refined = []
     for point, n_points, spacing in zip(center, cardinalities, spacings):
         half = spacing * shrink
@@ -227,7 +227,7 @@ def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
 def _stack_windows(windows) -> np.ndarray:
     try:
         rows = [_vector(window, "each window") for window in windows]
-    except TypeError:  # _vector raises ArgumentError, so windows is no sequence
+    except TypeError:  # from iterating windows: _vector raises ArgumentError
         raise ArgumentError(
             f"windows must be a sequence of windows, got {windows!r}"
         ) from None
@@ -395,10 +395,10 @@ def grid_search_windows(
     when a window's winning score or fitted state is not finite, as values
     near the float limit may give (``hw_fit`` raises on them too);
     :class:`LengthMismatchError` when lengths differ, ``ArgumentError``
-    when ``spec`` is not a :class:`GridSpec` or ``season_length`` is not a
-    whole number of at least 2. Large searches run in several processes,
-    as the module docstring says; a worker that fails raises
-    ``ChildProcessError``.
+    when ``windows`` is not a sequence, ``spec`` is not a :class:`GridSpec`
+    or ``season_length`` is not a whole number of at least 2. Large
+    searches run in several processes, as the module docstring says; a
+    worker that fails raises ``ChildProcessError``.
     """
     _instance(spec, GridSpec, "spec")
     season_length = _whole(season_length, "season_length", minimum=2)

@@ -182,7 +182,6 @@ class TestKernelBlocks:
                 assert trend[i, j] == state.trend
                 assert ring[:, i, j].tobytes() == state.seasonal.tobytes()
 
-
     def test_sets_its_own_float_policy(self):
         # these values overflow, and their squared errors are inf - inf;
         # the caller's policy would raise on both
@@ -369,7 +368,7 @@ centres = st.one_of(
 class TestRefine:
     @given(
         center=centres,
-        # a one-point axis always has spacing 0; any axis may reach it
+        # a one-point axis always has spacing 0, and a wider one may shrink to it
         n_points_spacing=st.tuples(st.just(1), st.just(0.0))
         | st.tuples(
             st.integers(min_value=2, max_value=25),
