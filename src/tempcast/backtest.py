@@ -17,6 +17,7 @@ same result.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,11 +166,13 @@ def run_experiment(
     all origins at once. When it is omitted the window is tuned here
     with :func:`~tempcast.tuning.grid_search`. It is ignored when
     ``"proposed"`` is not among the requested models. A ``series``,
-    ``origin`` or ``config`` of the wrong type (an origin must be a whole
-    number) raises ``ArgumentError``.
+    ``origin``, ``config`` or ``fit`` of the wrong type (an origin must be
+    a whole number) raises ``ArgumentError``.
     """
     _instance(series, TimeSeries, "series")
     _instance(config, BacktestConfig, "config")
+    if fit is not None:
+        _instance(fit, FitResult, "fit")
     origin = _whole(origin, "origin")
     max_lead = max(config.leads)
     if origin < 1 or origin + max_lead > len(series):
@@ -205,10 +208,11 @@ def collect_report(
     """Pool per-experiment errors into a report, insensitive to the
     order the experiments were run in. Raises :class:`EmptyInputError`
     when there are no results to pool, and ``ArgumentError`` on a
-    ``config`` that is not a :class:`BacktestConfig` or a result that is
-    not an :class:`ExperimentResult`."""
+    ``config`` that is not a :class:`BacktestConfig`, ``results`` that
+    are not a sequence of :class:`ExperimentResult`, or a result that
+    lacks one of the config's (model, lead) pairs."""
     _instance(config, BacktestConfig, "config")
-    if not results:
+    if not _instance(results, Sequence, "results"):
         raise EmptyInputError("no experiment results to pool")
     ordered = sorted(
         results, key=lambda r: _instance(r, ExperimentResult, "each result").origin
@@ -220,7 +224,12 @@ def collect_report(
         errors[model] = {}
         pooled[model] = {}
         for lead in config.leads:
-            cell = np.array([r.errors[model][lead] for r in ordered])
+            try:
+                cell = np.array([r.errors[model][lead] for r in ordered])
+            except KeyError:
+                raise ArgumentError(
+                    f"every result must hold an error for {model} at lead {lead}"
+                ) from None
             cell.flags.writeable = False
             errors[model][lead] = cell
             # the RMS of the errors, exactly: cell - 0.0 is cell bit for bit

@@ -16,12 +16,14 @@ seasonal shape repeats verbatim beyond one season while the trend keeps
 extrapolating.
 
 The recursion has one production implementation,
-:func:`_one_step_errors_batch`: a kernel that steps k windows × W
+:func:`_one_step_errors_batch`: a kernel that steps one window's W
 coefficient triples through time together and scores their one-step
-errors. :func:`hw_fit` runs it on one column, and
-:mod:`tempcast.tuning` on whole grids of them. :func:`hw_update` is the
-same recursion one observation at a time, kept as the readable
-reference that the kernel's results equal bit for bit.
+errors, in a small C loop (``_kernel.c``) that :func:`_kernel` compiles
+on first use, so running it needs a C compiler once per host.
+:func:`hw_fit` runs it on one column, and :mod:`tempcast.tuning` on
+whole grids of them. :func:`hw_update` is the same recursion one
+observation at a time, kept as the readable reference that the kernel's
+results equal bit for bit.
 
 The baselines repeat the last observed value (persistence) or the mean
 of the whole training window (average), independent of the lead; both
@@ -36,8 +38,11 @@ that is not finite (NaN, infinite, or past the float range) raises
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -213,17 +218,71 @@ def hw_update(
     return HWState(level, trend, ring, (state.phase + 1) % L)
 
 
-# Elements in each per-day buffer of one kernel block: 24 days at the
-# default grid's width, 12 at two windows, so the two (days, k, W)
-# buffers and the block's ring rows (0.75 MB together) stay well inside
-# a 2 MB L2 whatever the width. On a 2-vCPU Xeon (48 KB L1d, 2 MB L2 per
-# core), 24 and 32 days tied at 1331 columns, while at 2662 the default
-# backtest's kernel took 1.54 s with 12-day blocks against 1.61 s with 8
-# and 1.63 s with 16; a whole 365-day season is slower still.
-_BLOCK_ELEMENTS = 24 * 11**3
+# The kernel's C source and compile flags: no FMA contraction, no
+# -ffast-math and no -march, so each step is hw_update's arithmetic on
+# any host.
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@functools.cache
+def _kernel():
+    """``_kernel.c``'s ``one_step_errors`` as a ctypes function.
+
+    The shared library is built on the first call in a process that
+    finds none, with ``sysconfig``'s ``CC`` (else ``cc``) and
+    ``_KERNEL_FLAGS``, into ``$XDG_CACHE_HOME/tempcast/`` (by default
+    ``~/.cache/tempcast/``), under a SHA-256 of the source and the
+    command: it is written to a temporary file there and renamed into
+    place, so processes building at once never load a partial file. Later
+    calls and processes only load it. A missing compiler, a failed
+    compile or an unwritable cache raises ``OSError`` naming the command
+    and the compiler's stderr.
+    """
+    import ctypes
+    import hashlib
+    import shlex
+    import sysconfig
+
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_KERNEL_FLAGS]
+    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
+    digest.update(shlex.join(command).encode())
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    library = cache / "tempcast" / f"kernel-{digest.hexdigest()}.so"
+    if not library.exists():
+        _build(command, library)
+    kernel = ctypes.CDLL(str(library)).one_step_errors
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    kernel.argtypes = [array, ctypes.c_long, ctypes.c_long, ctypes.c_long, *[array] * 7]
+    kernel.restype = None
+    return kernel
+
+
+def _build(command: list[str], library: Path) -> None:
+    """Compile ``_KERNEL_SOURCE`` with ``command`` into ``library``."""
+    import shlex
+    import subprocess
+    import tempfile
+
+    shown = shlex.join([*command, "-o", str(library), str(_KERNEL_SOURCE)])
+    try:
+        library.parent.mkdir(parents=True, exist_ok=True)
+        handle, partial = tempfile.mkstemp(suffix=".so", dir=library.parent)
+        os.close(handle)
+        try:
+            done = subprocess.run(
+                [*command, "-o", partial, str(_KERNEL_SOURCE)],
+                capture_output=True, text=True,
+            )
+            if done.returncode:
+                raise OSError(f"exit status {done.returncode}: {done.stderr.strip()}")
+            os.replace(partial, library)
+        finally:
+            Path(partial).unlink(missing_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot build the smoother kernel with `{shown}`: {exc}") from None
+
+
 def _one_step_errors_batch(
     values: np.ndarray,
     season_length: int,
@@ -232,114 +291,42 @@ def _one_step_errors_batch(
     gammas: np.ndarray,
     ring: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One-step RMSE and final state for k windows × W triples in one sweep.
+    """One-step RMSE and final state for W coefficient triples in one sweep.
 
-    ``values`` is (k, n), one equal-length window per row; ``alphas``,
-    ``betas`` and ``gammas`` are (k, W), row ``i`` holding the triples
-    scored on window ``i``. ``ring`` is the flat float64 buffer to work
-    in, of at least ``season_length * k * W`` elements.
+    ``values`` is one window, ``alphas``, ``betas`` and ``gammas`` the W
+    triples' coefficients, and ``ring`` the flat float64 buffer to work
+    in, of at least ``season_length * W`` elements. The recursion runs in
+    the C loop of :func:`_kernel`, days outer and columns inner.
 
-    Returns ``(rmse, level, trend, ring)``: the first three are (k, W),
-    the ring is (season_length, k, W) with ``ring[p]`` the correction for
-    phase ``p`` (a view into the buffer, overwritten by the next call
+    Returns ``(rmse, level, trend, ring)``: the first three have shape
+    (W,), the ring is (season_length, W) with ``ring[p]`` the correction
+    for phase ``p`` (a view into the buffer, overwritten by the next call
     that reuses it). Per column this performs bit-for-bit the same
     arithmetic as folding :func:`hw_update` one observation at a time
     from :func:`init_state`'s state and scoring each pre-update lead-1
-    forecast from the third season onward, so the column's final level,
-    trend and ring equal that fold's, whose phase is ``n % season_length``.
-    It runs under its own ``np.errstate(over="ignore", invalid="ignore")``,
-    whatever the caller's: values near the float limit may overflow, as
-    they do silently in the fold, and a window of exactly two seasons
-    scores no day, so its RMSE is 0 / 0, NaN.
-
-    Time is stepped in blocks that never cross a season boundary and
-    hold at most ``_BLOCK_ELEMENTS // (k * W)`` days (at least one, at
-    most a season), so the block buffers keep one size whatever the
-    width. The ring slot read on day ``t`` was last written on day
-    ``t - L``, before the block began, so every season-old correction
-    of the block is known at its start: the ``alpha * (a - c_old)``
-    terms, the scored errors and the ring update are each a few calls
-    over the whole block, and only the level and trend recursion runs
-    day by day. The warm-up ends on a season boundary, so a block is
-    either all warm-up or all scored. Each element still sees the
-    per-step expression with its operands at most commuted, never
-    reassociated, and a scored block's squared errors are added to the
-    running sum one day after another in time order, so the results are
-    unchanged by the blocking.
+    forecast from the third season onward, its squared errors summed in
+    time order, so the column's final level, trend and ring equal that
+    fold's, whose phase is ``n % season_length``. Values near the float
+    limit may overflow, as they do silently in the fold, and a window of
+    exactly two seasons scores no day, so its RMSE is 0 / 0, NaN; neither
+    warns, whatever the caller's ``np.errstate``.
     """
     L = season_length
-    k, n = values.shape
-    shape = alphas.shape
-    ring = ring[: L * alphas.size].reshape(L, *shape)
-    level = np.empty(shape)
-    trend = np.empty(shape)
-    for i in range(k):
-        level[i], trend[i], seasonal = _initial_components(values[i], L)
-        ring[:, i, :] = seasonal[:, None]
-
-    one_m_alpha = 1.0 - alphas
-    one_m_beta = 1.0 - betas
-    one_m_gamma = 1.0 - gammas
-
-    warmup = 2 * L
-    block = min(max(_BLOCK_ELEMENTS // alphas.size, 1), L)
-    sq_sum = np.zeros(shape)
-    scratch = np.empty(shape)
-    # Per day of the block: level + trend (later the squared error and
-    # the ring increment), and the new level.
-    level_trends = np.empty((block, *shape))
-    levels = np.empty((block, *shape))
-    lt_rows = list(level_trends)
-    day_rows = list(zip(lt_rows, levels))
-    observations = np.ascontiguousarray(values.T)[:, :, None]  # (n, k, 1)
-    start = 0
-    while start < n:
-        # A block ends at the next season boundary at the latest, so no
-        # ring slot it reads was written inside it, and it is either all
-        # warm-up or all scored: warmup is itself a season boundary.
-        stop = min(start + block, n, (start // L + 1) * L)
-        days = stop - start
-        obs = observations[start:stop]
-        c_old = ring[start % L : start % L + days]
-        lt = level_trends[:days]
-        new = levels[:days]
-        # level' = alpha * (a - c_old) + (1 - alpha) * (level + trend);
-        # the first term is known for the whole block before it starts
-        np.subtract(obs, c_old, new)
-        new *= alphas
-        prev = level
-        for lt_d, new_d in day_rows[:days]:
-            np.add(prev, trend, lt_d)
-            np.multiply(one_m_alpha, lt_d, scratch)
-            new_d += scratch
-            # trend' = beta * (level' - level) + (1 - beta) * trend.
-            # Operands appear in another order than in hw_update, which
-            # is exact: IEEE addition and multiplication are commutative.
-            np.subtract(new_d, prev, scratch)
-            scratch *= betas
-            trend *= one_m_beta
-            trend += scratch
-            prev = new_d
-        # carry the level out: the next block rewrites the block buffers
-        level[...] = prev
-        if start >= warmup:
-            # ((level + trend) + c_old - a)^2, added to the running sum
-            # one day at a time so the summation order stays that of a
-            # per-day fold. One np.add.reduce over [sq_sum; block] keeps
-            # that order only at two or more columns (one column is summed
-            # pairwise), and measured slower here at 1331 and 2662 columns.
-            lt += c_old
-            lt -= obs
-            lt *= lt
-            for row in lt_rows[:days]:
-                sq_sum += row
-        # c_new = gamma * (a - level') + (1 - gamma) * c_old
-        np.subtract(obs, new, lt)
-        lt *= gammas
-        c_old *= one_m_gamma
-        c_old += lt
-        start = stop
-    sq_sum /= n - warmup
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = values.size
+    # contiguous float64 rows of one length, or a ValueError, as the C
+    # loop reads them unchecked
+    coefficients = np.array([alphas, betas, gammas], dtype=np.float64)
+    width = coefficients[0].size
+    level, trend, seasonal = _initial_components(values, L)
+    level = np.full(width, level)
+    trend = np.full(width, trend)
+    ring = ring[: L * width].reshape(L, width)
+    ring[...] = seasonal[:, None]
+    sq_sum = np.zeros(width)
+    _kernel()(values, n, L, width, *coefficients, level, trend, ring, sq_sum)
+    with np.errstate(invalid="ignore"):
+        sq_sum /= n - 2 * L
     return np.sqrt(sq_sum, out=sq_sum), level, trend, ring
 
 
@@ -362,11 +349,9 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
         raise NonFiniteError(f"observation is not finite: {float(non_finite[0])!r}")
     init_state(values, params)
     L = params.season_length
-    triple = np.reshape([params.alpha, params.beta, params.gamma], (3, 1, 1))
-    _, level, trend, ring = _one_step_errors_batch(
-        values[None, :], L, *triple, np.empty(L)
-    )
-    state = HWState(level[0, 0], trend[0, 0], ring[:, 0, 0], values.size % L)
+    triple = np.reshape([params.alpha, params.beta, params.gamma], (3, 1))
+    _, level, trend, ring = _one_step_errors_batch(values, L, *triple, np.empty(L))
+    state = HWState(level[0], trend[0], ring[:, 0], values.size % L)
     return _finite(state, "fitted state")
 
 

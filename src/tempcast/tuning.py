@@ -7,60 +7,47 @@ the actuals. Coefficients are picked by exhaustive grid evaluation
 followed by a few rounds of local re-gridding around the incumbent.
 
 Additive Holt-Winters is a linear innovations state-space model, so
-every (window, coefficient triple) pair is an independent column of one
-recursion. That recursion lives in :mod:`tempcast.models`, beside
+every coefficient triple is an independent column of one recursion.
+That recursion lives in :mod:`tempcast.models`, beside
 :func:`~tempcast.models.hw_update`, as the kernel
-:func:`~tempcast.models._one_step_errors_batch`: one in-place pass over
-``k`` equal-length windows times ``W`` triples, returning each column's
-RMSE together with its final level, trend and seasonal ring, bit for bit
-those of folding ``hw_update``. ``hw_fit`` runs the same kernel on one
-column. This module keeps only the search: the grid, its refinement,
-the split across processes and the choice of winner. The winner's fitted
-state comes out of the sweep itself; no replay is needed.
+:func:`~tempcast.models._one_step_errors_batch`: one pass over a window
+for ``W`` triples, returning each column's RMSE together with its final
+level, trend and seasonal ring, bit for bit those of folding
+``hw_update``. ``hw_fit`` runs the same kernel on one column. This
+module keeps only the search: the grid, its refinement, the split
+across processes and the choice of winner. Each round of a window's
+search is one kernel call over its sweep, and the winner's fitted state
+comes out of that call itself; no replay is needed.
 
 A window's winner is the smallest ``(score, alpha, beta, gamma)``: the
 lowest score, exact ties going to the smallest triple. That one order
 decides between rounds; within a sweep, whose triples :func:`_mesh`
 lists in increasing order, it picks the first column with the lowest score.
-
-:func:`grid_search_windows` tunes many windows together, round by
-round: round ``r`` runs for every window before round ``r + 1`` starts,
-because each window's refined grid is centred on its incumbent. The
-refined spacing does not depend on the incumbent, so one schedule
-serves every window. Each round is one ``(3, windows, width)`` block of
-triples, every window's sweep padded to the round's widest by repeating
-its last triple, and each kernel call takes the next ``budget // width``
-windows in order. The budget is the larger of the first-round width (the
-product of the axis cardinalities) and ``_CHUNK_COLUMNS``, two
-default-grid sweeps: the default protocol runs two windows per kernel
-call in the first round and six in each refinement round, and
-``GridSpec.fine``, wider than ``_CHUNK_COLUMNS``, one. When a round's
-widths differ (an incumbent on a grid edge clips its refined axes),
-every window pays for the widest sweep; that is never wider than the
-first round, so the seasonal ring, allocated once and reused by every
-kernel call, never exceeds season length × the budget floats, and a
-one-window search allocates one sweep's. Padding is sliced off before a
-winner is picked and before ``evaluations`` is counted, and no column's
-arithmetic depends on its neighbours, so the blocking changes no result.
-:func:`grid_search` is the one-window call of the same code, and
-:func:`one_step_rmse` the one-triple :func:`grid_search`.
+A refined sweep keeps the axes' cardinalities and clipping only drops
+points, so none is wider than the first, and one seasonal ring of
+season length × first-round width floats serves every kernel call of a
+process. :func:`grid_search` is the one-window call of
+:func:`grid_search_windows`, and :func:`one_step_rmse` the one-triple
+:func:`grid_search`.
 
 No window's search depends on another's, so :func:`grid_search_windows`
 splits its windows into equal contiguous shares, one process each. It
 runs as many processes as the smallest of the usable cores, the
 windows, and the round-0 triple-steps (windows × first-round width ×
 window length) divided by ``_SHARE_TRIPLE_STEPS``, and at least one:
-the default backtest splits, a one-window search never does. The
-calling process tunes the first share and a worker process each other
-one, all through the one round loop :func:`_tune_share`; the results
-are put back in window order, so the split changes no result, and with
-one process nothing else runs. Input checks and the final finiteness
-checks stay in the calling process, so errors name global window
-indices. Workers are plain subprocesses, ``sys.executable -c``, sent
-their share and returning their results as pickles over stdin and
-stdout, not :mod:`multiprocessing` ones: forking a process that holds
-threads (numpy's BLAS starts some) is deprecated from CPython 3.12 with
-a warning, an error under ``python -W error``, and the spawn and
+a backtest on the fine grid splits, the default backtest and a
+one-window search do not. The calling process tunes the first share and
+a worker process each other one, all through :func:`_tune_share`; the
+results are put back in window order, so the split changes no result,
+and with one process nothing else runs. Input checks and the final
+finiteness checks stay in the calling process, so errors name global
+window indices; it also loads the kernel, building it if need be,
+before any worker starts, so a worker only loads it. Workers are plain
+subprocesses, ``sys.executable -c``, sent their share and returning
+their results as pickles over stdin and stdout, not
+:mod:`multiprocessing` ones: forking a process that holds threads
+(numpy's BLAS starts some) is deprecated from CPython 3.12 with a
+warning, an error under ``python -W error``, and the spawn and
 forkserver methods re-run an unguarded ``__main__`` script inside every
 worker.
 """
@@ -85,7 +72,7 @@ from .errors import (
     _real,
     _whole,
 )
-from .models import HWState, SmoothingParams, _finite, _one_step_errors_batch
+from .models import HWState, SmoothingParams, _finite, _kernel, _one_step_errors_batch
 from .series import _vector
 
 
@@ -96,6 +83,7 @@ class GridSpec:
     After the full grid is scored, each refinement round lays a grid of
     the same per-axis cardinality across ±(axis spacing × refine_shrink)
     around the incumbent, clipped to [0, 1]; duplicate points collapse.
+    Axis values are stored as floats, ``-0.0`` as ``0.0``.
     """
 
     alpha_grid: tuple[float, ...]
@@ -108,7 +96,8 @@ class GridSpec:
         for name in ("alpha_grid", "beta_grid", "gamma_grid"):
             given = getattr(self, name)
             try:
-                axis = tuple(_real(v, f"each {name} value") for v in given)
+                # + 0.0 stores -0.0 as 0.0, so no winner reports a signed zero
+                axis = tuple(_real(v, f"each {name} value") + 0.0 for v in given)
             except TypeError:
                 raise ArgumentError(
                     f"{name} must be a sequence of real numbers, got {given!r}"
@@ -170,24 +159,17 @@ class FitResult:
             raise ArgumentError("at least one evaluation is required")
 
 
-# Columns of one chunk of grid_search_windows, unless the first round is
-# wider: two sweeps of the default 11 x 11 x 11 grid. Each ufunc call of
-# the kernel's per-day loop pays a fixed dispatch cost, so two windows
-# per call halve that cost per column. The seasonal ring grows with the
-# chunk: 365 x 2662 floats (7.8 MB), and another 3.9 MB for each further
-# window.
-_CHUNK_COLUMNS = 2 * 11**3
-
 # Round-0 triple-steps (windows x first-round width x window length) per
 # process: grid_search_windows splits into at most that many processes.
-# On a 2-vCPU Xeon (CPython 3.11, numpy 2.4.6) a worker took 0.25 s to
-# start and import numpy and tempcast, and the kernel 13.4 ns per
-# triple-step, so two processes break even at about 37M triple-steps
-# (half the work equals one start-up). The constant sits above that,
-# for hosts that start processes more slowly. The default backtest's
-# 121M round-0 triple-steps split in two; a one-window search or a
-# small backtest runs in one process.
-_SHARE_TRIPLE_STEPS = 50_000_000
+# On a 2-vCPU Xeon (CPython 3.11, numpy 2.4.6) a worker took 0.24-0.29 s
+# to start, import numpy and tempcast and load the kernel, and the kernel
+# 1.8-2.6 ns per triple-step at the default grid's width, so a share
+# pays for its start-up from about 125M triple-steps: 78M round-0 ones,
+# as the default grid's refinement rounds add 60% to round 0. The
+# constant sits above that, for hosts that start processes more slowly.
+# The default backtest's 121M round-0 triple-steps run in one process,
+# which measured faster there than two; the fine grid's 845M split.
+_SHARE_TRIPLE_STEPS = 100_000_000
 
 # What a worker process runs, after the directory holding this tempcast
 # is put first on its path.
@@ -240,7 +222,7 @@ def _stack_windows(windows) -> np.ndarray:
 
 
 def _tune_share(values: np.ndarray, spec: GridSpec, season_length: int) -> tuple:
-    """The round loop over a ``(k, n)`` block of windows.
+    """The search of each row of a ``(k, n)`` block of windows.
 
     Returns ``(best, evaluations, levels, trends, rings)``: per window,
     its winning ``(score, alpha, beta, gamma, column)`` and evaluation
@@ -248,26 +230,19 @@ def _tune_share(values: np.ndarray, spec: GridSpec, season_length: int) -> tuple
     as arrays of shape (k,), (k,) and (k, season_length). Only plain
     values and arrays, so a worker process can pickle them.
     """
-    k, n = values.shape
+    k = len(values)
     axes = [
         np.asarray(spec.alpha_grid, dtype=np.float64),
         np.asarray(spec.beta_grid, dtype=np.float64),
         np.asarray(spec.gamma_grid, dtype=np.float64),
     ]
     cardinalities = [axis.size for axis in axes]
-    first_width = math.prod(cardinalities)
-    budget = max(first_width, _CHUNK_COLUMNS)
-    # No call is wider than k first-round sweeps, so one window touches
-    # one sweep's ring.
-    ring = np.empty(season_length * min(budget, k * first_width))
-
-    # The spacings shrink by the same rule for every window, whatever its
-    # incumbent: one schedule serves them all.
-    spacings = [
+    first_sweep = _mesh(*axes)
+    ring = np.empty(season_length * first_sweep.shape[1])
+    first_spacings = [
         float(axis[-1] - axis[0]) / (axis.size - 1) if axis.size > 1 else 0.0
         for axis in axes
     ]
-    sweeps = [_mesh(*axes)] * k
     evaluations = [0] * k
     # Per window: the best (score, alpha, beta, gamma, column) so far, and
     # the level, trend and ring its column ended in.
@@ -276,39 +251,30 @@ def _tune_share(values: np.ndarray, spec: GridSpec, season_length: int) -> tuple
     trends = np.empty(k)
     rings = np.empty((k, season_length))
 
-    for round_index in range(spec.refine_rounds + 1):
-        if round_index:
-            sweeps = [
-                _mesh(*_refine(won[1:4], cardinalities, spacings, spec.refine_shrink))
-                for won in best
-            ]
-            spacings = [
-                2.0 * (spacing * spec.refine_shrink) / (size - 1) if size > 1 else 0.0
-                for spacing, size in zip(spacings, cardinalities)
-            ]
-        # each sweep padded to the round's widest by repeating its last triple
-        width = max(sweep.shape[1] for sweep in sweeps)
-        block = np.stack(
-            [np.pad(s, ((0, 0), (0, width - s.shape[1])), "edge") for s in sweeps], axis=1
-        )
-        per_call = budget // width
-        for lo in range(0, k, per_call):
-            hi = lo + per_call
+    for i, window in enumerate(values):
+        sweep, spacings = first_sweep, first_spacings
+        for round_index in range(spec.refine_rounds + 1):
+            if round_index:
+                sweep = _mesh(
+                    *_refine(best[i][1:4], cardinalities, spacings, spec.refine_shrink)
+                )
+                spacings = [
+                    2.0 * (spacing * spec.refine_shrink) / (size - 1) if size > 1 else 0.0
+                    for spacing, size in zip(spacings, cardinalities)
+                ]
             # Finite values near the float limit may overflow to an inf
             # or NaN score, which ranks as _best_of_batch says.
             scores, level, trend, final_ring = _one_step_errors_batch(
-                values[lo:hi], season_length, *block[:, lo:hi], ring
+                window, season_length, *sweep, ring
             )
-            for row, (a, b, g) in enumerate(sweeps[lo:hi]):
-                i = lo + row
-                evaluations[i] += a.size
-                candidate = _best_of_batch(scores[row, : a.size], a, b, g)
-                if best[i] is None or candidate < best[i]:
-                    j = candidate[-1]
-                    best[i] = candidate
-                    levels[i] = level[row, j]
-                    trends[i] = trend[row, j]
-                    rings[i] = final_ring[:, row, j]
+            evaluations[i] += sweep.shape[1]
+            candidate = _best_of_batch(scores, *sweep)
+            if best[i] is None or candidate < best[i]:
+                j = candidate[-1]
+                best[i] = candidate
+                levels[i] = level[j]
+                trends[i] = trend[j]
+                rings[i] = final_ring[:, j]
     return best, evaluations, levels, trends, rings
 
 
@@ -398,7 +364,8 @@ def grid_search_windows(
     when ``windows`` is not a sequence, ``spec`` is not a :class:`GridSpec`
     or ``season_length`` is not a whole number of at least 2. Large
     searches run in several processes, as the module docstring says; a
-    worker that fails raises ``ChildProcessError``.
+    worker that fails raises ``ChildProcessError``, and a kernel that
+    cannot be built raises ``OSError``.
     """
     _instance(spec, GridSpec, "spec")
     season_length = _whole(season_length, "season_length", minimum=2)
@@ -420,6 +387,7 @@ def grid_search_windows(
 
     first_width = len(spec.alpha_grid) * len(spec.beta_grid) * len(spec.gamma_grid)
     processes = min(_usable_cores(), k, k * first_width * n // _SHARE_TRIPLE_STEPS)
+    _kernel()  # built, if need be, before any worker starts
     shares = _tune_in_processes(values, spec, season_length, max(processes, 1))
 
     fits = []

@@ -46,3 +46,12 @@ def trend_seasonal():
         return values, truth
 
     return build
+
+
+@pytest.fixture(autouse=True, scope="session")
+def kernel_cache(tmp_path_factory):
+    """Build the smoother kernel into a directory of this session, not the
+    user's cache; every process the tests start inherits the setting."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield

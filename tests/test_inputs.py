@@ -7,6 +7,7 @@ Every value sequence entering the library goes through one rule,
 its values and a scalar one value.
 """
 
+import dataclasses
 import datetime as dt
 import math
 
@@ -177,6 +178,14 @@ class TestWronglyTypedArguments:
                 "each result must be a ExperimentResult, got 1",
             ),
             (
+                lambda: collect_report(BacktestConfig(), 5),
+                "results must be a Sequence, got 5",
+            ),
+            (
+                lambda: run_experiment(_SERIES, 40, _CONFIG, fit="x"),
+                "fit must be a FitResult, got 'x'",
+            ),
+            (
                 lambda: select_origins(40.5, _CONFIG),
                 "series_length must be a whole number, got 40.5",
             ),
@@ -200,7 +209,8 @@ class TestWronglyTypedArguments:
             ),
         ],
         ids=[
-            "run_backtest-config", "collect_report-results", "select_origins-float",
+            "run_backtest-config", "collect_report-results",
+            "collect_report-results-int", "run_experiment-fit", "select_origins-float",
             "select_origins-str", "run_experiment-float", "run_experiment-bool",
             "leads-int", "leads-none", "models-int",
         ],
@@ -208,6 +218,13 @@ class TestWronglyTypedArguments:
     def test_backtest_arguments_are_typed(self, call, message):
         with pytest.raises(ArgumentError, match=f"^{message}"):
             call()
+
+    def test_collect_report_needs_every_model_and_lead(self):
+        result = run_experiment(_SERIES, 40, _CONFIG)  # lead 1 only
+        with pytest.raises(
+            ArgumentError, match="^every result must hold an error for proposed at lead 2$"
+        ):
+            collect_report(dataclasses.replace(_CONFIG, leads=(1, 2)), [result])
 
     @pytest.mark.parametrize(
         "index, shown", [(1.5, "1.5"), (True, "True"), ("2", "'2'")],

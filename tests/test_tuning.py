@@ -1,5 +1,3 @@
-import dataclasses
-import itertools
 import math
 import signal
 import subprocess
@@ -9,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempcast import (
@@ -20,8 +18,8 @@ from tempcast import (
     hw_forecast,
 )
 from tempcast.errors import LengthMismatchError, NonFiniteError, TooShortError
-from tempcast import models, tuning
-from tempcast.models import HWState, _one_step_errors_batch, hw_update, init_state
+from tempcast import tuning
+from tempcast.models import HWState, _kernel, _one_step_errors_batch, hw_update, init_state
 from tempcast.tuning import FitResult, grid_search_windows, one_step_rmse
 
 
@@ -141,54 +139,46 @@ class TestOneStepRmse:
 
 
 class TestKernelBlocks:
-    """Blocks shorter than a season: ``_BLOCK_ELEMENTS`` is patched so the
-    drawn widths get blocks of one day, of odd lengths and of many days,
-    each season is split into several blocks and the last one is cut
-    short by the end of the window."""
+    """The kernel against hw_update folds, column by column: several
+    widths, and windows from exactly two seasons (no day scored, so a NaN
+    RMSE) to beyond the last season boundary."""
 
     @given(
         season_length=st.sampled_from([67, 130, 365]),
-        block_days=st.sampled_from([1, 2, 7, 13, 32]),
-        extra=st.integers(min_value=1, max_value=150),
-        k=st.integers(min_value=1, max_value=3),
-        width=st.integers(min_value=1, max_value=3),
+        extra=st.integers(min_value=0, max_value=150),
+        width=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=9999),
     )
     @settings(max_examples=25, deadline=None)
-    def test_bit_identical_to_update_folds(
-        self, season_length, block_days, extra, k, width, seed
-    ):
+    def test_bit_identical_to_update_folds(self, season_length, extra, width, seed):
         n = 2 * season_length + extra
-        assume(n % season_length)
         gen = np.random.default_rng(seed)
         cycle = 6 * np.sin(np.arange(n) * 2 * np.pi / season_length)
-        values = 280.0 + cycle + 0.01 * np.arange(n) + gen.normal(0, 2, (k, n))
-        alphas, betas, gammas = gen.uniform(0, 1, (3, k, width))
-        alphas[0, 0], betas[-1, -1], gammas[0, -1] = 0.0, 1.0, 1.0
-        with mock.patch.object(models, "_BLOCK_ELEMENTS", block_days * k * width):
-            rmse, level, trend, ring = _one_step_errors_batch(
-                values, season_length, alphas, betas, gammas,
-                np.empty(season_length * k * width),
+        values = 280.0 + cycle + 0.01 * np.arange(n) + gen.normal(0, 2, n)
+        alphas, betas, gammas = gen.uniform(0, 1, (3, width))
+        alphas[0], betas[-1], gammas[-1] = 0.0, 1.0, 1.0
+        rmse, level, trend, ring = _one_step_errors_batch(
+            values, season_length, alphas, betas, gammas,
+            np.empty(season_length * width),
+        )
+        for j in range(width):
+            params = SmoothingParams(
+                alphas[j], betas[j], gammas[j], season_length=season_length
             )
-        for i in range(k):
-            for j in range(width):
-                params = SmoothingParams(
-                    alphas[i, j], betas[i, j], gammas[i, j],
-                    season_length=season_length,
-                )
-                expected_rmse, state = fold_scored(values[i], params)
-                assert rmse[i, j] == expected_rmse
-                assert level[i, j] == state.level
-                assert trend[i, j] == state.trend
-                assert ring[:, i, j].tobytes() == state.seasonal.tobytes()
+            expected_rmse, state = fold_scored(values, params)
+            assert np.array_equal(rmse[j], expected_rmse, equal_nan=True)
+            assert math.isnan(rmse[j]) == (extra == 0)
+            assert level[j] == state.level
+            assert trend[j] == state.trend
+            assert ring[:, j].tobytes() == state.seasonal.tobytes()
 
     def test_sets_its_own_float_policy(self):
         # these values overflow, and their squared errors are inf - inf;
         # the caller's policy would raise on both
-        values = np.array([[1e308, -1e308] * 10])
+        values = np.array([1e308, -1e308] * 10)
         with np.errstate(over="raise", invalid="raise"):
             rmse, _, _, _ = _one_step_errors_batch(
-                values, 2, *np.full((3, 1, 1), 0.5), np.empty(2)
+                values, 2, *np.full((3, 1), 0.5), np.empty(2)
             )
         assert np.isnan(rmse).all()
 
@@ -233,6 +223,14 @@ class TestGridSpec:
             GridSpec((0.5,), (0.5,), (0.5,), refine_rounds=-1)
         with pytest.raises(ValueError):
             GridSpec((0.5,), (0.5,), (0.5,), refine_shrink=1.0)
+
+    def test_negative_zero_is_stored_as_zero(self):
+        spec = GridSpec((-0.0, 0.5), (-0.0,), (-0.0,), refine_rounds=1)
+        axes = (*spec.alpha_grid, *spec.beta_grid, *spec.gamma_grid)
+        assert [math.copysign(1.0, v) for v in axes] == [1.0] * 4
+        # a refined one-point axis keeps the stored zero
+        fit = grid_search(280.0 + np.sin(np.arange(30.0)), spec, season_length=4)
+        assert math.copysign(1.0, fit.params.beta) == 1.0
 
 
 # one to three distinct points in [0, 1], spaced unevenly
@@ -388,14 +386,17 @@ class TestRefine:
 
     def test_refined_search_imports_neither_numpy_ma_nor_subprocess(self):
         # np.unique imports numpy.ma on first use, a cost every tuning
-        # process would pay; subprocess is only needed to start a worker
+        # process would pay; subprocess and tempfile are only needed to
+        # start a worker or to build the kernel, which is built here first
+        _kernel()
         home = str(Path(tuning.__file__).resolve().parents[1])
         code = (
             f"import sys; sys.path.insert(0, {home!r}); import numpy as np; "
             "from tempcast import GridSpec, grid_search; "
             "before = set(sys.modules); "
             "grid_search(280.0 + np.sin(np.arange(30.0)), GridSpec.coarse(), 4); "
-            "print(sorted({'numpy.ma', 'subprocess'} & (set(sys.modules) - before)))"
+            "print(sorted({'numpy.ma', 'subprocess', 'tempfile'} "
+            "& (set(sys.modules) - before)))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -493,38 +494,11 @@ class TestGridSearchWindows:
             assert fit.evaluations == alone.evaluations
             assert_state_is_hw_fit(fit.state, window, fit.params)
 
-    @given(
-        season_length=st.sampled_from([2, 3, 5]),
-        n_windows=st.integers(min_value=2, max_value=5),
-        extra=st.integers(min_value=1, max_value=12),
-        axes=st.tuples(boundary_axis, boundary_axis, boundary_axis),
-        refine_rounds=st.integers(min_value=0, max_value=2),
-        seed=st.integers(min_value=0, max_value=9999),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_windows_per_chunk_do_not_change_results(
-        self, season_length, n_windows, extra, axes, refine_rounds, seed
-    ):
-        gen = np.random.default_rng(seed)
-        n = 2 * season_length + extra
-        cycle = 5 * np.sin(np.arange(n) * 2 * np.pi / season_length)
-        windows = 280.0 + cycle + gen.normal(0, gen.uniform(0, 4), (n_windows, n))
-        spec = GridSpec(*axes, refine_rounds=refine_rounds)
-        # one first-round sweep per chunk, then every window of a round in one
-        with mock.patch.object(tuning, "_CHUNK_COLUMNS", 1):
-            narrow = grid_search_windows(windows, spec, season_length)
-        with mock.patch.object(tuning, "_CHUNK_COLUMNS", 10**6):
-            wide = grid_search_windows(windows, spec, season_length)
-        assert narrow == wide
-        for one, many in zip(narrow, wide):
-            assert one.state.level == many.state.level
-            assert one.state.trend == many.state.trend
-            assert one.state.seasonal.tobytes() == many.state.seasonal.tobytes()
-
     @pytest.fixture
     def workers(self, monkeypatch):
         """Split every search into three processes, whatever its size and
         the host's cores, and collect the worker processes started."""
+        _kernel()  # built before Popen is spied on, so no compiler is counted
         started = []
         popen = subprocess.Popen
 
@@ -583,62 +557,6 @@ class TestGridSearchWindows:
         self.assert_reaped(workers)
         # killed while still starting up, not left to finish
         assert [worker.returncode for worker in workers] == [-signal.SIGKILL] * 2
-
-    @pytest.mark.parametrize(
-        "preset, round_zero",
-        [(GridSpec.default, [(2, 1331), (1, 1331)]), (GridSpec.fine, [(1, 9261)] * 3)],
-        ids=["default", "fine"],
-    )
-    def test_round_zero_chunk_widths(self, rng, preset, round_zero):
-        calls = []
-
-        def spy(values, season_length, alphas, *rest, **kwargs):
-            calls.append(alphas.shape)
-            return _one_step_errors_batch(values, season_length, alphas, *rest, **kwargs)
-
-        spec = dataclasses.replace(preset(), refine_rounds=0)
-        values = 280.0 + rng.normal(0, 2, (3, 9))
-        with mock.patch.object(tuning, "_one_step_errors_batch", spy):
-            grid_search_windows(values, spec, season_length=4)
-        assert calls == round_zero
-
-    def test_refinement_round_is_one_padded_block(self, rng):
-        """Windows 0 and 1 refine to one point and the others to 27, so
-        the refinement round is one block 27 wide and each call takes the
-        next 60 // 27 windows: the narrow windows get no narrower call."""
-        windows = 280.0 + rng.normal(0, 2, (5, 12))
-        axis = (0.1, 0.5, 0.9)
-        spec = GridSpec(axis, axis, axis, refine_rounds=1)
-        real_refine = tuning._refine
-        refined = itertools.count()
-        widths = []
-
-        def cut_first_two(*args):
-            axes = real_refine(*args)
-            if next(refined) < 2:
-                axes = [points[:1] for points in axes]
-            widths.append(math.prod(points.size for points in axes))
-            return axes
-
-        calls = []
-
-        def spy(values, season_length, alphas, *rest):
-            calls.append((values.copy(), alphas.copy()))
-            return _one_step_errors_batch(values, season_length, alphas, *rest)
-
-        with mock.patch.object(tuning, "_CHUNK_COLUMNS", 60), mock.patch.object(
-            tuning, "_refine", cut_first_two
-        ), mock.patch.object(tuning, "_one_step_errors_batch", spy):
-            fits = grid_search_windows(windows, spec, season_length=4)
-        assert widths == [1, 1, 27, 27, 27]
-        # both rounds: calls of 60 // 27 windows, in order, 27 columns each
-        assert [alphas.shape for _, alphas in calls] == [(2, 27), (2, 27), (1, 27)] * 2
-        for lo, (values, _) in zip(range(0, 5, 2), calls[3:]):
-            assert np.array_equal(values, windows[lo : lo + 2])
-        # a one-point sweep is padded by repeating it
-        narrow = calls[3][1][:2]
-        assert (narrow == narrow[:, :1]).all()
-        assert [fit.evaluations for fit in fits] == [27 + w for w in widths]
 
     def test_accepts_time_series_windows(self, make_series, rng):
         values = 280.0 + rng.normal(0, 2, (2, 20))
