@@ -29,6 +29,7 @@ from .errors import (
     OutOfRangeError,
     _instance,
     _one_of,
+    _real,
     _whole,
 )
 from .models import average_forecast, hw_forecast, persistence_forecast
@@ -209,14 +210,16 @@ def collect_report(
     order the experiments were run in. Raises :class:`EmptyInputError`
     when there are no results to pool, and ``ArgumentError`` on a
     ``config`` that is not a :class:`BacktestConfig`, ``results`` that
-    are not a sequence of :class:`ExperimentResult`, or a result that
-    lacks one of the config's (model, lead) pairs."""
+    are not a sequence of :class:`ExperimentResult`, a result whose
+    origin is not a whole number, or one whose errors are not a
+    model → lead → real number mapping holding each of the config's
+    (model, lead) pairs."""
     _instance(config, BacktestConfig, "config")
     if not _instance(results, Sequence, "results"):
         raise EmptyInputError("no experiment results to pool")
-    ordered = sorted(
-        results, key=lambda r: _instance(r, ExperimentResult, "each result").origin
-    )
+    ordered = sorted(results, key=lambda r: _whole(
+        _instance(r, ExperimentResult, "each result").origin, "each result's origin"
+    ))
     origins = tuple(r.origin for r in ordered)
     errors: dict[str, dict[int, np.ndarray]] = {}
     pooled: dict[str, dict[int, float]] = {}
@@ -225,8 +228,10 @@ def collect_report(
         pooled[model] = {}
         for lead in config.leads:
             try:
-                cell = np.array([r.errors[model][lead] for r in ordered])
-            except KeyError:
+                cell = np.array(
+                    [_real(r.errors[model][lead], "each error") for r in ordered]
+                )
+            except (LookupError, TypeError):  # not a model -> lead mapping
                 raise ArgumentError(
                     f"every result must hold an error for {model} at lead {lead}"
                 ) from None

@@ -34,7 +34,9 @@ from tempcast.errors import (
     NonFiniteError,
 )
 from tempcast.backtest import (
+    MODEL_NAMES,
     BacktestConfig,
+    ExperimentResult,
     collect_report,
     run_backtest,
     run_experiment,
@@ -51,6 +53,12 @@ _CONFIG = BacktestConfig(
     train_length=30, leads=(1,), n_experiments=2, season_length=7,
     grid=GridSpec((0.5,), (0.5,), (0.5,)),
 )
+# a result holding every error _CONFIG pools, and a copy at another origin
+_RESULT = ExperimentResult(origin=40, errors={model: {1: 0.5} for model in MODEL_NAMES})
+
+
+def _at(origin):
+    return dataclasses.replace(_RESULT, origin=origin)
 
 
 class TestValueRule:
@@ -207,12 +215,34 @@ class TestWronglyTypedArguments:
                 lambda: BacktestConfig(models=5),
                 "models must be a sequence of model names, got 5",
             ),
+            # each of the four below once escaped as a TypeError
+            (
+                lambda: collect_report(_CONFIG, [ExperimentResult(origin=1, errors=5)]),
+                "every result must hold an error for proposed at lead 1$",
+            ),
+            (
+                lambda: collect_report(
+                    dataclasses.replace(_CONFIG, models=("persistence",)),
+                    [ExperimentResult(origin=1, errors={"persistence": 5})],
+                ),
+                "every result must hold an error for persistence at lead 1$",
+            ),
+            (
+                lambda: collect_report(_CONFIG, [_RESULT, _at("a")]),
+                "each result's origin must be a whole number, got 'a'$",
+            ),
+            (
+                lambda: collect_report(_CONFIG, [_RESULT, _at(None)]),
+                "each result's origin must be a whole number, got None$",
+            ),
         ],
         ids=[
             "run_backtest-config", "collect_report-results",
             "collect_report-results-int", "run_experiment-fit", "select_origins-float",
             "select_origins-str", "run_experiment-float", "run_experiment-bool",
-            "leads-int", "leads-none", "models-int",
+            "leads-int", "leads-none", "models-int", "collect_report-errors-int",
+            "collect_report-lead-errors-int", "collect_report-origin-str",
+            "collect_report-origin-none",
         ],
     )
     def test_backtest_arguments_are_typed(self, call, message):

@@ -31,7 +31,14 @@ from tempcast.errors import (
     TempcastError,
     TooShortError,
 )
-from tempcast.backtest import MODEL_NAMES, BacktestConfig, run_backtest
+from tempcast.backtest import (
+    MODEL_NAMES,
+    BacktestConfig,
+    ExperimentResult,
+    collect_report,
+    run_backtest,
+    run_experiment,
+)
 from tempcast.models import hw_update, init_state
 from tempcast.series import drop_leap_days, rmse, validate_series
 from tempcast.tuning import FitResult, one_step_rmse
@@ -691,6 +698,47 @@ _backtest_series = st.just(
     [TimeSeries(_START, [280.0] * 5), TimeSeries(_START, [math.nan] * 60), [280.0] * 60, None]
 )
 
+# an origin, or something that is not one
+_origins = st.integers(-2, 70) | st.sampled_from(
+    [None, "40", 40.0, True, np.int64(40), 10**30]
+)
+# every error a config from _config_fields can pool
+_full_errors = st.fixed_dictionaries({
+    model: st.fixed_dictionaries({lead: st.floats(-10.0, 10.0) for lead in range(1, 6)})
+    for model in MODEL_NAMES
+})
+# a fit whose ring length and season length may disagree with each other
+# and with the config's, or something that is not a fit
+_fits = st.sampled_from([None, "fit"]) | st.builds(
+    lambda season, ring: FitResult(
+        SmoothingParams(0.1, 0.1, 0.1, season), 0.5, 1,
+        HWState(280.0, 0.0, np.zeros(ring), 0),
+    ),
+    st.integers(2, 8),
+    st.integers(2, 8),
+)
+# results with small valid fields, and at most one whose origin, errors
+# (the mapping, a model's mapping or an error) or fit may be junk
+_results = st.builds(
+    lambda valid, junk: valid + junk,
+    st.lists(
+        st.builds(ExperimentResult, origin=st.integers(0, 70), errors=_full_errors),
+        max_size=3,
+    ),
+    st.lists(
+        st.builds(
+            ExperimentResult,
+            origin=_origins,
+            errors=_full_errors | _cells | st.dictionaries(
+                st.sampled_from(MODEL_NAMES),
+                _cells | st.dictionaries(st.integers(0, 5), _cells, max_size=3),
+                max_size=3,
+            ),
+            fit=_fits,
+        ),
+        max_size=1,
+    ),
+)
 
 class TestArbitraryInput:
     """Whatever the window and lead, each model entry point returns finite
@@ -794,3 +842,24 @@ class TestArbitraryInput:
                 for lead in report.config.leads:
                     assert math.isfinite(report.rmse[model][lead])
                     assert np.isfinite(report.errors[model][lead]).all()
+
+    @given(
+        series=_backtest_series, fields=_config_fields, results=_results,
+        origin=_origins, fit=_fits,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_experiment_and_report_work_or_raise_tempcast_error(
+        self, series, fields, results, origin, fit
+    ):
+        calls = [
+            lambda: collect_report(BacktestConfig(**fields), results),
+            lambda: run_experiment(series, origin, BacktestConfig(**fields), fit),
+        ]
+        for call in calls:
+            # as under python -W error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    call()
+                except TempcastError:
+                    continue

@@ -1,9 +1,7 @@
 import math
-import signal
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -385,9 +383,9 @@ class TestRefine:
             assert axis.tobytes() == np.array([center]).tobytes()
 
     def test_refined_search_imports_neither_numpy_ma_nor_subprocess(self):
-        # np.unique imports numpy.ma on first use, a cost every tuning
-        # process would pay; subprocess and tempfile are only needed to
-        # start a worker or to build the kernel, which is built here first
+        # np.unique imports numpy.ma on first use, a cost every search
+        # would pay; subprocess and tempfile are only needed to build the
+        # kernel, which is built here first
         _kernel()
         home = str(Path(tuning.__file__).resolve().parents[1])
         code = (
@@ -494,81 +492,17 @@ class TestGridSearchWindows:
             assert fit.evaluations == alone.evaluations
             assert_state_is_hw_fit(fit.state, window, fit.params)
 
-    @pytest.fixture
-    def workers(self, monkeypatch):
-        """Split every search into three processes, whatever its size and
-        the host's cores, and collect the worker processes started."""
-        _kernel()  # built before Popen is spied on, so no compiler is counted
-        started = []
-        popen = subprocess.Popen
-
-        def spy(*args, **kwargs):
-            started.append(popen(*args, **kwargs))
-            return started[-1]
-
-        monkeypatch.setattr(subprocess, "Popen", spy)
-        monkeypatch.setattr(tuning, "_SHARE_TRIPLE_STEPS", 1)
-        monkeypatch.setattr(tuning, "_usable_cores", lambda: 3)
-        return started
-
-    @staticmethod
-    def assert_reaped(workers):
-        assert len(workers) == 2
-        for worker in workers:
-            assert worker.returncode is not None  # set once waited for
-            assert worker.stdout.closed
-
-    def test_split_across_processes_does_not_change_results(self, rng, workers):
-        season_length, n = 7, 30
-        cycle = 5 * np.sin(np.arange(n) * 2 * np.pi / season_length)
-        windows = 280.0 + cycle + rng.normal(0, 2, (5, n))
-        spec = GridSpec((0.0, 0.3, 1.0), (0.0, 0.5), (0.1, 0.2, 0.9), refine_rounds=2)
-        with mock.patch.object(tuning, "_usable_cores", lambda: 1):
-            alone = grid_search_windows(windows, spec, season_length)
-        assert workers == []
-        split = grid_search_windows(windows, spec, season_length)
-        self.assert_reaped(workers)
-        assert [worker.returncode for worker in workers] == [0, 0]
-        assert split == alone
-        for one, other in zip(split, alone):
-            assert one.state.seasonal.tobytes() == other.state.seasonal.tobytes()
-
-    def test_overflow_in_last_share_names_its_window(self, rng, workers):
+    def test_overflow_in_last_share_names_its_window(self, rng):
         windows = [280.0 + rng.normal(0, 2, 20) for _ in range(3)]
         windows.append(np.array([1e308, -1e308] * 10))
-        # shares: window 0, window 1, windows 2 and 3
         with pytest.raises(NonFiniteError, match="window 3 in-sample error"):
             grid_search_windows(windows, GridSpec.coarse(), season_length=2)
-        self.assert_reaped(workers)
-
-    def test_failing_worker_raises_and_is_reaped(self, rng, workers, monkeypatch):
-        monkeypatch.setattr(tuning, "_WORKER_ENTRY", "raise SystemExit(1)")
-        with pytest.raises(ChildProcessError, match="exited with status 1"):
-            grid_search_windows(280.0 + rng.normal(0, 2, (3, 20)), GridSpec.coarse(), 2)
-        self.assert_reaped(workers)
-
-    def test_interrupted_parent_kills_its_workers(self, rng, workers, monkeypatch):
-        def interrupted(*args):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(tuning, "_tune_share", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            grid_search_windows(280.0 + rng.normal(0, 2, (3, 20)), GridSpec.coarse(), 2)
-        self.assert_reaped(workers)
-        # killed while still starting up, not left to finish
-        assert [worker.returncode for worker in workers] == [-signal.SIGKILL] * 2
 
     def test_accepts_time_series_windows(self, make_series, rng):
         values = 280.0 + rng.normal(0, 2, (2, 20))
         spec = GridSpec((0.0, 0.5, 1.0), (0.0, 0.5), (0.5,), refine_rounds=1)
         from_series = grid_search_windows([make_series(v) for v in values], spec, 4)
         assert from_series == grid_search_windows(values, spec, 4)
-
-    def test_one_process_builds_no_worker_command(self, monkeypatch):
-        # resolving the package path is the first step of a worker command
-        monkeypatch.setattr(tuning, "Path", mock.Mock(side_effect=AssertionError))
-        result = grid_search(280.0 + np.sin(np.arange(30.0)), GridSpec.coarse(), 4)
-        assert result.evaluations > 0
 
     def test_no_windows_gives_no_results(self):
         assert grid_search_windows([], GridSpec.coarse(), season_length=4) == ()
