@@ -17,6 +17,7 @@ same result.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .errors import (
     ArgumentError,
     EmptyInputError,
     InsufficientDataError,
+    NonFiniteError,
     OutOfRangeError,
     _instance,
     _one_of,
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .models import average_forecast, hw_forecast, persistence_forecast
 from .series import TimeSeries, rmse, validate_series
-from .tuning import FitResult, GridSpec, grid_search, grid_search_windows
+from .tuning import FitResult, GridSpec, grid_search
 
 # Model name -> forecast from (training window, tuned fit, lead).
 # "proposed" is the tuned seasonal smoother, under the name it carries in
@@ -152,28 +154,22 @@ def select_origins(series_length: int, config: BacktestConfig) -> np.ndarray:
 
 
 def run_experiment(
-    series: TimeSeries,
-    origin: int,
-    config: BacktestConfig,
-    fit: FitResult | None = None,
+    series: TimeSeries, origin: int, config: BacktestConfig
 ) -> ExperimentResult:
     """Forecast every requested (model, lead) pair from one origin.
 
     Models see only the trailing ``train_length`` observations before
     the origin, and each one is called through the module's model table
-    (``MODEL_NAMES`` lists it in order). The smoother forecasts every
-    lead from ``fit.state``; ``fit`` must come from tuning this origin's
-    training window under ``config``, as :func:`run_backtest` does for
-    all origins at once. When it is omitted the window is tuned here
-    with :func:`~tempcast.tuning.grid_search`. It is ignored when
-    ``"proposed"`` is not among the requested models. A ``series``,
-    ``origin``, ``config`` or ``fit`` of the wrong type (an origin must be
-    a whole number) raises ``ArgumentError``.
+    (``MODEL_NAMES`` lists it in order). When ``"proposed"`` is requested,
+    the window is tuned here with :func:`~tempcast.tuning.grid_search`,
+    looked up by module-level name, and the smoother forecasts every lead
+    from the fit's state. A ``series``, ``origin`` or ``config`` of the
+    wrong type (an origin must be a whole number) raises
+    ``ArgumentError``; an actual that is NaN or infinite raises
+    :class:`NonFiniteError` naming its index.
     """
     _instance(series, TimeSeries, "series")
     _instance(config, BacktestConfig, "config")
-    if fit is not None:
-        _instance(fit, FitResult, "fit")
     origin = _whole(origin, "origin")
     max_lead = max(config.leads)
     if origin < 1 or origin + max_lead > len(series):
@@ -188,15 +184,17 @@ def run_experiment(
         )
     values = series.values
     window = values[origin - config.train_length : origin]
+    actuals = {m: float(values[origin + m - 1]) for m in config.leads}
+    for m, actual in actuals.items():
+        if not math.isfinite(actual):
+            raise NonFiniteError(f"value {origin + m - 1} is not finite: {actual!r}")
 
-    if "proposed" not in config.models:
-        fit = None
-    elif fit is None:
+    fit = None
+    if "proposed" in config.models:
         fit = grid_search(window, config.grid, config.season_length)
     errors = {
         model: {
-            m: _FORECASTERS[model](window, fit, m) - float(values[origin + m - 1])
-            for m in config.leads
+            m: _FORECASTERS[model](window, fit, m) - actuals[m] for m in config.leads
         }
         for model in config.models
     }
@@ -211,9 +209,10 @@ def collect_report(
     when there are no results to pool, and ``ArgumentError`` on a
     ``config`` that is not a :class:`BacktestConfig`, ``results`` that
     are not a sequence of :class:`ExperimentResult`, a result whose
-    origin is not a whole number, or one whose errors are not a
+    origin is not a whole number, one whose errors are not a
     model → lead → real number mapping holding each of the config's
-    (model, lead) pairs."""
+    (model, lead) pairs, or, when ``"proposed"`` is pooled, one whose fit
+    is neither None nor a :class:`~tempcast.tuning.FitResult`."""
     _instance(config, BacktestConfig, "config")
     if not _instance(results, Sequence, "results"):
         raise EmptyInputError("no experiment results to pool")
@@ -239,29 +238,23 @@ def collect_report(
             errors[model][lead] = cell
             # the RMS of the errors, exactly: cell - 0.0 is cell bit for bit
             pooled[model][lead] = rmse(cell, np.zeros_like(cell))
-    fits = tuple(r.fit for r in ordered) if "proposed" in config.models else None
+    fits = None
+    if "proposed" in config.models:
+        fits = tuple(
+            r.fit if r.fit is None else _instance(r.fit, FitResult, "each result's fit")
+            for r in ordered
+        )
     return BacktestReport(
         config=config, origins=origins, errors=errors, rmse=pooled, fits=fits
     )
 
 
 def run_backtest(series: TimeSeries, config: BacktestConfig) -> BacktestReport:
-    """Run the full protocol: validate, sample origins, tune every
-    origin's window in one :func:`~tempcast.tuning.grid_search_windows`
-    call, run every experiment, pool. Deterministic given
-    (series, config). A ``series`` or ``config`` of the wrong type raises
-    ``ArgumentError``."""
+    """Run the full protocol: validate, sample origins, run one
+    :func:`run_experiment` per origin (each tuning its own window), pool.
+    Deterministic given (series, config). A ``series`` or ``config`` of
+    the wrong type raises ``ArgumentError``."""
     validate_series(series)
     _instance(config, BacktestConfig, "config")
-    origins = [int(o) for o in select_origins(len(series), config)]
-    fits: tuple[FitResult | None, ...] = (None,) * len(origins)
-    if "proposed" in config.models:
-        fits = grid_search_windows(
-            [series.values[o - config.train_length : o] for o in origins],
-            config.grid,
-            config.season_length,
-        )
-    results = [
-        run_experiment(series, o, config, fit) for o, fit in zip(origins, fits)
-    ]
-    return collect_report(config, results)
+    origins = select_origins(len(series), config)
+    return collect_report(config, [run_experiment(series, o, config) for o in origins])

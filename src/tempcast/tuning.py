@@ -26,9 +26,8 @@ lists in increasing order, it picks the first column with the lowest score.
 A refined sweep keeps the axes' cardinalities and clipping only drops
 points, so none is wider than the first, and one seasonal ring of
 season length × first-round width floats serves every kernel call of a
-:func:`grid_search_windows` call, which tunes its windows one after
-another. :func:`grid_search` is its one-window call, and
-:func:`one_step_rmse` the one-triple :func:`grid_search`.
+:func:`grid_search` call, which tunes one window. :func:`one_step_rmse`
+is the one-triple :func:`grid_search`.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import numpy as np
 
 from .errors import (
     ArgumentError,
-    LengthMismatchError,
     NonFiniteError,
     TooShortError,
     _instance,
@@ -164,30 +162,35 @@ def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
     return refined
 
 
-def _stack_windows(windows) -> np.ndarray:
-    try:
-        rows = [_vector(window, "each window") for window in windows]
-    except TypeError:  # from iterating windows: _vector raises ArgumentError
-        raise ArgumentError(
-            f"windows must be a sequence of windows, got {windows!r}"
-        ) from None
-    for row in rows:
-        if row.size != rows[0].size:
-            raise LengthMismatchError(
-                f"windows must share one length, got {rows[0].size} and {row.size}"
-            )
-    return np.stack(rows) if rows else np.empty((0, 0))
+def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
+    """Pick the coefficient triple with the lowest in-sample one-step
+    error over the grid, then refine locally.
 
-
-def _search_window(
-    window: np.ndarray, index: int, spec: GridSpec, season_length: int, ring: np.ndarray
-) -> FitResult:
-    """The search of one window, with ``ring`` as the kernel's buffer of
-    at least season length × first-round width floats.
-
-    Raises :class:`NonFiniteError` naming the window by ``index`` when
-    its winning score or fitted state is not finite.
+    Deterministic: identical inputs give identical results, including
+    the evaluation count. Refinement rounds never worsen the incumbent
+    (its point stays in every refined grid, or it simply keeps the
+    title). Non-uniform axes refine by their average spacing. Raises
+    :class:`NonFiniteError` on a NaN or infinite value, or when the
+    winning score or fitted state is not finite, as values near the float
+    limit may give (``hw_fit`` raises on them too); :class:`TooShortError`
+    on a window shorter than two seasons plus one day; ``ArgumentError``
+    when ``spec`` is not a :class:`GridSpec` or ``season_length`` is not a
+    whole number of at least 2. A kernel that cannot be built raises
+    ``OSError``.
     """
+    _instance(spec, GridSpec, "spec")
+    season_length = _whole(season_length, "season_length", minimum=2)
+    window = _vector(train, "each window")
+    n = window.size
+    if n < 2 * season_length + 1:
+        raise TooShortError(
+            f"need at least {2 * season_length + 1} observations to score one-step "
+            f"forecasts (two seasons of warm-up plus one), got {n}"
+        )
+    bad = np.flatnonzero(~np.isfinite(window))
+    if bad.size:
+        raise NonFiniteError(f"value {bad[0]} is not finite: {window[bad[0]]!r}")
+
     axes = [
         np.asarray(spec.alpha_grid, dtype=np.float64),
         np.asarray(spec.beta_grid, dtype=np.float64),
@@ -199,6 +202,7 @@ def _search_window(
         float(axis[-1] - axis[0]) / (axis.size - 1) if axis.size > 1 else 0.0
         for axis in axes
     ]
+    ring = np.empty(season_length * sweep.shape[1])
     evaluations = 0
     # The best (score, alpha, beta, gamma, column) so far, and the state
     # its column ended in.
@@ -223,76 +227,18 @@ def _search_window(
             j = candidate[-1]
             best = candidate
             # HWState copies the ring out of the buffer the next call reuses
-            state = HWState(
-                level[j], trend[j], final_ring[:, j], phase=window.size % season_length
-            )
+            state = HWState(level[j], trend[j], final_ring[:, j], phase=n % season_length)
 
     score, alpha, beta, gamma, _ = best
     # As in hw_fit, a window whose values overflow the float range raises.
     if not math.isfinite(score):
-        raise NonFiniteError(f"window {index} in-sample error is not finite")
+        raise NonFiniteError("in-sample error is not finite")
     return FitResult(
         params=SmoothingParams(alpha, beta, gamma, season_length=season_length),
         in_sample_rmse=score,
         evaluations=evaluations,
-        state=_finite(state, f"window {index} fitted state"),
+        state=_finite(state, "fitted state"),
     )
-
-
-def grid_search_windows(
-    windows, spec: GridSpec, season_length: int = 365
-) -> tuple[FitResult, ...]:
-    """:func:`grid_search` on each of several equal-length windows, one
-    after another.
-
-    Returns one result per window, in input order, each identical to
-    ``grid_search(window, spec, season_length)``. Raises
-    :class:`NonFiniteError` on a NaN or infinite value in any window, or
-    when a window's winning score or fitted state is not finite, as values
-    near the float limit may give (``hw_fit`` raises on them too);
-    :class:`LengthMismatchError` when lengths differ, ``ArgumentError``
-    when ``windows`` is not a sequence, ``spec`` is not a :class:`GridSpec`
-    or ``season_length`` is not a whole number of at least 2; a kernel
-    that cannot be built raises ``OSError``.
-    """
-    _instance(spec, GridSpec, "spec")
-    season_length = _whole(season_length, "season_length", minimum=2)
-    values = _stack_windows(windows)
-    k, n = values.shape
-    if k == 0:
-        return ()
-    if n < 2 * season_length + 1:
-        raise TooShortError(
-            f"need at least {2 * season_length + 1} observations to score one-step "
-            f"forecasts (two seasons of warm-up plus one), got {n}"
-        )
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        window, index = (int(i) for i in bad[0])
-        raise NonFiniteError(
-            f"window {window} value {index} is not finite: {values[window, index]!r}"
-        )
-
-    first_width = len(spec.alpha_grid) * len(spec.beta_grid) * len(spec.gamma_grid)
-    ring = np.empty(season_length * first_width)
-    return tuple(
-        _search_window(window, i, spec, season_length, ring)
-        for i, window in enumerate(values)
-    )
-
-
-def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
-    """Pick the coefficient triple with the lowest in-sample one-step
-    error over the grid, then refine locally.
-
-    Deterministic: identical inputs give identical results, including
-    the evaluation count. Refinement rounds never worsen the incumbent
-    (its point stays in every refined grid, or it simply keeps the
-    title). Non-uniform axes refine by their average spacing. Raises
-    :class:`NonFiniteError` on a NaN or infinite value, or on a window
-    whose winning score or fitted state overflows.
-    """
-    return grid_search_windows([train], spec, season_length)[0]
 
 
 def one_step_rmse(train, params: SmoothingParams) -> float:

@@ -15,7 +15,12 @@ from tempcast import (
     parse_cdo_csv,
 )
 from tempcast.backtest import collect_report, run_experiment, select_origins
-from tempcast.errors import EmptyInputError, InsufficientDataError, OutOfRangeError
+from tempcast.errors import (
+    EmptyInputError,
+    InsufficientDataError,
+    NonFiniteError,
+    OutOfRangeError,
+)
 from tempcast.ingest import clean
 
 JAN1 = dt.date(2015, 1, 1)
@@ -178,12 +183,12 @@ class TestRunExperiment:
         run_experiment(noisy_series(40), 25, small_config(models=("average",)))
         assert calls == [1, 2, 3, 4]
 
-    def test_precomputed_fit_gives_the_same_result(self):
-        series = noisy_series(40, seed=2)
-        config = small_config()
-        tuned_here = run_experiment(series, 25, config)
-        given = run_experiment(series, 25, config, tuned_here.fit)
-        assert given == tuned_here
+    def test_actual_that_is_not_finite_raises(self):
+        # once returned NaN errors for every model
+        values = noisy_series(40).values.copy()
+        values[27] = np.nan  # the actual at lead 3 from origin 25
+        with pytest.raises(NonFiniteError, match="^value 27 is not finite: nan$"):
+            run_experiment(TimeSeries(JAN1, values), 25, small_config())
 
 
 class TestRunBacktest:
@@ -243,6 +248,26 @@ class TestRunBacktest:
                 np.testing.assert_array_equal(
                     reassembled.errors[model][lead], report.errors[model][lead]
                 )
+
+    def test_every_origin_tunes_through_grid_search(self, monkeypatch):
+        # a wrapper bound over the module-level name (as a tracer binds
+        # one) sees one search per origin, on that origin's window
+        calls = []
+        original = tempcast.backtest.grid_search
+
+        def spy(train, spec, season_length):
+            calls.append((np.array(train), spec, season_length))
+            return original(train, spec, season_length)
+
+        monkeypatch.setattr(tempcast.backtest, "grid_search", spy)
+        series = noisy_series(60, seed=4)
+        config = small_config(n_experiments=8)
+        report = run_backtest(series, config)
+        assert len(calls) == len(report.origins) == 8
+        for (window, spec, season_length), origin in zip(calls, report.origins):
+            expected = series.values[origin - config.train_length : origin]
+            np.testing.assert_array_equal(window, expected)
+            assert spec is config.grid and season_length == config.season_length
 
     def test_no_results_to_pool_raises(self):
         with pytest.raises(EmptyInputError):

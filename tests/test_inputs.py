@@ -43,7 +43,7 @@ from tempcast.backtest import (
     select_origins,
 )
 from tempcast.series import drop_leap_days, iso_dates, rmse
-from tempcast.tuning import grid_search_windows, one_step_rmse
+from tempcast.tuning import one_step_rmse
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -190,8 +190,8 @@ class TestWronglyTypedArguments:
                 "results must be a Sequence, got 5",
             ),
             (
-                lambda: run_experiment(_SERIES, 40, _CONFIG, fit="x"),
-                "fit must be a FitResult, got 'x'",
+                lambda: collect_report(_CONFIG, [dataclasses.replace(_RESULT, fit="x")]),
+                "each result's fit must be a FitResult, got 'x'",
             ),
             (
                 lambda: select_origins(40.5, _CONFIG),
@@ -238,7 +238,7 @@ class TestWronglyTypedArguments:
         ],
         ids=[
             "run_backtest-config", "collect_report-results",
-            "collect_report-results-int", "run_experiment-fit", "select_origins-float",
+            "collect_report-results-int", "collect_report-fit", "select_origins-float",
             "select_origins-str", "run_experiment-float", "run_experiment-bool",
             "leads-int", "leads-none", "models-int", "collect_report-errors-int",
             "collect_report-lead-errors-int", "collect_report-origin-str",
@@ -279,10 +279,6 @@ class TestWronglyTypedArguments:
     def test_one_step_rmse_params_must_be_smoothing_params(self):
         with pytest.raises(ArgumentError, match="^params must be a SmoothingParams, got 'p'$"):
             one_step_rmse(np.full(30, 280.0), "p")
-
-    def test_windows_must_be_a_sequence(self):
-        with pytest.raises(ArgumentError, match="^windows must be a sequence of windows, got 5$"):
-            grid_search_windows(5, GridSpec.coarse())
 
     def test_station_must_be_a_str(self):
         # once compared with every STATION cell, so no row was kept

@@ -845,21 +845,24 @@ class TestArbitraryInput:
 
     @given(
         series=_backtest_series, fields=_config_fields, results=_results,
-        origin=_origins, fit=_fits,
+        origin=_origins,
     )
     @settings(max_examples=150, deadline=None)
     def test_experiment_and_report_work_or_raise_tempcast_error(
-        self, series, fields, results, origin, fit
+        self, series, fields, results, origin
     ):
         calls = [
             lambda: collect_report(BacktestConfig(**fields), results),
-            lambda: run_experiment(series, origin, BacktestConfig(**fields), fit),
+            lambda: run_experiment(series, origin, BacktestConfig(**fields)),
         ]
         for call in calls:
             # as under python -W error
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    call()
+                    result = call()
                 except TempcastError:
                     continue
+            if isinstance(result, ExperimentResult):
+                for errors in result.errors.values():
+                    assert all(math.isfinite(e) for e in errors.values())

@@ -15,10 +15,10 @@ from tempcast import (
     hw_fit,
     hw_forecast,
 )
-from tempcast.errors import LengthMismatchError, NonFiniteError, TooShortError
+from tempcast.errors import NonFiniteError, TooShortError
 from tempcast import tuning
 from tempcast.models import HWState, _kernel, _one_step_errors_batch, hw_update, init_state
-from tempcast.tuning import FitResult, grid_search_windows, one_step_rmse
+from tempcast.tuning import FitResult, one_step_rmse
 
 
 def fold_scored(values, params):
@@ -255,9 +255,9 @@ class TestGridSearch:
         # and hw_fit raises on the same window
         values = np.array([1e308, -1e308] * 10)
         params = SmoothingParams(0.5, 0.5, 0.5, season_length=2)
-        with pytest.raises(NonFiniteError, match="window 0 in-sample error"):
+        with pytest.raises(NonFiniteError, match="^in-sample error is not finite$"):
             grid_search(values, GridSpec.coarse(), season_length=2)
-        with pytest.raises(NonFiniteError, match="window 0 in-sample error"):
+        with pytest.raises(NonFiniteError, match="^in-sample error is not finite$"):
             one_step_rmse(values, params)
         with pytest.raises(NonFiniteError):
             hw_fit(values, params)
@@ -265,7 +265,7 @@ class TestGridSearch:
     @pytest.mark.filterwarnings("error")
     def test_overflow_near_the_float_limit_warns_nothing(self):
         # the winner, alpha = 0.1, scores inf: an error, not a warning
-        with pytest.raises(NonFiniteError, match="window 0 in-sample error"):
+        with pytest.raises(NonFiniteError, match="^in-sample error is not finite$"):
             grid_search([1e308, -1e308] * 20, GridSpec.coarse(), 7)
 
     def test_singleton_grids_return_that_point(self, rng):
@@ -338,6 +338,16 @@ class TestGridSearch:
         spec = GridSpec((0.5,), (0.5,), (0.5,))
         with pytest.raises(TooShortError):
             grid_search(np.full(8, 280.0), spec, season_length=4)
+
+    @pytest.mark.parametrize("season_length", [1, 0, -2])
+    def test_season_below_two_rejected(self, season_length):
+        with pytest.raises(ValueError, match="season_length must be at least 2"):
+            grid_search(np.full(20, 280.0), GridSpec.coarse(), season_length)
+
+    def test_accepts_a_time_series(self, make_series, rng):
+        values = 280.0 + rng.normal(0, 2, 20)
+        spec = GridSpec((0.0, 0.5, 1.0), (0.0, 0.5), (0.5,), refine_rounds=1)
+        assert grid_search(make_series(values), spec, 4) == grid_search(values, spec, 4)
 
     def test_refinement_improves_on_noisy_seasonal_series(self, rng):
         t = np.arange(200)
@@ -460,83 +470,13 @@ class TestFittedState:
         )
 
 
-boundary_axis = st.lists(
-    st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), max_size=3, unique=True
-).map(lambda inner: tuple(sorted({0.0, 1.0, *inner})))
-
-
-class TestGridSearchWindows:
-    @given(
-        season_length=st.sampled_from([2, 3, 5]),
-        n_windows=st.integers(min_value=2, max_value=5),
-        extra=st.integers(min_value=1, max_value=12),
-        axes=st.tuples(boundary_axis, boundary_axis, boundary_axis),
-        refine_rounds=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=9999),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_packing_does_not_change_results(
-        self, season_length, n_windows, extra, axes, refine_rounds, seed
-    ):
-        gen = np.random.default_rng(seed)
-        n = 2 * season_length + extra
-        cycle = 5 * np.sin(np.arange(n) * 2 * np.pi / season_length)
-        windows = 280.0 + cycle + gen.normal(0, gen.uniform(0, 4), (n_windows, n))
-        spec = GridSpec(*axes, refine_rounds=refine_rounds)
-        many = grid_search_windows(windows, spec, season_length)
-        assert len(many) == n_windows
-        for window, fit in zip(windows, many):
-            alone = grid_search(window, spec, season_length)
-            assert fit.params == alone.params
-            assert fit.in_sample_rmse == alone.in_sample_rmse
-            assert fit.evaluations == alone.evaluations
-            assert_state_is_hw_fit(fit.state, window, fit.params)
-
-    def test_overflow_in_last_share_names_its_window(self, rng):
-        windows = [280.0 + rng.normal(0, 2, 20) for _ in range(3)]
-        windows.append(np.array([1e308, -1e308] * 10))
-        with pytest.raises(NonFiniteError, match="window 3 in-sample error"):
-            grid_search_windows(windows, GridSpec.coarse(), season_length=2)
-
-    def test_accepts_time_series_windows(self, make_series, rng):
-        values = 280.0 + rng.normal(0, 2, (2, 20))
-        spec = GridSpec((0.0, 0.5, 1.0), (0.0, 0.5), (0.5,), refine_rounds=1)
-        from_series = grid_search_windows([make_series(v) for v in values], spec, 4)
-        assert from_series == grid_search_windows(values, spec, 4)
-
-    def test_no_windows_gives_no_results(self):
-        assert grid_search_windows([], GridSpec.coarse(), season_length=4) == ()
-
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(LengthMismatchError):
-            grid_search_windows(
-                [np.full(20, 280.0), np.full(21, 280.0)], GridSpec.coarse(), 4
-            )
-
-    def test_too_short_propagates(self):
-        with pytest.raises(TooShortError):
-            grid_search_windows([np.full(8, 280.0)] * 2, GridSpec.coarse(), 4)
-
-    @pytest.mark.parametrize("season_length", [1, 0, -2])
-    def test_season_below_two_rejected(self, season_length):
-        with pytest.raises(ValueError, match="season_length must be at least 2"):
-            grid_search_windows([np.full(20, 280.0)], GridSpec.coarse(), season_length)
-
-
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_grid_search_rejects(self, bad):
         values = np.full(20, 280.0)
         values[11] = bad
-        with pytest.raises(NonFiniteError, match="value 11"):
+        with pytest.raises(NonFiniteError, match="^value 11 is not finite"):
             grid_search(values, GridSpec.coarse(), season_length=4)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_grid_search_windows_rejects(self, bad):
-        windows = np.full((3, 20), 280.0)
-        windows[2, 5] = bad
-        with pytest.raises(NonFiniteError, match="window 2 value 5"):
-            grid_search_windows(windows, GridSpec.coarse(), season_length=4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_one_step_rmse_rejects(self, bad):
