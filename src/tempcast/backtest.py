@@ -17,7 +17,6 @@ same result.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -165,8 +164,9 @@ def run_experiment(
     looked up by module-level name, and the smoother forecasts every lead
     from the fit's state. A ``series``, ``origin`` or ``config`` of the
     wrong type (an origin must be a whole number) raises
-    ``ArgumentError``; an actual that is NaN or infinite raises
-    :class:`NonFiniteError` naming its index.
+    ``ArgumentError``. A value in the training window or an actual that
+    is NaN or infinite raises :class:`NonFiniteError` naming the first
+    one's series index, before any model runs.
     """
     _instance(series, TimeSeries, "series")
     _instance(config, BacktestConfig, "config")
@@ -183,11 +183,13 @@ def run_experiment(
             f"{config.train_length}-day training window"
         )
     values = series.values
-    window = values[origin - config.train_length : origin]
+    start = origin - config.train_length
+    used = np.r_[start:origin, [origin + m - 1 for m in config.leads]]
+    bad = used[~np.isfinite(values[used])]
+    if bad.size:
+        raise NonFiniteError(f"value {bad[0]} is not finite: {float(values[bad[0]])!r}")
+    window = values[start:origin]
     actuals = {m: float(values[origin + m - 1]) for m in config.leads}
-    for m, actual in actuals.items():
-        if not math.isfinite(actual):
-            raise NonFiniteError(f"value {origin + m - 1} is not finite: {actual!r}")
 
     fit = None
     if "proposed" in config.models:

@@ -19,7 +19,11 @@ The recursion has one production implementation,
 :func:`_one_step_errors_batch`: a kernel that steps one window's W
 coefficient triples through time together and scores their one-step
 errors, in a small C loop (``_kernel.c``) that :func:`_kernel` compiles
-on first use, so running it needs a C compiler once per host.
+on first use, so running it needs a C compiler once per host. The loop
+takes the days four at a time, each pass over all W columns, and on
+x86-64 with glibc the dynamic loader picks its AVX-512, AVX2 or
+baseline build, whichever is the widest that the CPU runs; all give the
+same bits.
 :func:`hw_fit` runs it on one column, and :mod:`tempcast.tuning` on
 whole grids of them. :func:`hw_update` is the same recursion one
 observation at a time, kept as the readable reference that the kernel's
@@ -218,9 +222,11 @@ def hw_update(
     return HWState(level, trend, ring, (state.phase + 1) % L)
 
 
-# The kernel's C source and compile flags: no FMA contraction, no
-# -ffast-math and no -march, so each step is hw_update's arithmetic on
-# any host.
+# The kernel's C source and compile flags: no FMA contraction and no
+# -ffast-math, so each step is hw_update's arithmetic on any host. There
+# is no -march either: the source asks for its own AVX-512 and AVX2
+# clones where it can, and the loader picks one by the CPU it runs on, so
+# the cached library serves any x86-64 CPU.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
@@ -296,7 +302,8 @@ def _one_step_errors_batch(
     ``values`` is one window, ``alphas``, ``betas`` and ``gammas`` the W
     triples' coefficients, and ``ring`` the flat float64 buffer to work
     in, of at least ``season_length * W`` elements. The recursion runs in
-    the C loop of :func:`_kernel`, days outer and columns inner.
+    the C loop of :func:`_kernel`, in passes of four days over all W
+    columns, with the vector width the loader picked for this CPU.
 
     Returns ``(rmse, level, trend, ring)``: the first three have shape
     (W,), the ring is (season_length, W) with ``ring[p]`` the correction

@@ -189,7 +189,7 @@ def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
         )
     bad = np.flatnonzero(~np.isfinite(window))
     if bad.size:
-        raise NonFiniteError(f"value {bad[0]} is not finite: {window[bad[0]]!r}")
+        raise NonFiniteError(f"value {bad[0]} is not finite: {float(window[bad[0]])!r}")
 
     axes = [
         np.asarray(spec.alpha_grid, dtype=np.float64),

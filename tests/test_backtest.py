@@ -1,5 +1,4 @@
 import datetime as dt
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +7,9 @@ import tempcast.backtest
 from tempcast import (
     MODEL_NAMES,
     BacktestConfig,
-    CleanConfig,
     GridSpec,
     TimeSeries,
     run_backtest,
-    parse_cdo_csv,
 )
 from tempcast.backtest import collect_report, run_experiment, select_origins
 from tempcast.errors import (
@@ -21,10 +18,8 @@ from tempcast.errors import (
     NonFiniteError,
     OutOfRangeError,
 )
-from tempcast.ingest import clean
 
 JAN1 = dt.date(2015, 1, 1)
-STATION_CSV = Path(__file__).parent / "data" / "synthetic_station_daily.csv"
 
 
 def small_config(**overrides):
@@ -243,6 +238,8 @@ class TestRunBacktest:
         results = [run_experiment(series, int(o), config) for o in shuffled]
         reassembled = collect_report(config, results)
         assert reassembled.origins == report.origins
+        assert reassembled.rmse == report.rmse
+        assert reassembled.fits == report.fits
         for model in config.models:
             for lead in config.leads:
                 np.testing.assert_array_equal(
@@ -272,30 +269,6 @@ class TestRunBacktest:
     def test_no_results_to_pool_raises(self):
         with pytest.raises(EmptyInputError):
             collect_report(small_config(), [])
-
-    def test_batched_tuning_matches_per_origin_experiments(self, rng):
-        text = STATION_CSV.read_text(encoding="utf-8")
-        series = clean(parse_cdo_csv(text, unit="celsius"), CleanConfig())
-        config = BacktestConfig(
-            train_length=800,
-            n_experiments=6,
-            seed=2,
-            grid=GridSpec((0.0, 0.5, 1.0), (0.0, 0.5), (0.0, 0.5), refine_rounds=2),
-        )
-        report = run_backtest(series, config)
-        shuffled = list(report.origins)
-        rng.shuffle(shuffled)
-        expected = collect_report(
-            config, [run_experiment(series, o, config) for o in shuffled]
-        )
-        assert report.origins == expected.origins
-        assert report.rmse == expected.rmse
-        assert report.fits == expected.fits
-        for model in config.models:
-            for lead in config.leads:
-                assert np.array_equal(
-                    report.errors[model][lead], expected.errors[model][lead]
-                )
 
     def test_persistence_errors_by_direct_indexing(self):
         series = noisy_series(60, seed=11)

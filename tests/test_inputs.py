@@ -316,6 +316,18 @@ class TestLeadsPastTheInt64Range:
         assert got.tolist() == [280.0]
 
 
+class TestNonFiniteTrainingValue:
+    @pytest.mark.parametrize("models", [("proposed",), ("persistence",), ("average",)])
+    def test_run_experiment_names_its_series_index(self, models):
+        # once its window index and numpy repr under "proposed", finite
+        # errors under "persistence" and the average's own message
+        values = _SERIES.values.copy()
+        values[20] = math.nan
+        config = dataclasses.replace(_CONFIG, train_length=15, models=models)
+        with pytest.raises(NonFiniteError, match="^value 20 is not finite: nan$"):
+            run_experiment(TimeSeries(JAN1, values), 25, config)
+
+
 class TestOverflowingWindows:
     """grid_search follows hw_fit's rule on windows past the float range,
     so FitResult.state equals hw_fit(train, params) whenever both return."""

@@ -1,10 +1,13 @@
-"""The smoother kernel's C loop: how it is built, cached and loaded, and
-how it treats signed zeros and NaN.
+"""The smoother kernel's C loop: how it is built, cached and loaded, how
+it treats signed zeros and NaN, and that the baseline loop gives the bits
+of the clone this host's loader picks.
 
 The loader tests point ``XDG_CACHE_HOME`` at their own temporary
 directory and drop the loaded kernel, so each one builds or loads afresh.
 """
 
+import ctypes
+import shlex
 import subprocess
 import sys
 import sysconfig
@@ -15,7 +18,15 @@ import pytest
 
 from tempcast import SmoothingParams, hw_fit
 from tempcast.cli import main
-from tempcast.models import _kernel, _one_step_errors_batch, hw_update, init_state
+from tempcast.models import (
+    _KERNEL_FLAGS,
+    _KERNEL_SOURCE,
+    _initial_components,
+    _kernel,
+    _one_step_errors_batch,
+    hw_update,
+    init_state,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 SERIES = Path(__file__).resolve().parent / "data" / "golden" / "series.csv"
@@ -138,3 +149,49 @@ class TestSpecialValues:
         assert np.isnan(rmse).all()
         assert np.isnan(level).all()
         assert np.isnan(trend).all()
+
+
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    """``_kernel.c`` built as hosts without x86-64 clones build it: the
+    plain loop, which on an AVX2 or AVX-512 host no loader picks."""
+    library = tmp_path_factory.mktemp("baseline") / "kernel.so"
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_KERNEL_FLAGS]
+    subprocess.run(
+        [*command, "-U__x86_64__", "-o", str(library), str(_KERNEL_SOURCE)], check=True
+    )
+    loaded = ctypes.CDLL(str(library))
+    assert not hasattr(loaded, "one_step_errors.resolver")  # no clones in it
+    kernel = loaded.one_step_errors
+    kernel.argtypes = _kernel().argtypes
+    kernel.restype = None
+    return kernel
+
+
+def sweep(kernel, values, season, coefficients):
+    """RMSE, level, trend and ring after one call of ``kernel``."""
+    level, trend, seasonal = _initial_components(values, season)
+    width = coefficients.shape[1]
+    level, trend = np.full(width, level), np.full(width, trend)
+    ring = np.repeat(seasonal[:, None], width, axis=1)
+    sq_sum = np.zeros(width)
+    kernel(values, values.size, season, width, *coefficients, level, trend, ring, sq_sum)
+    return np.sqrt(sq_sum / (values.size - 2 * season)), level, trend, ring
+
+
+class TestBaselineLoop:
+    @pytest.mark.parametrize("season", [2, 3, 7, 365])
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 396, 1331])
+    def test_same_bits_as_the_dispatched_kernel(self, baseline, season, width):
+        # scored spans of 4k + 1 and 4k + 3 days; every warm-up span but
+        # season 2's is 2 (mod 4)
+        gen = np.random.default_rng(season * width)
+        coefficients = gen.uniform(0, 1, (3, width))
+        coefficients[:, 0] = [0.0, 1.0, 1.0]
+        values = np.loadtxt(SERIES, delimiter=",", skiprows=1, usecols=1)
+        for n in (2 * season + 1, 2 * season + 11):
+            window = values[:n]
+            got = sweep(baseline, window, season, coefficients)
+            expected = sweep(_kernel(), window, season, coefficients)
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()

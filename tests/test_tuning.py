@@ -137,14 +137,16 @@ class TestOneStepRmse:
 
 
 class TestKernelBlocks:
-    """The kernel against hw_update folds, column by column: several
-    widths, and windows from exactly two seasons (no day scored, so a NaN
-    RMSE) to beyond the last season boundary."""
+    """The kernel against hw_update folds, column by column: widths below,
+    at and past the 4- and 8-lane vectors' lengths, seasons of 2 and 3
+    that put two days of one 4-day pass on one ring row, and windows from
+    exactly two seasons (no day scored, so a NaN RMSE) to beyond the last
+    season boundary."""
 
     @given(
-        season_length=st.sampled_from([67, 130, 365]),
+        season_length=st.sampled_from([2, 3, 67, 130, 365]),
         extra=st.integers(min_value=0, max_value=150),
-        width=st.integers(min_value=1, max_value=6),
+        width=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 17]),
         seed=st.integers(min_value=0, max_value=9999),
     )
     @settings(max_examples=25, deadline=None)
@@ -475,7 +477,7 @@ class TestNonFiniteInput:
     def test_grid_search_rejects(self, bad):
         values = np.full(20, 280.0)
         values[11] = bad
-        with pytest.raises(NonFiniteError, match="^value 11 is not finite"):
+        with pytest.raises(NonFiniteError, match=f"^value 11 is not finite: {bad!r}$"):
             grid_search(values, GridSpec.coarse(), season_length=4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
