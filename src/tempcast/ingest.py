@@ -156,7 +156,8 @@ def parse_cdo_csv(
     exports lacking TAVG), a missing
     TAVG is replaced by the TMAX/TMIN midpoint when both are present,
     and the TAVG column itself becomes optional. Text the csv module
-    cannot read raises :class:`MalformedRowError`.
+    cannot read raises :class:`MalformedRowError`. An error in a row
+    names the row's last line, as a quoted field may span lines.
 
     With ``station`` given, only rows whose stripped STATION cell equals
     it are stored. Every row is still checked first, whatever its
@@ -192,13 +193,13 @@ def parse_cdo_csv(
         rows_read = 0
         n_fields = len(header)
         fromisoformat = dt.date.fromisoformat
-        for line, row in enumerate(rows, start=2):
+        for row in rows:
             if not row:
                 continue
             rows_read += 1
             if len(row) != n_fields:
                 raise MalformedRowError(
-                    line, f"{len(row)} fields where the header has {n_fields}"
+                    rows.line_num, f"{len(row)} fields where the header has {n_fields}"
                 )
             # parse_date inlined, guard and all; tests hold the two equal.
             cell = row[i_date].strip()
@@ -207,15 +208,15 @@ def parse_cdo_csv(
                     raise ValueError
                 date = fromisoformat(cell)
             except ValueError:
-                raise MalformedDateError(line) from None
+                raise MalformedDateError(rows.line_num) from None
             cell = "" if i_tavg is None else row[i_tavg].strip()
             try:
                 value = float(cell) if cell else None
             except ValueError:
-                raise MalformedRowError(line, f"not a number: {cell!r}") from None
+                raise MalformedRowError(rows.line_num, f"not a number: {cell!r}") from None
             if value is None and tmax_tmin_fallback:
-                tmax = _parse_temperature(row[i_tmax], line)
-                tmin = _parse_temperature(row[i_tmin], line)
+                tmax = _parse_temperature(row[i_tmax], rows.line_num)
+                tmin = _parse_temperature(row[i_tmin], rows.line_num)
                 if tmax is not None and tmin is not None:
                     value = (tmax + tmin) / 2.0
             name = row[i_station].strip()

@@ -24,6 +24,7 @@ takes the days four at a time, each pass over all W columns, and on
 x86-64 with glibc the dynamic loader picks its AVX-512, AVX2 or
 baseline build, whichever is the widest that the CPU runs; all give the
 same bits.
+:func:`_sweep` picks one call's winning column and its final state;
 :func:`hw_fit` runs it on one column, and :mod:`tempcast.tuning` on
 whole grids of them. :func:`hw_update` is the same recursion one
 observation at a time, kept as the readable reference that the kernel's
@@ -295,20 +296,17 @@ def _one_step_errors_batch(
     alphas: np.ndarray,
     betas: np.ndarray,
     gammas: np.ndarray,
-    ring: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One-step RMSE and final state for W coefficient triples in one sweep.
 
-    ``values`` is one window, ``alphas``, ``betas`` and ``gammas`` the W
-    triples' coefficients, and ``ring`` the flat float64 buffer to work
-    in, of at least ``season_length * W`` elements. The recursion runs in
-    the C loop of :func:`_kernel`, in passes of four days over all W
-    columns, with the vector width the loader picked for this CPU.
+    ``values`` is one window, and ``alphas``, ``betas`` and ``gammas`` the
+    W triples' coefficients. The recursion runs in the C loop of
+    :func:`_kernel`, in passes of four days over all W columns, with the
+    vector width the loader picked for this CPU.
 
     Returns ``(rmse, level, trend, ring)``: the first three have shape
     (W,), the ring is (season_length, W) with ``ring[p]`` the correction
-    for phase ``p`` (a view into the buffer, overwritten by the next call
-    that reuses it). Per column this performs bit-for-bit the same
+    for phase ``p``. Per column this performs bit-for-bit the same
     arithmetic as folding :func:`hw_update` one observation at a time
     from :func:`init_state`'s state and scoring each pre-update lead-1
     forecast from the third season onward, its squared errors summed in
@@ -328,13 +326,36 @@ def _one_step_errors_batch(
     level, trend, seasonal = _initial_components(values, L)
     level = np.full(width, level)
     trend = np.full(width, trend)
-    ring = ring[: L * width].reshape(L, width)
-    ring[...] = seasonal[:, None]
+    ring = np.repeat(seasonal[:, None], width, axis=1)
     sq_sum = np.zeros(width)
     _kernel()(values, n, L, width, *coefficients, level, trend, ring, sq_sum)
     with np.errstate(invalid="ignore"):
         sq_sum /= n - 2 * L
     return np.sqrt(sq_sum, out=sq_sum), level, trend, ring
+
+
+def _best_of_batch(
+    scores: np.ndarray, a: np.ndarray, b: np.ndarray, g: np.ndarray
+) -> tuple[float, float, float, float, int]:
+    """``(score, alpha, beta, gamma, column)`` of the first column with
+    the lowest score, column 0 if all are NaN: on a
+    :func:`~tempcast.tuning._mesh` sweep, the smallest such tuple among
+    the lowest scores, NaN ranking last."""
+    j = int(np.argmax(scores == np.fmin.reduce(scores)))
+    return float(scores[j]), float(a[j]), float(b[j]), float(g[j]), j
+
+
+def _sweep(values, season_length, alphas, betas, gammas):
+    """The :func:`_best_of_batch` tuple of one
+    :func:`_one_step_errors_batch` call, and the :class:`HWState` its
+    winning column ended in. The ring is freed on return, so no two
+    sweeps' rings are alive at once."""
+    scores, level, trend, ring = _one_step_errors_batch(
+        values, season_length, alphas, betas, gammas
+    )
+    best = _best_of_batch(scores, alphas, betas, gammas)
+    j = best[-1]
+    return best, HWState(level[j], trend[j], ring[:, j], len(values) % season_length)
 
 
 def hw_fit(train, params: SmoothingParams) -> HWState:
@@ -355,10 +376,8 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     if non_finite.size:
         raise NonFiniteError(f"observation is not finite: {float(non_finite[0])!r}")
     init_state(values, params)
-    L = params.season_length
     triple = np.reshape([params.alpha, params.beta, params.gamma], (3, 1))
-    _, level, trend, ring = _one_step_errors_batch(values, L, *triple, np.empty(L))
-    state = HWState(level[0], trend[0], ring[:, 0], values.size % L)
+    _, state = _sweep(values, params.season_length, *triple)
     return _finite(state, "fitted state")
 
 

@@ -122,8 +122,10 @@ def iso_dates(start: dt.date, first: int, stop: int) -> Iterator[str]:
     is the year followed by one of :data:`_ISO_SUFFIXES`. The range is
     checked as :func:`_calendar_span` says when this is called, before
     any string is made; an empty range yields nothing and raises nothing.
-    An offset that is not a whole number raises ``ArgumentError``.
+    A ``start`` that is not a ``datetime.date``, or is a ``datetime``, and
+    an offset that is not a whole number raise ``ArgumentError``.
     """
+    _date(start, "start")
     first = _whole(first, "first")
     stop = _whole(stop, "stop")
     if first >= stop:
@@ -348,7 +350,9 @@ def csv_rows(text: str) -> Iterator[Iterator[list[str]]]:
 
 
 def to_csv_rows(series: TimeSeries) -> Iterator[tuple[str, str]]:
-    """The rows of a series file, after :data:`CSV_HEADER`."""
+    """The rows of a series file, after :data:`CSV_HEADER`. A ``series``
+    that is not a :class:`TimeSeries` raises ``ArgumentError``."""
+    _instance(series, TimeSeries, "series")
     return zip(
         iso_dates(series.start_date, 0, len(series)),
         map(repr, series.values.tolist()),
@@ -359,7 +363,7 @@ def read_csv(text: str) -> TimeSeries:
     """The series in the text of a series file, through
     :func:`drop_leap_days` and :func:`validate_series`. Blank lines are
     skipped; a row that cannot be read raises :class:`MalformedRowError`
-    or :class:`MalformedDateError` naming its line."""
+    or :class:`MalformedDateError` naming the row's last line."""
     dates = []
     values = []
     with csv_rows(text) as rows:
@@ -368,18 +372,19 @@ def read_csv(text: str) -> TimeSeries:
             raise MalformedRowError(1, "empty series file")
         if tuple(c.strip().lower() for c in header) != CSV_HEADER:
             raise MalformedRowError(1, f"expected header {','.join(CSV_HEADER)!r}")
-        for line, row in enumerate(rows, start=2):
+        for row in rows:
             if not row:
                 continue
             if len(row) != 2:
-                raise MalformedRowError(line, "expected two fields")
+                raise MalformedRowError(rows.line_num, "expected two fields")
             try:
                 dates.append(parse_date(row[0].strip()))
             except ValueError:
-                raise MalformedDateError(line) from None
+                raise MalformedDateError(rows.line_num) from None
             try:
                 values.append(float(row[1]))
             except ValueError:
+                line = rows.line_num
                 raise MalformedRowError(line, f"not a number: {row[1]!r}") from None
     return validate_series(drop_leap_days(dates, values))
 

@@ -13,21 +13,16 @@ That recursion lives in :mod:`tempcast.models`, beside
 :func:`~tempcast.models._one_step_errors_batch`: one pass over a window
 for ``W`` triples, returning each column's RMSE together with its final
 level, trend and seasonal ring, bit for bit those of folding
-``hw_update``. ``hw_fit`` runs the same kernel on one column. This
-module keeps only the search: the grid, its refinement and the choice of
-winner. Each round of a window's search is one kernel call over its
-sweep, and the winner's fitted state comes out of that call itself; no
-replay is needed.
+``hw_update``. Each round of a window's search is one
+:func:`~tempcast.models._sweep`, which returns the round's winner and
+the state its column ended in. This module keeps only the search: the
+grid, its refinement and the order between rounds.
 
 A window's winner is the smallest ``(score, alpha, beta, gamma)``: the
 lowest score, exact ties going to the smallest triple. That one order
 decides between rounds; within a sweep, whose triples :func:`_mesh`
 lists in increasing order, it picks the first column with the lowest score.
-A refined sweep keeps the axes' cardinalities and clipping only drops
-points, so none is wider than the first, and one seasonal ring of
-season length × first-round width floats serves every kernel call of a
-:func:`grid_search` call, which tunes one window. :func:`one_step_rmse`
-is the one-triple :func:`grid_search`.
+:func:`one_step_rmse` is the one-triple :func:`grid_search`.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ from .errors import (
     _real,
     _whole,
 )
-from .models import HWState, SmoothingParams, _finite, _one_step_errors_batch
+from .models import HWState, SmoothingParams, _finite, _sweep
 from .series import _vector
 
 
@@ -138,28 +133,20 @@ def _mesh(axis_a, axis_b, axis_g) -> np.ndarray:
     return np.array(np.meshgrid(axis_a, axis_b, axis_g, indexing="ij")).reshape(3, -1)
 
 
-def _best_of_batch(
-    scores: np.ndarray, a: np.ndarray, b: np.ndarray, g: np.ndarray
-) -> tuple[float, float, float, float, int]:
-    """``(score, alpha, beta, gamma, column)`` of the first column with
-    the lowest score, column 0 if all are NaN: on a :func:`_mesh` sweep,
-    the smallest such tuple among the lowest scores, NaN ranking last."""
-    j = int(np.argmax(scores == np.fmin.reduce(scores)))
-    return float(scores[j]), float(a[j]), float(b[j]), float(g[j]), j
-
-
-def _refine(center, cardinalities, spacings, shrink) -> list[np.ndarray]:
-    """Axes of the next refinement round around ``center``: each axis's
-    cardinality of points across ±(spacing × shrink), clipped to [0, 1],
-    or the center alone for a zero-spacing axis, as every one-point axis
-    is. Clipping keeps the points sorted, so equal ones are neighbours
-    and only the first of each run is kept."""
-    refined = []
+def _refine(center, cardinalities, spacings, shrink):
+    """Axes of the next refinement round around ``center``, and their
+    unclipped spacings: each axis's cardinality of points across
+    ±(spacing × shrink), clipped to [0, 1], or the center alone for a
+    zero-spacing axis, as every one-point axis is. Clipping keeps the
+    points sorted, so equal ones are neighbours and only the first of
+    each run is kept."""
+    axes, refined_spacings = [], []
     for point, n_points, spacing in zip(center, cardinalities, spacings):
         half = spacing * shrink
         points = np.clip(np.linspace(point - half, point + half, n_points), 0.0, 1.0)
-        refined.append(points[np.r_[True, points[1:] != points[:-1]]])
-    return refined
+        axes.append(points[np.r_[True, points[1:] != points[:-1]]])
+        refined_spacings.append(2.0 * half / (n_points - 1) if n_points > 1 else 0.0)
+    return axes, refined_spacings
 
 
 def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
@@ -191,43 +178,29 @@ def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
     if bad.size:
         raise NonFiniteError(f"value {bad[0]} is not finite: {float(window[bad[0]])!r}")
 
-    axes = [
-        np.asarray(spec.alpha_grid, dtype=np.float64),
-        np.asarray(spec.beta_grid, dtype=np.float64),
-        np.asarray(spec.gamma_grid, dtype=np.float64),
-    ]
+    grids = spec.alpha_grid, spec.beta_grid, spec.gamma_grid
+    axes = [np.asarray(grid, dtype=np.float64) for grid in grids]
     cardinalities = [axis.size for axis in axes]
-    sweep = _mesh(*axes)
     spacings = [
         float(axis[-1] - axis[0]) / (axis.size - 1) if axis.size > 1 else 0.0
         for axis in axes
     ]
-    ring = np.empty(season_length * sweep.shape[1])
     evaluations = 0
     # The best (score, alpha, beta, gamma, column) so far, and the state
     # its column ended in.
     best = state = None
     for round_index in range(spec.refine_rounds + 1):
         if round_index:
-            sweep = _mesh(
-                *_refine(best[1:4], cardinalities, spacings, spec.refine_shrink)
+            axes, spacings = _refine(
+                best[1:4], cardinalities, spacings, spec.refine_shrink
             )
-            spacings = [
-                2.0 * (spacing * spec.refine_shrink) / (size - 1) if size > 1 else 0.0
-                for spacing, size in zip(spacings, cardinalities)
-            ]
+        sweep = _mesh(*axes)
         # Finite values near the float limit may overflow to an inf
         # or NaN score, which ranks as _best_of_batch says.
-        scores, level, trend, final_ring = _one_step_errors_batch(
-            window, season_length, *sweep, ring
-        )
+        candidate, candidate_state = _sweep(window, season_length, *sweep)
         evaluations += sweep.shape[1]
-        candidate = _best_of_batch(scores, *sweep)
         if best is None or candidate < best:
-            j = candidate[-1]
-            best = candidate
-            # HWState copies the ring out of the buffer the next call reuses
-            state = HWState(level[j], trend[j], final_ring[:, j], phase=n % season_length)
+            best, state = candidate, candidate_state
 
     score, alpha, beta, gamma, _ = best
     # As in hw_fit, a window whose values overflow the float range raises.

@@ -108,6 +108,22 @@ class TestParse:
             parse_cdo_csv(text, unit="celsius")
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ('"A\nB",2015-01-01,1.0\nA,2015-13-01,2.0\n', MalformedDateError),
+            ('"A\nB",2015-01-01,1.0\nA,2015-01-02,warm\n', MalformedRowError),
+            ('"A\nB",2015-01-01,1.0\nA,2015-01-02\n', MalformedRowError),
+            ('A,2015-01-01,1.0\n"A\nB",2015-13-01,2.0\n', MalformedDateError),
+        ],
+        ids=["date-after", "number-after", "ragged-after", "date-in-the-row"],
+    )
+    def test_error_names_the_line_past_a_field_spanning_lines(self, rows, error):
+        # a quoted cell spans lines 2 and 3 or 3 and 4: the bad row ends on line 4
+        with pytest.raises(error) as excinfo:
+            parse_cdo_csv(HEADER + rows, unit="celsius")
+        assert excinfo.value.line == 4
+
     def test_malformed_number_names_line(self):
         text = HEADER + "A,2015-01-01,warm\n"
         with pytest.raises(MalformedRowError) as excinfo:

@@ -42,7 +42,7 @@ from tempcast.backtest import (
     run_experiment,
     select_origins,
 )
-from tempcast.series import drop_leap_days, iso_dates, rmse
+from tempcast.series import drop_leap_days, iso_dates, rmse, to_csv_rows
 from tempcast.tuning import one_step_rmse
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -127,6 +127,18 @@ class TestWronglyTypedArguments:
     def test_dates_must_be_dates(self, dates):
         with pytest.raises(ArgumentError, match="^dates must be datetime.date values"):
             drop_leap_days(dates, [280.0])
+
+    @pytest.mark.parametrize(
+        "start", ["2015-01-01", dt.datetime(2015, 1, 1), None],
+        ids=["str", "datetime", "none"],
+    )
+    def test_iso_dates_start_must_be_a_date(self, start):
+        with pytest.raises(ArgumentError, match="^start must be a datetime.date, got"):
+            iso_dates(start, 0, 3)
+
+    def test_rows_need_a_series(self):
+        with pytest.raises(ArgumentError, match="^series must be a TimeSeries, got 5$"):
+            to_csv_rows(5)
 
     def test_series_text_must_be_str(self):
         with pytest.raises(ArgumentError, match=r"^text must be a str, got b'date"):

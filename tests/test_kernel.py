@@ -1,6 +1,7 @@
 """The smoother kernel's C loop: how it is built, cached and loaded, how
-it treats signed zeros and NaN, and that the baseline loop gives the bits
-of the clone this host's loader picks.
+it treats signed zeros and NaN, that each call returns a ring of its own,
+and that the baseline loop gives the bits of the clone this host's loader
+picks.
 
 The loader tests point ``XDG_CACHE_HOME`` at their own temporary
 directory and drop the loaded kernel, so each one builds or loads afresh.
@@ -129,7 +130,7 @@ class TestSpecialValues:
         values = np.array([-0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0])
         params = SmoothingParams(*triple, season_length=2)
         _, level, trend, ring = _one_step_errors_batch(
-            values, 2, *np.reshape(triple, (3, 1)), np.empty(2)
+            values, 2, *np.reshape(triple, (3, 1))
         )
         expected = fold(values, params)
         assert level.tobytes() == np.float64(expected.level).tobytes()
@@ -143,12 +144,20 @@ class TestSpecialValues:
         values[at] = np.nan
         coefficients = np.array([[0.0, 0.5, 1.0]] * 3)
         with np.errstate(all="raise"):
-            rmse, level, trend, ring = _one_step_errors_batch(
-                values, 7, *coefficients, np.empty(21)
-            )
+            rmse, level, trend, ring = _one_step_errors_batch(values, 7, *coefficients)
         assert np.isnan(rmse).all()
         assert np.isnan(level).all()
         assert np.isnan(trend).all()
+
+
+def test_each_call_returns_a_ring_of_its_own():
+    values = 280.0 + np.sin(np.arange(30.0))
+    coefficients = np.array([[0.0, 0.5, 1.0]] * 3)
+    first = _one_step_errors_batch(values, 7, *coefficients)[3]
+    kept = first.copy()
+    second = _one_step_errors_batch(values[::-1], 7, *coefficients)[3]
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
 
 
 @pytest.fixture(scope="module")

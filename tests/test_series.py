@@ -16,6 +16,7 @@ from tempcast import TimeSeries, series as series_module
 from tempcast.errors import (
     EmptyInputError,
     LengthMismatchError,
+    MalformedDateError,
     MalformedRowError,
     OutOfRangeError,
     TempcastError,
@@ -236,6 +237,22 @@ class TestSeriesCsv:
             else:
                 assert error is None
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("2015-13-02,281.0", MalformedDateError),
+            ("2015-01-02,warm", MalformedRowError),
+            ("2015-01-02", MalformedRowError),
+        ],
+        ids=["date", "number", "ragged"],
+    )
+    def test_error_names_the_line_past_a_field_spanning_lines(self, row, error):
+        # the first value's quoted cell spans lines 2 and 3
+        text = 'date,kelvin\n2015-01-01,"280.0\n"\n' + row + "\n"
+        with pytest.raises(error) as excinfo:
+            read_csv(text)
+        assert excinfo.value.line == 4
 
     def test_february_29_rows_are_dropped(self):
         text = "date,kelvin\n2020-02-28,280.0\n2020-02-29,281.0\n2020-03-01,282.0\n"

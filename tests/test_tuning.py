@@ -17,7 +17,14 @@ from tempcast import (
 )
 from tempcast.errors import NonFiniteError, TooShortError
 from tempcast import tuning
-from tempcast.models import HWState, _kernel, _one_step_errors_batch, hw_update, init_state
+from tempcast.models import (
+    HWState,
+    _best_of_batch,
+    _kernel,
+    _one_step_errors_batch,
+    hw_update,
+    init_state,
+)
 from tempcast.tuning import FitResult, one_step_rmse
 
 
@@ -158,8 +165,7 @@ class TestKernelBlocks:
         alphas, betas, gammas = gen.uniform(0, 1, (3, width))
         alphas[0], betas[-1], gammas[-1] = 0.0, 1.0, 1.0
         rmse, level, trend, ring = _one_step_errors_batch(
-            values, season_length, alphas, betas, gammas,
-            np.empty(season_length * width),
+            values, season_length, alphas, betas, gammas
         )
         for j in range(width):
             params = SmoothingParams(
@@ -177,9 +183,7 @@ class TestKernelBlocks:
         # the caller's policy would raise on both
         values = np.array([1e308, -1e308] * 10)
         with np.errstate(over="raise", invalid="raise"):
-            rmse, _, _, _ = _one_step_errors_batch(
-                values, 2, *np.full((3, 1), 0.5), np.empty(2)
-            )
+            rmse, _, _, _ = _one_step_errors_batch(values, 2, *np.full((3, 1), 0.5))
         assert np.isnan(rmse).all()
 
 
@@ -387,12 +391,17 @@ class TestRefine:
     @settings(max_examples=200, deadline=None)
     def test_axis_is_the_unique_clipped_points(self, center, n_points_spacing, shrink):
         n_points, spacing = n_points_spacing
-        (axis,) = tuning._refine([center], [n_points], [spacing], shrink)
+        (axis,), (next_spacing,) = tuning._refine(
+            [center], [n_points], [spacing], shrink
+        )
         half = spacing * shrink
         points = np.linspace(center - half, center + half, n_points)
         assert axis.tobytes() == np.unique(np.clip(points, 0.0, 1.0)).tobytes()
         if spacing == 0.0:
             assert axis.tobytes() == np.array([center]).tobytes()
+        # the unclipped points' step, clipping or not; 0 for one point
+        step = 2.0 * half / (n_points - 1) if n_points > 1 else 0.0
+        assert np.float64(next_spacing).tobytes() == np.float64(step).tobytes()
 
     def test_refined_search_imports_neither_numpy_ma_nor_subprocess(self):
         # np.unique imports numpy.ma on first use, a cost every search
@@ -437,7 +446,7 @@ class TestBestOfBatch:
             st.sampled_from([0.5, 1.0, math.nan, math.inf, -math.inf]),
             min_size=a.size, max_size=a.size,
         )))
-        got = tuning._best_of_batch(scores, a, b, g)
+        got = _best_of_batch(scores, a, b, g)
         expected = smallest_tied_triple(scores, a, b, g)
         assert got[-1] == expected[-1]
         assert np.array(got[:-1]).tobytes() == np.array(expected[:-1]).tobytes()
