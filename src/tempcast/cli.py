@@ -10,9 +10,11 @@ randomness flows from the single --seed flag. The series file's format
 belongs to :mod:`tempcast.series`; what is left here is the command
 line: arguments, reading each input once (:func:`_read_text`), the
 report tables' row sources, one CSV writer (:func:`_write_csv`) and one
-manifest writer (:func:`_write_manifest`). The digest is of the bytes
-the command parsed, and no artifact may be written over the input file
-(exit 2).
+manifest writer (:func:`_write_manifest`). Every command turns its
+flags into the library's configurations before it opens any file, so a
+bad flag is a usage error whatever the input; then it checks that no
+artifact would be written over the input file (exit 2), and only then
+reads, runs and writes. The digest is of the bytes the command parsed.
 
 Exit codes: 0 success, 1 usage error (an ``ArgumentError``), 2 data error
 (another ``TempcastError`` or an ``OSError``), 3 internal error.
@@ -57,12 +59,6 @@ from .tuning import GridSpec, grid_search
 
 # Rows per write of a CSV artifact.
 _CSV_BLOCK_ROWS = 8192
-
-GRID_PRESETS = {
-    "coarse": GridSpec.coarse,
-    "default": GridSpec.default,
-    "fine": GridSpec.fine,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +167,7 @@ def build_parser() -> _Parser:
     p.add_argument("--experiments", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", default=",".join(MODEL_NAMES))
-    p.add_argument("--grid", choices=sorted(GRID_PRESETS), default="default")
+    p.add_argument("--grid", choices=("coarse", "default", "fine"), default="default")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=_cmd_backtest)
 
@@ -190,6 +186,11 @@ def build_parser() -> _Parser:
 
 
 def _cmd_ingest(args) -> int:
+    config = CleanConfig(
+        max_gap=args.max_gap,
+        start=_date_flag(args.date_from, "--from") if args.date_from else None,
+        end=_date_flag(args.date_to, "--to") if args.date_to else None,
+    )
     output = Path(args.output)
     manifest = output.parent / (output.name + ".manifest.json")
     _refuse_overwrite(args.input, [output, manifest])
@@ -199,11 +200,6 @@ def _cmd_ingest(args) -> int:
         unit=args.unit,
         tmax_tmin_fallback=args.tmax_tmin_fallback,
         station=args.station,
-    )
-    config = CleanConfig(
-        max_gap=args.max_gap,
-        start=_date_flag(args.date_from, "--from") if args.date_from else None,
-        end=_date_flag(args.date_to, "--to") if args.date_to else None,
     )
     # Neither the export's text nor the kept station's parsed rows is
     # needed past the stage that reads it; freeing each before the next
@@ -266,20 +262,20 @@ def _print_rmse_table(report: BacktestReport) -> None:
 
 
 def _cmd_backtest(args) -> int:
-    out_dir = Path(args.out_dir)
-    artifacts = ["rmse.csv", "errors.csv"]
-    _refuse_overwrite(
-        args.series, [out_dir / name for name in [*artifacts, "manifest.json"]]
-    )
-    series, input_sha256 = _read_series_csv(Path(args.series))
     config = BacktestConfig(
         train_length=args.train_days,
         leads=_parse_leads(args.leads),
         n_experiments=args.experiments,
         seed=args.seed,
         models=[part.strip() for part in args.models.split(",") if part.strip()],
-        grid=GRID_PRESETS[args.grid](),
+        grid=getattr(GridSpec, args.grid)(),
     )
+    out_dir = Path(args.out_dir)
+    artifacts = ["rmse.csv", "errors.csv"]
+    _refuse_overwrite(
+        args.series, [out_dir / name for name in [*artifacts, "manifest.json"]]
+    )
+    series, input_sha256 = _read_series_csv(Path(args.series))
     report = run_backtest(series, config)
 
     _write_csv(out_dir / "rmse.csv", ("lead", *config.models), _rmse_rows(report))
@@ -334,14 +330,15 @@ def _cmd_forecast(args) -> int:
         raise ArgumentError("--auto excludes --alpha/--beta/--gamma")
     if given and len(given) != 3:
         raise ArgumentError("provide --alpha, --beta and --gamma together")
-    _whole(args.season, "--season", minimum=2)
+    season = _whole(args.season, "--season", minimum=2)
+    params = SmoothingParams(*explicit, season_length=season) if given else None
 
     output = Path(args.output)
     manifest = output.parent / (output.name + ".manifest.json")
     _refuse_overwrite(args.series, [output, manifest])
     series, input_sha256 = _read_series_csv(Path(args.series))
     # Up to a season of observations comes before the leads.
-    first = max(len(series) - args.season, 0)
+    first = max(len(series) - season, 0)
     try:
         dates = iso_dates(series.start_date, first, len(series) + args.horizon)
     except CalendarOverflowError:
@@ -349,14 +346,11 @@ def _cmd_forecast(args) -> int:
             f"--horizon {args.horizon} runs past 9999-12-31, the last date "
             "the calendar can name"
         ) from None
-    if len(given) == 3:
-        params = SmoothingParams(*explicit, season_length=args.season)
-        state = hw_fit(series, params)
-        tuned = None
+    if params is None:
+        tuned = grid_search(series, GridSpec.default(), season_length=season)
+        params, state = tuned.params, tuned.state
     else:
-        tuned = grid_search(series, GridSpec.default(), season_length=args.season)
-        params = tuned.params
-        state = tuned.state
+        tuned, state = None, hw_fit(series, params)
 
     forecasts = hw_forecast(state, np.arange(1, args.horizon + 1), params)
 
@@ -367,7 +361,7 @@ def _cmd_forecast(args) -> int:
     )
     resolved = {
         "horizon": args.horizon,
-        "season_length": args.season,
+        "season_length": season,
         "coefficients": {
             "alpha": params.alpha,
             "beta": params.beta,

@@ -43,9 +43,9 @@ from .errors import (
 from .series import (
     TimeSeries,
     _ordinals,
+    _series_from_ordinals,
     _vector,
     csv_rows,
-    series_from_ordinals,
     validate_series,
 )
 
@@ -321,7 +321,7 @@ def clean_report(
         )
 
     span = first + np.arange(day_count, dtype=np.int64)
-    series = series_from_ordinals(span, filled)
+    series = _series_from_ordinals(span, filled)
     stats = CleanStats(
         raw_rows=records.rows_read,
         kept_rows=int(rows.size),

@@ -209,6 +209,7 @@ def hw_update(
     length. The readable reference for :func:`_one_step_errors_batch`,
     which fits and tunes; nothing else in the package calls this.
     """
+    observation = _real(observation, "observation")
     if not math.isfinite(observation):
         raise NonFiniteError(f"observation is not finite: {observation!r}")
     L = _season_length(state, params)
@@ -236,29 +237,36 @@ _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 def _kernel():
     """``_kernel.c``'s ``one_step_errors`` as a ctypes function.
 
-    The shared library is built on the first call in a process that
-    finds none, with ``sysconfig``'s ``CC`` (else ``cc``) and
-    ``_KERNEL_FLAGS``, into ``$XDG_CACHE_HOME/tempcast/`` (by default
-    ``~/.cache/tempcast/``), under a SHA-256 of the source and the
-    command: it is written to a temporary file there and renamed into
-    place, so processes building at once never load a partial file. Later
-    calls and processes only load it. A missing compiler, a failed
-    compile or an unwritable cache raises ``OSError`` naming the command
-    and the compiler's stderr.
+    The shared library is built with ``sysconfig``'s ``CC`` (else ``cc``)
+    and ``_KERNEL_FLAGS`` into ``$XDG_CACHE_HOME/tempcast/`` (by default
+    ``~/.cache/tempcast/``), under a SHA-256 of the source, the command,
+    the Python platform and the machine, so hosts sharing a cache each
+    load their own build. It is built in a temporary directory there and
+    renamed into place, so processes building at once never load a
+    partial file. Later calls and processes only load it; a cached file
+    that cannot be loaded (missing, truncated, built for another machine)
+    is rebuilt once, and a second failure to load raises ``OSError``. A
+    missing compiler, a failed compile or an unwritable cache raises
+    ``OSError`` naming the command and the compiler's stderr.
     """
     import ctypes
     import hashlib
+    import platform
     import shlex
     import sysconfig
 
     command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_KERNEL_FLAGS]
     digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
-    digest.update(shlex.join(command).encode())
+    for part in (shlex.join(command), sysconfig.get_platform(), platform.machine()):
+        digest.update(part.encode() + b"\0")
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     library = cache / "tempcast" / f"kernel-{digest.hexdigest()}.so"
-    if not library.exists():
+    try:
+        loaded = ctypes.CDLL(str(library))
+    except OSError:
         _build(command, library)
-    kernel = ctypes.CDLL(str(library)).one_step_errors
+        loaded = ctypes.CDLL(str(library))
+    kernel = loaded.one_step_errors
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     kernel.argtypes = [array, ctypes.c_long, ctypes.c_long, ctypes.c_long, *[array] * 7]
     kernel.restype = None
@@ -274,9 +282,8 @@ def _build(command: list[str], library: Path) -> None:
     shown = shlex.join([*command, "-o", str(library), str(_KERNEL_SOURCE)])
     try:
         library.parent.mkdir(parents=True, exist_ok=True)
-        handle, partial = tempfile.mkstemp(suffix=".so", dir=library.parent)
-        os.close(handle)
-        try:
+        with tempfile.TemporaryDirectory(dir=library.parent) as scratch:
+            partial = os.path.join(scratch, library.name)
             done = subprocess.run(
                 [*command, "-o", partial, str(_KERNEL_SOURCE)],
                 capture_output=True, text=True,
@@ -284,8 +291,6 @@ def _build(command: list[str], library: Path) -> None:
             if done.returncode:
                 raise OSError(f"exit status {done.returncode}: {done.stderr.strip()}")
             os.replace(partial, library)
-        finally:
-            Path(partial).unlink(missing_ok=True)
     except OSError as exc:
         raise OSError(f"cannot build the smoother kernel with `{shown}`: {exc}") from None
 

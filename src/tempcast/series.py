@@ -80,10 +80,13 @@ _CSV_SLICE_CHARS = 65536
 
 
 def is_leap_day(day: dt.date) -> bool:
+    """Whether ``day`` is February 29; a ``day`` that is not a
+    ``datetime.date``, or is a ``datetime``, raises ``ArgumentError``."""
+    day = _date(day, "day")
     return day.month == 2 and day.day == 29
 
 
-def leap_day_mask(ordinals: np.ndarray) -> np.ndarray:
+def _leap_day_mask(ordinals: np.ndarray) -> np.ndarray:
     """Which day ordinals (``date.toordinal()``) fall on February 29,
     looked up among those of the array's first year to its last."""
     if not ordinals.size:
@@ -142,7 +145,8 @@ def iso_dates(start: dt.date, first: int, stop: int) -> Iterator[str]:
 
 
 def parse_date(text: str) -> dt.date:
-    """The date a ``YYYY-MM-DD`` string names; ``ValueError`` otherwise.
+    """The date a ``YYYY-MM-DD`` string names; anything else, a value that
+    is not a ``str`` included, raises ``ArgumentError``, a ``ValueError``.
 
     From Python 3.11 ``date.fromisoformat`` also reads ``20200101`` and
     week dates such as ``2020-W01-5``; of its forms only ``YYYY-MM-DD``
@@ -151,14 +155,18 @@ def parse_date(text: str) -> dt.date:
     ``ingest.parse_cdo_csv``'s row loop inlines this guard and call;
     tests compare that loop's dates and errors against this function.
     """
-    if len(text) != 10 or text[4] != "-" or text[7] != "-":
-        raise ValueError(f"expected YYYY-MM-DD, got {text!r}")
-    return _FROMISOFORMAT(text)
+    try:
+        if len(text) == 10 and text[4] == "-" and text[7] == "-":
+            return _FROMISOFORMAT(text)
+    except (LookupError, TypeError, ValueError):
+        pass
+    raise ArgumentError(f"expected YYYY-MM-DD, got {text!r}")
 
 
 def next_calendar_day(day: dt.date) -> dt.date:
-    """Next date in the 365-day calendar (February 29 is skipped)."""
-    nxt = day + _ONE_DAY
+    """Next date in the 365-day calendar (February 29 is skipped); a
+    ``day`` that is not a ``datetime.date`` raises ``ArgumentError``."""
+    nxt = _date(day, "day") + _ONE_DAY
     if is_leap_day(nxt):
         nxt += _ONE_DAY
     return nxt
@@ -285,11 +293,11 @@ def drop_leap_days(dates, values) -> TimeSeries:
         raise EmptyInputError("no dated observations")
 
     step = np.diff(ordinals)
-    skips_leap_day = (step == 2) & leap_day_mask(ordinals[:-1] + 1)
+    skips_leap_day = (step == 2) & _leap_day_mask(ordinals[:-1] + 1)
     bad = np.flatnonzero((step != 1) & ~skips_leap_day)
     if bad.size:
         raise ValidationError(int(bad[0]) + 1, "non-consecutive")
-    return series_from_ordinals(ordinals, arr)
+    return _series_from_ordinals(ordinals, arr)
 
 
 def _ordinals(dates) -> np.ndarray:
@@ -301,14 +309,14 @@ def _ordinals(dates) -> np.ndarray:
         raise ArgumentError(f"dates must be datetime.date values: {exc}") from exc
 
 
-def series_from_ordinals(ordinals: np.ndarray, values: np.ndarray) -> TimeSeries:
+def _series_from_ordinals(ordinals: np.ndarray, values: np.ndarray) -> TimeSeries:
     """Build a TimeSeries from day ordinals and values, removing February 29.
 
     ``ordinals`` are ``date.toordinal()`` values that the caller has
     already checked to advance one day at a time, apart from steps over
     February 29; :func:`drop_leap_days` is the checking entry point.
     """
-    keep = ~leap_day_mask(ordinals)
+    keep = ~_leap_day_mask(ordinals)
     if not keep.any():
         raise EmptyInputError("every observation fell on February 29")
     start = dt.date.fromordinal(int(ordinals[np.argmax(keep)]))

@@ -112,7 +112,9 @@ class FitResult:
     :func:`~tempcast.models.hw_update` from
     :func:`~tempcast.models.init_state`'s, as ``hw_fit(train, params)``
     also returns it. It takes part in equality, so equal results also
-    hold equal fitted states.
+    hold equal fitted states. The score is stored as a float and the
+    evaluations as an int; a field of another type, a score that is
+    negative or not finite, and no evaluation raise ``ArgumentError``.
     """
 
     params: SmoothingParams
@@ -121,10 +123,14 @@ class FitResult:
     state: HWState = field(repr=False)
 
     def __post_init__(self):
-        if self.in_sample_rmse < 0.0:
-            raise ArgumentError("in_sample_rmse cannot be negative")
-        if self.evaluations < 1:
-            raise ArgumentError("at least one evaluation is required")
+        _instance(self.params, SmoothingParams, "params")
+        score = _real(self.in_sample_rmse, "in_sample_rmse")
+        if not 0.0 <= score < math.inf:
+            raise ArgumentError(f"in_sample_rmse must be finite and >= 0, got {score}")
+        object.__setattr__(self, "in_sample_rmse", score)
+        evaluations = _whole(self.evaluations, "evaluations", minimum=1)
+        object.__setattr__(self, "evaluations", evaluations)
+        _instance(self.state, HWState, "state")
 
 
 def _mesh(axis_a, axis_b, axis_g) -> np.ndarray:

@@ -437,23 +437,30 @@ class TestTopLevel:
     @pytest.mark.parametrize(
         "command, message",
         [
-            (["ingest", "--input", str(GOLDEN_CSV), "--unit", "celsius",
-              "--max-gap", "-1"], "max_gap must be at least 0, got -1"),
-            (["ingest", "--input", str(GOLDEN_CSV), "--unit", "celsius",
-              "--from", "2020-01-01", "--to", "2019-01-01"],
-             "date range end precedes start"),
-            (["forecast", "--series", "SERIES", "--horizon", "3", "--alpha", "2",
-              "--beta", "0", "--gamma", "0"], "alpha must lie in [0, 1], got 2.0"),
+            (["ingest", "--input", "INPUT", "--unit", "celsius", "--max-gap", "-1",
+              "--output", "OUT"], "max_gap must be at least 0, got -1"),
+            (["ingest", "--input", "INPUT", "--unit", "celsius", "--from", "2020-01-01",
+              "--to", "2019-01-01", "--output", "OUT"], "date range end precedes start"),
+            (["ingest", "--input", "INPUT", "--unit", "celsius", "--from", "2020-13-01",
+              "--output", "OUT"], "--from expects YYYY-MM-DD, got '2020-13-01'"),
+            (["backtest", "--series", "INPUT", "--leads", "3,2", "--out-dir", "OUT"],
+             "leads must be strictly increasing"),
+            (["forecast", "--series", "INPUT", "--horizon", "3", "--alpha", "2",
+              "--beta", "0", "--gamma", "0", "--output", "OUT"],
+             "alpha must lie in [0, 1], got 2.0"),
         ],
-        ids=["max-gap", "from-after-to", "alpha"],
+        ids=["max-gap", "from-after-to", "from-month-13", "leads", "alpha"],
     )
     def test_library_argument_error_is_usage_error(
         self, clean_series_file, tmp_path, capsys, command, message
     ):
-        argv = [str(clean_series_file) if a == "SERIES" else a for a in command]
-        code = main(argv + ["--output", str(tmp_path / "out.csv")])
-        assert code == 1
-        assert capsys.readouterr().err == f"usage error: {message}\n"
+        # Flags are checked before any file is opened, so a missing input
+        # gives the same usage error as a valid one.
+        valid = GOLDEN_CSV if command[0] == "ingest" else clean_series_file
+        for source in (valid, tmp_path / "missing.csv"):
+            replace = {"INPUT": str(source), "OUT": str(tmp_path / "out")}
+            assert main([replace.get(arg, arg) for arg in command]) == 1
+            assert capsys.readouterr().err == f"usage error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -42,8 +42,18 @@ from tempcast.backtest import (
     run_experiment,
     select_origins,
 )
-from tempcast.series import drop_leap_days, iso_dates, rmse, to_csv_rows
-from tempcast.tuning import one_step_rmse
+from tempcast import series as series_module
+from tempcast.models import hw_update
+from tempcast.series import (
+    drop_leap_days,
+    is_leap_day,
+    iso_dates,
+    next_calendar_day,
+    parse_date,
+    rmse,
+    to_csv_rows,
+)
+from tempcast.tuning import FitResult, one_step_rmse
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -53,6 +63,8 @@ _CONFIG = BacktestConfig(
     train_length=30, leads=(1,), n_experiments=2, season_length=7,
     grid=GridSpec((0.5,), (0.5,), (0.5,)),
 )
+_STATE = HWState(280.0, 1.0, [0.0] * 7, 0)
+_PARAMS = SmoothingParams(0.5, 0.5, 0.5, 7)
 # a result holding every error _CONFIG pools, and a copy at another origin
 _RESULT = ExperimentResult(origin=40, errors={model: {1: 0.5} for model in MODEL_NAMES})
 
@@ -297,9 +309,59 @@ class TestWronglyTypedArguments:
         with pytest.raises(ArgumentError, match="^station must be a str, got 5$"):
             parse_cdo_csv("STATION,DATE,TAVG\n5,2015-01-01,1.0\n", "celsius", station=5)
 
+    @pytest.mark.parametrize(
+        "text, shown",
+        [(5, "5"), (None, "None"), (b"2015-01-01", "b'2015-01-01'"),
+         (list("2015-01-01"), r"\['2', "), ("2015-13-01", "'2015-13-01'")],
+        ids=["int", "none", "bytes", "list", "month-13"],
+    )
+    def test_parse_date_raises_argument_error(self, text, shown):
+        # the first two once escaped as a TypeError, the rest as a bare ValueError
+        with pytest.raises(ArgumentError, match=f"^expected YYYY-MM-DD, got {shown}"):
+            parse_date(text)
 
-_STATE = HWState(280.0, 1.0, [0.0] * 7, 0)
-_PARAMS = SmoothingParams(0.5, 0.5, 0.5, 7)
+    def test_update_observation_must_be_real(self):
+        # once a TypeError from math.isfinite
+        with pytest.raises(ArgumentError, match="^observation must be a real number, got 'x'$"):
+            hw_update(_STATE, "x", _PARAMS)
+
+    @pytest.mark.parametrize("call", [is_leap_day, next_calendar_day])
+    @pytest.mark.parametrize(
+        "day, shown", [("x", "'x'"), (dt.datetime(2016, 2, 29), "datetime")],
+        ids=["str", "datetime"],
+    )
+    def test_calendar_steps_need_a_date(self, call, day, shown):
+        # a str once raised AttributeError or TypeError
+        with pytest.raises(ArgumentError, match=f"^day must be a datetime.date, got {shown}"):
+            call(day)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("p", 0.5, 1, _STATE), "params must be a SmoothingParams, got 'p'$"),
+            ((_PARAMS, "x", 1, _STATE), "in_sample_rmse must be a real number, got 'x'$"),
+            ((_PARAMS, math.nan, 1, _STATE), "in_sample_rmse must be finite and >= 0, got nan$"),
+            ((_PARAMS, math.inf, 1, _STATE), "in_sample_rmse must be finite and >= 0, got inf$"),
+            ((_PARAMS, 0.5, 1.0, _STATE), "evaluations must be a whole number, got 1.0$"),
+            ((_PARAMS, 0.5, 1, None), "state must be a HWState, got None$"),
+        ],
+        ids=["params", "score-str", "score-nan", "score-inf", "evaluations-float", "state"],
+    )
+    def test_fit_result_fields_are_checked(self, fields, message):
+        # a str score once raised TypeError; the rest were accepted
+        with pytest.raises(ArgumentError, match=f"^{message}"):
+            FitResult(*fields)
+
+    def test_fit_result_stores_a_float_score_and_an_int_count(self):
+        fit = FitResult(_PARAMS, np.float64(0.5), np.int64(3), _STATE)
+        assert type(fit.in_sample_rmse) is float and type(fit.evaluations) is int
+
+    @pytest.mark.parametrize("name", ["leap_day_mask", "series_from_ordinals"])
+    def test_unchecked_ordinal_helpers_are_private(self, name):
+        # neither checks its arguments, and both once failed with an
+        # AttributeError or TypeError on a list
+        assert not hasattr(series_module, name)
+        assert hasattr(series_module, f"_{name}")
 
 
 class TestLeadsPastTheInt64Range:

@@ -1,17 +1,19 @@
-"""The smoother kernel's C loop: how it is built, cached and loaded, how
-it treats signed zeros and NaN, that each call returns a ring of its own,
-and that the baseline loop gives the bits of the clone this host's loader
-picks.
+"""The smoother kernel's C loop: how it is built, cached and loaded, and
+rebuilt when the cached file cannot be loaded, how it treats signed zeros
+and NaN, that each call returns a ring of its own, and that the baseline
+loop gives the bits of the clone this host's loader picks.
 
 The loader tests point ``XDG_CACHE_HOME`` at their own temporary
 directory and drop the loaded kernel, so each one builds or loads afresh.
 """
 
 import ctypes
+import platform
 import shlex
 import subprocess
 import sys
 import sysconfig
+import types
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +84,53 @@ class TestCache:
         assert done.stdout == "[]\n"
         assert list(cache.iterdir()) == [library]
         assert library.stat().st_mtime_ns == built
+
+    def test_library_that_cannot_load_is_rebuilt(self, cache, tmp_path):
+        # built in another process, so this one never maps the file
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r}); "
+            "from tempcast.models import _kernel; _kernel()"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+        (library,) = cache.iterdir()
+        library.write_text("not a shared library\n")
+        out = tmp_path / "f.csv"
+        assert main(["forecast", "--series", str(SERIES), "--horizon", "7",
+                     "--alpha", "0.3", "--beta", "0.1", "--gamma", "0.2",
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == (SERIES.parent / "forecast_explicit.csv").read_bytes()
+        assert list(cache.iterdir()) == [library]
+        assert library.read_bytes().startswith(b"\x7fELF")
+
+    def test_second_failure_to_load_raises_os_error(self, cache, compiler, tmp_path):
+        fake = tmp_path / "fake-cc"
+        fake.write_text(
+            "#!/bin/sh\nwhile [ \"$1\" != -o ]; do shift; done\necho garbage > \"$2\"\n"
+        )
+        fake.chmod(0o755)
+        compiler(str(fake))
+        with pytest.raises(OSError, match=r"kernel-[0-9a-f]{64}\.so"):
+            _kernel()
+
+    @pytest.mark.parametrize(
+        "host", [("linux-aarch64", "x86_64"), ("linux-x86_64", "aarch64")],
+        ids=["platform", "machine"],
+    )
+    def test_host_is_part_of_the_library_name(self, cache, monkeypatch, host):
+        names = []
+
+        class Library:
+            def __init__(self, path):
+                names.append(Path(path).name)
+                self.one_step_errors = types.SimpleNamespace()
+
+        monkeypatch.setattr(ctypes, "CDLL", Library)
+        for get_platform, machine in [("linux-x86_64", "x86_64"), host]:
+            monkeypatch.setattr(sysconfig, "get_platform", lambda name=get_platform: name)
+            monkeypatch.setattr(platform, "machine", lambda name=machine: name)
+            _kernel.cache_clear()
+            _kernel()
+        assert len(set(names)) == 2
 
     def test_failing_compiler_raises_os_error(self, cache, failing_compiler):
         with pytest.raises(

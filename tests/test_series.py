@@ -26,11 +26,11 @@ from tempcast.series import (
     CSV_HEADER,
     KELVIN_MAX,
     KELVIN_MIN,
+    _leap_day_mask,
     csv_rows,
     drop_leap_days,
     is_leap_day,
     iso_dates,
-    leap_day_mask,
     next_calendar_day,
     parse_date,
     read_csv,
@@ -191,7 +191,7 @@ class TestClosedFormCalendar:
     )
     @settings(max_examples=200, deadline=None)
     def test_leap_day_mask_matches_is_leap_day(self, ordinals):
-        mask = leap_day_mask(np.array(ordinals, dtype=np.int64))
+        mask = _leap_day_mask(np.array(ordinals, dtype=np.int64))
         expected = [is_leap_day(dt.date.fromordinal(o)) for o in ordinals]
         assert mask.tolist() == expected
 
