@@ -38,6 +38,7 @@ from .errors import (
     _date,
     _instance,
     _one_of,
+    _real,
     _whole,
 )
 from .series import (
@@ -238,8 +239,9 @@ def _kelvin(value, unit: str):
 
 
 def to_kelvin(value: float, unit: str) -> float:
-    """Convert a temperature in the declared unit to Kelvin."""
+    """Convert a real-number temperature in the declared unit to Kelvin."""
     _one_of(unit, UNITS, "unit")
+    value = _real(value, "temperature")
     if not math.isfinite(value):
         raise NonFiniteError(f"temperature is not finite: {value!r}")
     return _kelvin(value, unit)

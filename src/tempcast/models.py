@@ -120,10 +120,8 @@ class HWState(_ByValue):
             )
 
 
-def _initial_components(
-    values: np.ndarray, season_length: int
-) -> tuple[float, float, np.ndarray]:
-    """Level, trend and seasonal ring estimated from a training prefix.
+def _initial_state(values: np.ndarray, season_length: int) -> HWState:
+    """The phase-0 state estimated from a training prefix.
 
     Trend is the per-day gap between the first two season means. Each
     ring slot averages its phase's deviation from the season mean over
@@ -135,7 +133,7 @@ def _initial_components(
     linear plus a zero-sum cycle these estimates recover the generating
     components, and the update recursions then hold them fixed at every
     step for any coefficients. Values near the float limit may give
-    infinite or NaN components; that raises no warning.
+    infinite or NaN components, unchecked and with no warning.
     """
     L = season_length
     n = values.size
@@ -155,22 +153,20 @@ def _initial_components(
         seasonal = deviations.mean(axis=0) - ramp
 
     level = first_mean - trend * (L + 1) / 2.0
-    return level, trend, seasonal
+    return HWState(level, trend, seasonal, 0)
 
 
 def init_state(train, params: SmoothingParams) -> HWState:
-    """Estimate a starting state from at least two full seasons.
+    """:func:`_initial_state` of at least two full seasons, checked finite.
 
     The returned state is positioned before the first observation
-    (phase 0): folding the training values through
-    :func:`hw_update` replays the window from the top. A state that is
-    not finite raises :class:`NonFiniteError`.
+    (phase 0): folding the training values through :func:`hw_update`
+    from it, as :func:`hw_fit` does, replays the window from the top.
+    A state that is not finite raises :class:`NonFiniteError`.
     """
     values = _vector(train, "each window")
     L = _instance(params, SmoothingParams, "params").season_length
-    level, trend, seasonal = _initial_components(values, L)
-    state = HWState(level=level, trend=trend, seasonal=seasonal, phase=0)
-    return _finite(state, "initial state")
+    return _finite(_initial_state(values, L), "initial state")
 
 
 def _finite(state: HWState, what: str) -> HWState:
@@ -297,41 +293,40 @@ def _build(command: list[str], library: Path) -> None:
 
 def _one_step_errors_batch(
     values: np.ndarray,
-    season_length: int,
+    start: HWState,
     alphas: np.ndarray,
     betas: np.ndarray,
     gammas: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One-step RMSE and final state for W coefficient triples in one sweep.
 
-    ``values`` is one window, and ``alphas``, ``betas`` and ``gammas`` the
-    W triples' coefficients. The recursion runs in the C loop of
-    :func:`_kernel`, in passes of four days over all W columns, with the
-    vector width the loader picked for this CPU.
+    ``values`` is one window of at least two seasons, ``start`` a phase-0
+    state whose ring length L is the season length, and ``alphas``,
+    ``betas`` and ``gammas`` the W triples' coefficients. The recursion
+    runs in the C loop of :func:`_kernel`, in passes of four days over all
+    W columns, with the vector width the loader picked for this CPU.
 
     Returns ``(rmse, level, trend, ring)``: the first three have shape
-    (W,), the ring is (season_length, W) with ``ring[p]`` the correction
-    for phase ``p``. Per column this performs bit-for-bit the same
-    arithmetic as folding :func:`hw_update` one observation at a time
-    from :func:`init_state`'s state and scoring each pre-update lead-1
+    (W,), the ring is (L, W) with ``ring[p]`` the correction for phase
+    ``p``. Each column is bit for bit the fold of :func:`hw_update` one
+    observation at a time from ``start``, scoring each pre-update lead-1
     forecast from the third season onward, its squared errors summed in
-    time order, so the column's final level, trend and ring equal that
-    fold's, whose phase is ``n % season_length``. Values near the float
-    limit may overflow, as they do silently in the fold, and a window of
-    exactly two seasons scores no day, so its RMSE is 0 / 0, NaN; neither
-    warns, whatever the caller's ``np.errstate``.
+    time order: its final level, trend and ring are that fold's, whose
+    phase is ``n % L``. Values near the float limit may overflow, as they
+    do silently in the fold, and a window of exactly two seasons scores
+    no day, so its RMSE is 0 / 0, NaN; neither warns, whatever the
+    caller's ``np.errstate``.
     """
-    L = season_length
+    L = start.seasonal.size
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.size
     # contiguous float64 rows of one length, or a ValueError, as the C
     # loop reads them unchecked
     coefficients = np.array([alphas, betas, gammas], dtype=np.float64)
     width = coefficients[0].size
-    level, trend, seasonal = _initial_components(values, L)
-    level = np.full(width, level)
-    trend = np.full(width, trend)
-    ring = np.repeat(seasonal[:, None], width, axis=1)
+    level = np.full(width, start.level)
+    trend = np.full(width, start.trend)
+    ring = np.repeat(start.seasonal[:, None], width, axis=1)
     sq_sum = np.zeros(width)
     _kernel()(values, n, L, width, *coefficients, level, trend, ring, sq_sum)
     with np.errstate(invalid="ignore"):
@@ -350,24 +345,24 @@ def _best_of_batch(
     return float(scores[j]), float(a[j]), float(b[j]), float(g[j]), j
 
 
-def _sweep(values, season_length, alphas, betas, gammas):
+def _sweep(values, start, alphas, betas, gammas):
     """The :func:`_best_of_batch` tuple of one
-    :func:`_one_step_errors_batch` call, and the :class:`HWState` its
-    winning column ended in. The ring is freed on return, so no two
-    sweeps' rings are alive at once."""
+    :func:`_one_step_errors_batch` call from ``start``, and the
+    :class:`HWState` its winning column ended in. The ring is freed on
+    return, so no two sweeps' rings are alive at once."""
     scores, level, trend, ring = _one_step_errors_batch(
-        values, season_length, alphas, betas, gammas
+        values, start, alphas, betas, gammas
     )
     best = _best_of_batch(scores, alphas, betas, gammas)
     j = best[-1]
-    return best, HWState(level[j], trend[j], ring[:, j], len(values) % season_length)
+    return best, HWState(level[j], trend[j], ring[:, j], len(values) % ring.shape[0])
 
 
 def hw_fit(train, params: SmoothingParams) -> HWState:
-    """Initialize on the training window, then run every observation
-    through :func:`_one_step_errors_batch` as its one column.
-    Deterministic, and bit for bit the state of folding the window
-    through :func:`hw_update` from :func:`init_state`'s.
+    """Run every observation of the training window through
+    :func:`_one_step_errors_batch` as its one column, from
+    :func:`init_state`'s state. Deterministic, and bit for bit the state
+    of folding the window through :func:`hw_update` from that state.
 
     This serves explicit coefficients (``tempcast forecast
     --alpha/--beta/--gamma``); a tuned fit's ``FitResult.state`` comes
@@ -380,9 +375,9 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     non_finite = values[~np.isfinite(values)]
     if non_finite.size:
         raise NonFiniteError(f"observation is not finite: {float(non_finite[0])!r}")
-    init_state(values, params)
+    start = init_state(values, params)
     triple = np.reshape([params.alpha, params.beta, params.gamma], (3, 1))
-    _, state = _sweep(values, params.season_length, *triple)
+    _, state = _sweep(values, start, *triple)
     return _finite(state, "fitted state")
 
 

@@ -424,9 +424,11 @@ def split_at_origin(
     """Cut a series after ``origin`` observations.
 
     Returns the training prefix (``origin`` values) and the test slice
-    holding the actuals for leads ``1..max_lead``.
+    holding the actuals for leads ``1..max_lead``. An argument of the
+    wrong type raises ``ArgumentError``.
     """
-    n = len(series)
+    n = len(_instance(series, TimeSeries, "series"))
+    origin, max_lead = _whole(origin, "origin"), _whole(max_lead, "max_lead")
     if origin < 1 or max_lead < 1 or origin + max_lead > n:
         raise OutOfRangeError(
             f"origin {origin} with max lead {max_lead} does not fit a "

@@ -13,10 +13,10 @@ That recursion lives in :mod:`tempcast.models`, beside
 :func:`~tempcast.models._one_step_errors_batch`: one pass over a window
 for ``W`` triples, returning each column's RMSE together with its final
 level, trend and seasonal ring, bit for bit those of folding
-``hw_update``. Each round of a window's search is one
-:func:`~tempcast.models._sweep`, which returns the round's winner and
-the state its column ended in. This module keeps only the search: the
-grid, its refinement and the order between rounds.
+``hw_update`` from the state it is handed. Each window is initialized
+once, before its first round, and each round is one
+:func:`~tempcast.models._sweep` from that start. This module keeps only
+the search: the grid, its refinement and the order between rounds.
 
 A window's winner is the smallest ``(score, alpha, beta, gamma)``: the
 lowest score, exact ties going to the smallest triple. That one order
@@ -40,7 +40,7 @@ from .errors import (
     _real,
     _whole,
 )
-from .models import HWState, SmoothingParams, _finite, _sweep
+from .models import HWState, SmoothingParams, _finite, _initial_state, _sweep
 from .series import _vector
 
 
@@ -191,6 +191,7 @@ def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
         float(axis[-1] - axis[0]) / (axis.size - 1) if axis.size > 1 else 0.0
         for axis in axes
     ]
+    start = _initial_state(window, season_length)
     evaluations = 0
     # The best (score, alpha, beta, gamma, column) so far, and the state
     # its column ended in.
@@ -203,7 +204,7 @@ def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
         sweep = _mesh(*axes)
         # Finite values near the float limit may overflow to an inf
         # or NaN score, which ranks as _best_of_batch says.
-        candidate, candidate_state = _sweep(window, season_length, *sweep)
+        candidate, candidate_state = _sweep(window, start, *sweep)
         evaluations += sweep.shape[1]
         if best is None or candidate < best:
             best, state = candidate, candidate_state

@@ -43,6 +43,7 @@ from tempcast.backtest import (
     select_origins,
 )
 from tempcast import series as series_module
+from tempcast.ingest import to_kelvin
 from tempcast.models import hw_update
 from tempcast.series import (
     drop_leap_days,
@@ -51,6 +52,7 @@ from tempcast.series import (
     next_calendar_day,
     parse_date,
     rmse,
+    split_at_origin,
     to_csv_rows,
 )
 from tempcast.tuning import FitResult, one_step_rmse
@@ -324,6 +326,29 @@ class TestWronglyTypedArguments:
         # once a TypeError from math.isfinite
         with pytest.raises(ArgumentError, match="^observation must be a real number, got 'x'$"):
             hw_update(_STATE, "x", _PARAMS)
+
+    @pytest.mark.parametrize("value, shown", [("x", "'x'"), (None, "None")], ids=["str", "none"])
+    def test_temperature_must_be_real(self, value, shown):
+        # once a TypeError from math.isfinite
+        with pytest.raises(
+            ArgumentError, match=f"^temperature must be a real number, got {shown}$"
+        ):
+            to_kelvin(value, "celsius")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((_SERIES, 2.5, 1), "origin must be a whole number, got 2.5"),
+            (("x", 3, 1), "series must be a TimeSeries, got 'x'"),
+            ((_SERIES, 3, True), "max_lead must be a whole number, got True"),
+        ],
+        ids=["float-origin", "str-series", "bool-lead"],
+    )
+    def test_split_at_origin_arguments_are_typed(self, args, message):
+        # once a TypeError, an OutOfRangeError for "a series of length 1",
+        # and a split with a lead of True
+        with pytest.raises(ArgumentError, match=f"^{message}$"):
+            split_at_origin(*args)
 
     @pytest.mark.parametrize("call", [is_leap_day, next_calendar_day])
     @pytest.mark.parametrize(

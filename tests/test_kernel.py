@@ -24,7 +24,7 @@ from tempcast.cli import main
 from tempcast.models import (
     _KERNEL_FLAGS,
     _KERNEL_SOURCE,
-    _initial_components,
+    _initial_state,
     _kernel,
     _one_step_errors_batch,
     hw_update,
@@ -179,7 +179,7 @@ class TestSpecialValues:
         values = np.array([-0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0])
         params = SmoothingParams(*triple, season_length=2)
         _, level, trend, ring = _one_step_errors_batch(
-            values, 2, *np.reshape(triple, (3, 1))
+            values, init_state(values, params), *np.reshape(triple, (3, 1))
         )
         expected = fold(values, params)
         assert level.tobytes() == np.float64(expected.level).tobytes()
@@ -193,7 +193,9 @@ class TestSpecialValues:
         values[at] = np.nan
         coefficients = np.array([[0.0, 0.5, 1.0]] * 3)
         with np.errstate(all="raise"):
-            rmse, level, trend, ring = _one_step_errors_batch(values, 7, *coefficients)
+            rmse, level, trend, ring = _one_step_errors_batch(
+                values, _initial_state(values, 7), *coefficients
+            )
         assert np.isnan(rmse).all()
         assert np.isnan(level).all()
         assert np.isnan(trend).all()
@@ -202,9 +204,10 @@ class TestSpecialValues:
 def test_each_call_returns_a_ring_of_its_own():
     values = 280.0 + np.sin(np.arange(30.0))
     coefficients = np.array([[0.0, 0.5, 1.0]] * 3)
-    first = _one_step_errors_batch(values, 7, *coefficients)[3]
+    first = _one_step_errors_batch(values, _initial_state(values, 7), *coefficients)[3]
     kept = first.copy()
-    second = _one_step_errors_batch(values[::-1], 7, *coefficients)[3]
+    reverse = values[::-1]
+    second = _one_step_errors_batch(reverse, _initial_state(reverse, 7), *coefficients)[3]
     assert not np.shares_memory(first, second)
     assert first.tobytes() == kept.tobytes()
 
@@ -228,10 +231,10 @@ def baseline(tmp_path_factory):
 
 def sweep(kernel, values, season, coefficients):
     """RMSE, level, trend and ring after one call of ``kernel``."""
-    level, trend, seasonal = _initial_components(values, season)
+    start = _initial_state(values, season)
     width = coefficients.shape[1]
-    level, trend = np.full(width, level), np.full(width, trend)
-    ring = np.repeat(seasonal[:, None], width, axis=1)
+    level, trend = np.full(width, start.level), np.full(width, start.trend)
+    ring = np.repeat(start.seasonal[:, None], width, axis=1)
     sq_sum = np.zeros(width)
     kernel(values, values.size, season, width, *coefficients, level, trend, ring, sq_sum)
     return np.sqrt(sq_sum / (values.size - 2 * season)), level, trend, ring

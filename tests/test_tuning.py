@@ -16,10 +16,11 @@ from tempcast import (
     hw_forecast,
 )
 from tempcast.errors import NonFiniteError, TooShortError
-from tempcast import tuning
+from tempcast import models, tuning
 from tempcast.models import (
     HWState,
     _best_of_batch,
+    _initial_state,
     _kernel,
     _one_step_errors_batch,
     hw_update,
@@ -28,12 +29,13 @@ from tempcast.models import (
 from tempcast.tuning import FitResult, one_step_rmse
 
 
-def fold_scored(values, params):
-    """Reference objective and final state: replay with hw_update, score
-    lead-1 forecasts from the third season onward, accumulating in time
-    order. A window of exactly two seasons scores no day: NaN."""
+def fold_scored(values, params, start=None):
+    """Reference objective and final state: replay with hw_update from
+    ``start``, by default init_state's, score lead-1 forecasts from the
+    third season onward, accumulating in time order. A window of exactly
+    two seasons scores no day: NaN."""
     L = params.season_length
-    state = init_state(values, params)
+    state = init_state(values, params) if start is None else start
     total = 0.0
     scored = 0
     for t, obs in enumerate(np.asarray(values, dtype=float).tolist()):
@@ -66,6 +68,22 @@ def exhaustive_search(values, spec, season_length):
                 if best is None or key < best:
                     best = key
     return best, count
+
+
+@pytest.fixture
+def initial_state_calls(monkeypatch):
+    """The season length of every ``_initial_state`` call, whichever
+    module looks it up."""
+    calls = []
+    initial_state = models._initial_state
+
+    def spy(values, season_length):
+        calls.append(season_length)
+        return initial_state(values, season_length)
+
+    for module in (models, tuning):
+        monkeypatch.setattr(module, "_initial_state", spy)
+    return calls
 
 
 def refined_search(values, spec, season_length):
@@ -165,7 +183,7 @@ class TestKernelBlocks:
         alphas, betas, gammas = gen.uniform(0, 1, (3, width))
         alphas[0], betas[-1], gammas[-1] = 0.0, 1.0, 1.0
         rmse, level, trend, ring = _one_step_errors_batch(
-            values, season_length, alphas, betas, gammas
+            values, _initial_state(values, season_length), alphas, betas, gammas
         )
         for j in range(width):
             params = SmoothingParams(
@@ -178,12 +196,33 @@ class TestKernelBlocks:
             assert trend[j] == state.trend
             assert ring[:, j].tobytes() == state.seasonal.tobytes()
 
+    def test_folds_from_the_start_it_is_handed(self):
+        # not the window's own estimate: level and trend moved, ring reversed
+        values = 280.0 + np.sin(np.arange(40.0)) + 0.01 * np.arange(40.0)
+        estimate = init_state(values, SmoothingParams(0.5, 0.5, 0.5, 7))
+        start = HWState(
+            estimate.level + 3.0, estimate.trend - 0.25, estimate.seasonal[::-1], 0
+        )
+        alphas, betas, gammas = np.random.default_rng(5).uniform(0, 1, (3, 9))
+        rmse, level, trend, ring = _one_step_errors_batch(
+            values, start, alphas, betas, gammas
+        )
+        for j in range(9):
+            params = SmoothingParams(alphas[j], betas[j], gammas[j], 7)
+            expected_rmse, state = fold_scored(values, params, start)
+            assert expected_rmse != fold_scored(values, params)[0]
+            assert rmse[j].tobytes() == np.float64(expected_rmse).tobytes()
+            assert level[j].tobytes() == np.float64(state.level).tobytes()
+            assert trend[j].tobytes() == np.float64(state.trend).tobytes()
+            assert ring[:, j].tobytes() == state.seasonal.tobytes()
+
     def test_sets_its_own_float_policy(self):
         # these values overflow, and their squared errors are inf - inf;
         # the caller's policy would raise on both
         values = np.array([1e308, -1e308] * 10)
         with np.errstate(over="raise", invalid="raise"):
-            rmse, _, _, _ = _one_step_errors_batch(values, 2, *np.full((3, 1), 0.5))
+            start = _initial_state(values, 2)
+            rmse, _, _, _ = _one_step_errors_batch(values, start, *np.full((3, 1), 0.5))
         assert np.isnan(rmse).all()
 
 
@@ -207,6 +246,11 @@ class TestHwFit:
         params = SmoothingParams(*triple, season_length=season_length)
         # HWState equality: level, trend, phase and ring bytes
         assert hw_fit(values, params) == fold_scored(values, params)[1]
+
+    def test_initializes_once(self, initial_state_calls):
+        values = 280.0 + np.sin(np.arange(40.0))
+        hw_fit(values, SmoothingParams(0.3, 0.1, 0.2, 7))
+        assert initial_state_calls == [7]
 
 
 class TestGridSpec:
@@ -339,6 +383,13 @@ class TestGridSearch:
         spec = GridSpec(axes, axes, axes, refine_rounds=3)
         result = grid_search(values, spec, season_length=4)
         assert 64 <= result.evaluations <= 64 * 4
+
+    def test_initializes_once_before_every_round(self, rng, initial_state_calls):
+        values = 280.0 + np.sin(np.arange(40.0)) + rng.normal(0, 0.5, 40)
+        axis = (0.0, 0.5, 1.0)
+        fit = grid_search(values, GridSpec(axis, axis, axis, refine_rounds=2), 7)
+        assert fit.evaluations > 27  # the refinement rounds ran
+        assert initial_state_calls == [7]
 
     def test_too_short_propagates(self):
         spec = GridSpec((0.5,), (0.5,), (0.5,))
