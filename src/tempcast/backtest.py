@@ -11,12 +11,17 @@ is ``MODEL_NAMES``, the default model order and so the default column
 order of every report.
 
 Experiments are independent of one another; the report is assembled in
-origin order, so running them in any order (or in parallel) yields the
-same result.
+origin order, so running them in any order yields the same result.
+:func:`run_backtest` runs them on two threads where two cores are
+usable: the experiments' C loops run without the GIL, so one
+experiment's loop overlaps another's Python. The first failing origin
+in origin order raises, as it would if they ran one after another.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -255,8 +260,54 @@ def run_backtest(series: TimeSeries, config: BacktestConfig) -> BacktestReport:
     """Run the full protocol: validate, sample origins, run one
     :func:`run_experiment` per origin (each tuning its own window), pool.
     Deterministic given (series, config). A ``series`` or ``config`` of
-    the wrong type raises ``ArgumentError``."""
+    the wrong type raises ``ArgumentError``.
+
+    The experiments run on ``min(usable cores, 2, n_experiments)``
+    workers: the calling thread and, with two, one ``threading.Thread``
+    take origins in order from one queue, and each result is stored at
+    its origin's place, so the report does not depend on the core count.
+    With one usable core no thread starts. Once an experiment fails, no
+    further origin is handed out; the ones already running finish, and
+    the error of the first failing origin in origin order is raised.
+    Each worker holds one sweep's ring at a time (season × sweep width
+    float64s).
+    """
     validate_series(series)
     _instance(config, BacktestConfig, "config")
     origins = select_origins(len(series), config)
-    return collect_report(config, [run_experiment(series, o, config) for o in origins])
+    results: list[ExperimentResult | None] = [None] * len(origins)
+    failures: dict[int, BaseException] = {}
+    queue = iter(range(len(origins)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(queue, None)
+            if i is None:
+                return
+            try:
+                results[i] = run_experiment(series, origins[i], config)
+            except BaseException as exc:  # raised below, in origin order
+                with lock:
+                    failures[i] = exc
+
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    # Two workers were measured (paired bench runs on a 2-vCPU host);
+    # the GIL-held Python around each C loop bounds what more could buy,
+    # and each further worker holds one more ring.
+    workers = min(cores, 2, len(origins))
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return collect_report(config, results)

@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,6 +228,9 @@ def hw_update(
 # the cached library serves any x86-64 CPU.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# Held while loading or building: a backtest's workers first reach a cold
+# cache together, and the later ones then load what the first one built.
+_kernel_lock = threading.Lock()
 
 
 @functools.cache
@@ -241,9 +245,11 @@ def _kernel():
     renamed into place, so processes building at once never load a
     partial file. Later calls and processes only load it; a cached file
     that cannot be loaded (missing, truncated, built for another machine)
-    is rebuilt once, and a second failure to load raises ``OSError``. A
-    missing compiler, a failed compile or an unwritable cache raises
-    ``OSError`` naming the command and the compiler's stderr.
+    is rebuilt once, and a second failure to load raises ``OSError``.
+    Threads that reach a cold cache at once take turns, so they build it
+    once between them. A missing compiler, a failed compile or an
+    unwritable cache raises ``OSError`` naming the command and the
+    compiler's stderr.
     """
     import ctypes
     import hashlib
@@ -257,14 +263,15 @@ def _kernel():
         digest.update(part.encode() + b"\0")
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     library = cache / "tempcast" / f"kernel-{digest.hexdigest()}.so"
-    try:
-        loaded = ctypes.CDLL(str(library))
-    except OSError:
-        _build(command, library)
-        loaded = ctypes.CDLL(str(library))
+    with _kernel_lock:
+        try:
+            loaded = ctypes.CDLL(str(library))
+        except OSError:
+            _build(command, library)
+            loaded = ctypes.CDLL(str(library))
     kernel = loaded.one_step_errors
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    kernel.argtypes = [array, ctypes.c_long, ctypes.c_long, ctypes.c_long, *[array] * 7]
+    kernel.argtypes = [array, ctypes.c_long, ctypes.c_long, ctypes.c_long, *[array] * 4]
     kernel.restype = None
     return kernel
 
@@ -304,7 +311,12 @@ def _one_step_errors_batch(
     state whose ring length L is the season length, and ``alphas``,
     ``betas`` and ``gammas`` the W triples' coefficients. The recursion
     runs in the C loop of :func:`_kernel`, in passes of four days over all
-    W columns, with the vector width the loader picked for this CPU.
+    W columns, with the vector width the loader picked for this CPU. The
+    loop runs without the GIL. It gets the coefficients as one (3, W)
+    array, the start's level and trend with the error sums as another,
+    and a ring allocated here but not filled: the first season's days
+    read their old correction from ``start.seasonal``, and every later
+    day reads the slot that the same phase wrote one season earlier.
 
     Returns ``(rmse, level, trend, ring)``: the first three have shape
     (W,), the ring is (L, W) with ``ring[p]`` the correction for phase
@@ -324,11 +336,11 @@ def _one_step_errors_batch(
     # loop reads them unchecked
     coefficients = np.array([alphas, betas, gammas], dtype=np.float64)
     width = coefficients[0].size
-    level = np.full(width, start.level)
-    trend = np.full(width, start.trend)
-    ring = np.repeat(start.seasonal[:, None], width, axis=1)
-    sq_sum = np.zeros(width)
-    _kernel()(values, n, L, width, *coefficients, level, trend, ring, sq_sum)
+    state = np.zeros((3, width))
+    state[0], state[1] = start.level, start.trend
+    ring = np.empty((L, width))
+    _kernel()(values, n, L, width, coefficients, start.seasonal, state, ring)
+    level, trend, sq_sum = state
     with np.errstate(invalid="ignore"):
         sq_sum /= n - 2 * L
     return np.sqrt(sq_sum, out=sq_sum), level, trend, ring
@@ -349,7 +361,7 @@ def _sweep(values, start, alphas, betas, gammas):
     """The :func:`_best_of_batch` tuple of one
     :func:`_one_step_errors_batch` call from ``start``, and the
     :class:`HWState` its winning column ended in. The ring is freed on
-    return, so no two sweeps' rings are alive at once."""
+    return, so a thread never holds two sweeps' rings at once."""
     scores, level, trend, ring = _one_step_errors_batch(
         values, start, alphas, betas, gammas
     )

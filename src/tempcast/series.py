@@ -34,12 +34,10 @@ import csv
 import datetime as dt
 import io
 import itertools
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.exceptions import ComplexWarning
 
 from .errors import (
     ArgumentError,
@@ -175,15 +173,21 @@ def next_calendar_day(day: dt.date) -> dt.date:
 def _vector(values, name: str) -> np.ndarray:
     """``values`` as a 1-D float64 array, not a copy if it is one: a
     :class:`TimeSeries` gives its values and a scalar one value. Values
-    that are not real numbers, complex ones included, or have more
-    dimensions raise ArgumentError."""
+    that are not real numbers, complex ones included, integers too large
+    for a float, or more dimensions raise ArgumentError. The process's
+    warning filters are not touched, so threads may call it at once."""
     values = values.values if isinstance(values, TimeSeries) else values
     try:
-        # numpy only warns when it drops an imaginary part
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ComplexWarning)
-            values = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, ComplexWarning) as exc:
+        array = np.asarray(values)
+        # A cast would only warn as it dropped an imaginary part, and
+        # catching that warning would swap the process's filters under
+        # any other thread. Complex numbers mixed with text became text
+        # here, which the cast below rejects.
+        kind = array.dtype.kind
+        if kind == "c" or (kind == "O" and any(map(np.iscomplexobj, array.flat))):
+            raise TypeError("got complex numbers")
+        values = array.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ArgumentError(f"{name} must hold real numbers: {exc}") from exc
     if values.ndim > 1:
         raise ArgumentError(f"{name} must be one-dimensional")

@@ -1,4 +1,5 @@
 import datetime as dt
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,19 @@ DATA_DIR = Path(__file__).parent / "data"
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Make ``n`` the number of cores this process may run on, and so
+    the number of a backtest's workers."""
+
+    def use(n):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+        )
+
+    return use
 
 
 @pytest.fixture

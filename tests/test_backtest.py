@@ -1,4 +1,12 @@
+import contextlib
 import datetime as dt
+import io
+import shutil
+import sys
+import threading
+import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +20,7 @@ from tempcast import (
     run_backtest,
 )
 from tempcast.backtest import collect_report, run_experiment, select_origins
+from tempcast.cli import main
 from tempcast.errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -20,6 +29,7 @@ from tempcast.errors import (
 )
 
 JAN1 = dt.date(2015, 1, 1)
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def small_config(**overrides):
@@ -248,7 +258,8 @@ class TestRunBacktest:
 
     def test_every_origin_tunes_through_grid_search(self, monkeypatch):
         # a wrapper bound over the module-level name (as a tracer binds
-        # one) sees one search per origin, on that origin's window
+        # one) sees one search per origin, on that origin's window; the
+        # workers call it in any order, so calls are matched by window
         calls = []
         original = tempcast.backtest.grid_search
 
@@ -261,9 +272,13 @@ class TestRunBacktest:
         config = small_config(n_experiments=8)
         report = run_backtest(series, config)
         assert len(calls) == len(report.origins) == 8
-        for (window, spec, season_length), origin in zip(calls, report.origins):
-            expected = series.values[origin - config.train_length : origin]
-            np.testing.assert_array_equal(window, expected)
+        windows = sorted(window.tobytes() for window, _, _ in calls)
+        expected = sorted(
+            series.values[origin - config.train_length : origin].tobytes()
+            for origin in report.origins
+        )
+        assert windows == expected
+        for _, spec, season_length in calls:
             assert spec is config.grid and season_length == config.season_length
 
     def test_no_results_to_pool_raises(self):
@@ -284,3 +299,107 @@ class TestRunBacktest:
         report = run_backtest(series, small_config(models=("persistence", "average")))
         assert set(report.errors) == {"persistence", "average"}
         assert report.fits is None
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("usable", [1, 2, 4])
+    def test_report_is_the_golden_one_on_any_core_count(
+        self, usable, cores, tmp_path, monkeypatch
+    ):
+        cores(usable)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        monkeypatch.chdir(tmp_path)
+        shutil.copyfile(GOLDEN / "series.csv", "series.csv")
+        argv = ["backtest", "--series", "series.csv", "--out-dir", "backtest"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        # at most two workers, and the calling thread is one of them
+        assert len(started) == min(usable, 2) - 1
+        for name in ("rmse.csv", "errors.csv", "manifest.json"):  # fits included
+            assert (tmp_path / "backtest" / name).read_bytes() == (
+                GOLDEN / "backtest" / name
+            ).read_bytes()
+
+    def test_each_origin_runs_once(self, cores, monkeypatch):
+        # quick experiments, so the two workers mostly contend for the queue
+        series = noisy_series(400, seed=6)
+        config = small_config(n_experiments=300, models=("persistence",))
+        cores(1)
+        alone = run_backtest(series, config)
+        calls = []
+        original = tempcast.backtest.run_experiment
+
+        def spy(series, origin, config):
+            calls.append(origin)
+            return original(series, origin, config)
+
+        monkeypatch.setattr(tempcast.backtest, "run_experiment", spy)
+        cores(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the workers swap often
+        try:
+            shared = run_backtest(series, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(alone.origins)
+        for lead in config.leads:
+            got = shared.errors["persistence"][lead]
+            assert got.tobytes() == alone.errors["persistence"][lead].tobytes()
+
+    def test_warning_filters_are_left_alone(self, cores, monkeypatch):
+        # both workers read windows through series._vector at once, and a
+        # catch_warnings there would swap the process's filters: on exit
+        # a worker can put back the other one's copy, filter and all
+        replaced = []
+
+        class Watched(types.ModuleType):
+            def __setattr__(self, name, value):
+                if name == "filters":
+                    replaced.append(threading.current_thread().name)
+                super().__setattr__(name, value)
+
+        series = noisy_series(300, seed=5)
+        config = small_config(n_experiments=20)
+        cores(4)
+        before = list(warnings.filters)
+        monkeypatch.setattr(warnings, "__class__", Watched)
+        run_backtest(series, config)
+        monkeypatch.undo()
+        assert replaced == []
+        assert warnings.filters == before
+
+    def test_first_failing_origin_in_origin_order_raises(self, cores, monkeypatch):
+        cores(2)
+        series = noisy_series(60, seed=4)
+        config = small_config(n_experiments=8)
+        origins = select_origins(len(series), config)
+        # one value in the first origin's window only, one in the last's
+        first = int(origins[0]) - config.train_length
+        last = int(origins[-1]) + max(config.leads) - 1
+        values = series.values.copy()
+        values[[first, last]] = np.nan
+        broken = TimeSeries(JAN1, values)  # validate_series would reject it
+        later_failed = threading.Event()
+        original = tempcast.backtest.run_experiment
+
+        def spy(series, origin, config):
+            # the first origin fails only after the last one has
+            if origin == origins[0]:
+                later_failed.wait(timeout=10)
+            try:
+                return original(broken, origin, config)
+            finally:
+                if origin == origins[-1]:
+                    later_failed.set()
+
+        monkeypatch.setattr(tempcast.backtest, "run_experiment", spy)
+        with pytest.raises(NonFiniteError, match=rf"^value {first} is not finite: nan$"):
+            run_backtest(series, config)
+        assert later_failed.is_set()

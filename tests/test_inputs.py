@@ -117,6 +117,10 @@ class TestValueRule:
         with pytest.raises(ArgumentError, match="^values must hold real numbers"):
             TimeSeries(JAN1, values)
 
+    def test_integers_too_large_for_a_float_raise(self):
+        with pytest.raises(ArgumentError, match="^values must hold real numbers"):
+            TimeSeries(JAN1, [280.0, 10**400])
+
     def test_ring_that_is_not_numbers_raises(self):
         with pytest.raises(ArgumentError, match="^seasonal must hold real numbers"):
             HWState(1.0, 0.0, ["a", "b"], 0)

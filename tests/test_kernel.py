@@ -1,25 +1,38 @@
 """The smoother kernel's C loop: how it is built, cached and loaded, and
-rebuilt when the cached file cannot be loaded, how it treats signed zeros
-and NaN, that each call returns a ring of its own, and that the baseline
-loop gives the bits of the clone this host's loader picks.
+rebuilt when the cached file cannot be loaded (once, however many
+workers reach a cold cache), how it treats signed zeros and NaN, that
+each call returns a ring of its own, that it writes every ring slot
+before reading it, and that the baseline loop gives the bits of the
+clone this host's loader picks.
 
 The loader tests point ``XDG_CACHE_HOME`` at their own temporary
 directory and drop the loaded kernel, so each one builds or loads afresh.
 """
 
 import ctypes
+import math
 import platform
 import shlex
 import subprocess
 import sys
 import sysconfig
+import time
 import types
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tempcast import SmoothingParams, hw_fit
+import tempcast.models
+from tempcast import (
+    BacktestConfig,
+    GridSpec,
+    SmoothingParams,
+    TimeSeries,
+    hw_fit,
+    run_backtest,
+)
 from tempcast.cli import main
 from tempcast.models import (
     _KERNEL_FLAGS,
@@ -33,6 +46,7 @@ from tempcast.models import (
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 SERIES = Path(__file__).resolve().parent / "data" / "golden" / "series.csv"
+SERIES_START = date(2015, 1, 1)
 
 
 @pytest.fixture
@@ -152,6 +166,25 @@ class TestCache:
         with pytest.raises(OSError, match="cannot build the smoother kernel with `"):
             _kernel()
 
+    def test_workers_reaching_a_cold_cache_build_once(self, cache, cores, monkeypatch):
+        builds = []
+        build = tempcast.models._build
+
+        def slow_build(command, library):
+            builds.append(library)
+            time.sleep(0.5)  # the other worker reaches the cold cache meanwhile
+            build(command, library)
+
+        monkeypatch.setattr(tempcast.models, "_build", slow_build)
+        cores(2)
+        values = 280.0 + np.sin(np.arange(40.0))
+        config = BacktestConfig(
+            train_length=15, leads=(1,), n_experiments=4, season_length=7,
+            grid=GridSpec.coarse(),
+        )
+        run_backtest(TimeSeries(SERIES_START, values), config)
+        assert len(builds) == 1
+
     def test_backtest_exits_2_with_one_error_line(
         self, cache, failing_compiler, tmp_path, capsys
     ):
@@ -230,14 +263,37 @@ def baseline(tmp_path_factory):
 
 
 def sweep(kernel, values, season, coefficients):
-    """RMSE, level, trend and ring after one call of ``kernel``."""
+    """RMSE, level, trend and ring after one call of ``kernel`` from the
+    window's initial state, handed a ring of NaN: a slot that the call
+    read before writing it would spread NaN."""
     start = _initial_state(values, season)
     width = coefficients.shape[1]
-    level, trend = np.full(width, start.level), np.full(width, start.trend)
-    ring = np.repeat(start.seasonal[:, None], width, axis=1)
-    sq_sum = np.zeros(width)
-    kernel(values, values.size, season, width, *coefficients, level, trend, ring, sq_sum)
-    return np.sqrt(sq_sum / (values.size - 2 * season)), level, trend, ring
+    state = np.zeros((3, width))
+    state[0], state[1] = start.level, start.trend
+    ring = np.full((season, width), np.nan)
+    kernel(values, values.size, season, width, coefficients, start.seasonal, state, ring)
+    return np.sqrt(state[2] / (values.size - 2 * season)), state[0], state[1], ring
+
+
+@pytest.mark.parametrize("season", [2, 3, 7, 365])
+def test_every_ring_slot_is_written_before_it_is_read(season):
+    values = np.loadtxt(SERIES, delimiter=",", skiprows=1, usecols=1)[: 2 * season + 11]
+    coefficients = np.array([[0.0, 1.0, 0.3], [0.0, 1.0, 0.1], [0.0, 1.0, 0.2]])
+    rmse, level, trend, ring = sweep(_kernel(), values, season, coefficients)
+    for j, triple in enumerate(coefficients.T):
+        params = SmoothingParams(*triple, season_length=season)
+        state, sq_sum = _initial_state(values, season), 0.0
+        for t, observation in enumerate(values.tolist()):
+            if t >= 2 * season:
+                forecast = state.level + state.trend + state.seasonal[state.phase]
+                error = forecast - observation
+                sq_sum += error * error
+            state = hw_update(state, observation, params)
+        expected = math.sqrt(sq_sum / (values.size - 2 * season))
+        assert rmse[j].tobytes() == np.float64(expected).tobytes()
+        assert level[j].tobytes() == np.float64(state.level).tobytes()
+        assert trend[j].tobytes() == np.float64(state.trend).tobytes()
+        assert ring[:, j].tobytes() == state.seasonal.tobytes()
 
 
 class TestBaselineLoop:

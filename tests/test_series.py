@@ -44,8 +44,7 @@ JAN1 = dt.date(2015, 1, 1)
 
 
 def test_declared_numpy_floor_has_numpy_exceptions():
-    # series imports ComplexWarning from numpy.exceptions, which is new in
-    # numpy 1.25, so no older numpy can import tempcast
+    # no numpy older than 1.25 has been run
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     (floor,) = re.findall(r'"numpy>=([\d.]+)"', pyproject.read_text(encoding="utf-8"))
     assert tuple(map(int, floor.split("."))) >= (1, 25)
