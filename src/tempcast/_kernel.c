@@ -1,6 +1,8 @@
-/* The smoother's one-step kernel, for tempcast.models._one_step_errors_batch.
+/* The shared library behind tempcast.models._kernel: two loops in one
+   source, so one build and one load serve both.
 
-   Steps one window of n values through the additive Holt-Winters recursion
+   one_step_errors, for tempcast.models._one_step_errors_batch, steps one
+   window of n values through the additive Holt-Winters recursion
    for `width` coefficient triples at once. coefficients holds the alphas,
    betas and gammas as three rows of `width`; state holds column j's initial
    level, trend and error sum as three such rows (state[j],
@@ -20,7 +22,16 @@
    the same. On x86-64 with glibc, GCC and Clang build AVX-512, AVX2 and
    baseline clones of one_step_errors and the dynamic loader picks the widest
    that the CPU runs; every clone gives the same bits, and every other host
-   builds the baseline loop alone. */
+   builds the baseline loop alone.
+
+   read_series, for tempcast.models._parse_series, reads a series file in
+   the one form that tempcast writes, in one pass over its bytes, and gives
+   up on anything else; read_csv then reads the file as it reads any other. */
+
+/* strtod as <stdlib.h> declares it, declared here as C allows: a build
+   with __x86_64__ undefined, as the tests make to check the baseline loop
+   on an x86-64 host, cannot include that header. */
+double strtod(const char *restrict text, char **restrict end);
 
 /* The clones need an ifunc, so ELF and glibc: musl has none. <limits.h>
    is there to define __GLIBC__. */
@@ -102,4 +113,114 @@ void one_step_errors(const double *restrict values, long n, long season, long wi
     long t = span(values, 0, first, season, width, coefficients, seasonal, state, ring, 0, 1);
     t = span(values, t, warm, season, width, coefficients, seasonal, state, ring, 0, 0);
     span(values, t, n, season, width, coefficients, seasonal, state, ring, 1, 0);
+}
+
+
+/* Days in each month of the 365-day calendar, January at 1. */
+static const long month_days[13] = {0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
+
+/* The number that the `count` decimal digits at p spell, or -1 if one of
+   them is not a digit. */
+static long number(const unsigned char *p, int count)
+{
+    long v = 0;
+    for (int k = 0; k < count; k++) {
+        if (p[k] < '0' || p[k] > '9')
+            return -1;
+        v = v * 10 + (p[k] - '0');
+    }
+    return v;
+}
+
+/* The index of the first byte from i on that is not a digit. */
+static long digits(const unsigned char *data, long i, long length)
+{
+    while (i < length && data[i] >= '0' && data[i] <= '9')
+        i++;
+    return i;
+}
+
+/* The rows of the `length` bytes at `bytes`, if they are exactly the line
+   date,kelvin and then one or more lines YYYY-MM-DD,V, each ended by \n but
+   the last, which may lack it, where V matches
+   -?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)? and is shorter than 64 bytes, the
+   first date is a real date of a year from 1 on that is not February 29,
+   and each later date is the day after its row's predecessor in the
+   365-day calendar. Stores each row's V, as strtod reads it, in values
+   and the first date's year, month and day in first, and returns the
+   number of rows. Returns -1 for anything else, and also if there are more
+   than `capacity` rows or strtod stops short of the end of a V, as it does
+   under a locale whose decimal point is not ".". Reads no byte past
+   `length`. */
+long read_series(const char *bytes, long length, long capacity, double *values,
+                 long *first)
+{
+    static const char header[] = "date,kelvin\n";
+    const long header_length = sizeof header - 1;
+    const unsigned char *data = (const unsigned char *)bytes;
+    if (length <= header_length)
+        return -1;
+    for (long k = 0; k < header_length; k++)
+        if (data[k] != (unsigned char)header[k])
+            return -1;
+
+    long year = 0, month = 0, day = 0, rows = 0;
+    for (long i = header_length; i < length; i++) {
+        if (length - i < 11 || data[i + 4] != '-' || data[i + 7] != '-' ||
+            data[i + 10] != ',')
+            return -1;
+        const long y = number(data + i, 4), m = number(data + i + 5, 2),
+                   d = number(data + i + 8, 2);
+        if (rows == 0) {
+            if (y < 1 || m < 1 || m > 12 || d < 1 || d > month_days[m])
+                return -1;
+            first[0] = year = y;
+            first[1] = month = m;
+            first[2] = day = d;
+        } else {
+            if (++day > month_days[month]) {
+                day = 1;
+                if (++month > 12) {
+                    month = 1;
+                    year++;
+                }
+            }
+            /* after 9999-12-31 comes year 10000, which four digits never spell */
+            if (y != year || m != month || d != day)
+                return -1;
+        }
+
+        const long start = i + 11;
+        const long integer = start + (start < length && data[start] == '-');
+        i = digits(data, integer, length);
+        if (i == integer)
+            return -1;
+        if (i < length && data[i] == '.') {
+            const long fraction = i + 1;
+            i = digits(data, fraction, length);
+            if (i == fraction)
+                return -1;
+        }
+        if (i < length && (data[i] == 'e' || data[i] == 'E')) {
+            long exponent = i + 1;
+            exponent += exponent < length && (data[exponent] == '-' || data[exponent] == '+');
+            i = digits(data, exponent, length);
+            if (i == exponent)
+                return -1;
+        }
+        if (i < length && data[i] != '\n')
+            return -1;
+
+        char text[64], *end;
+        const long size = i - start;
+        if (size >= (long)sizeof text || rows == capacity)
+            return -1;
+        for (long k = 0; k < size; k++)
+            text[k] = (char)data[start + k];
+        text[size] = '\0';
+        values[rows++] = strtod(text, &end);
+        if (end != text + size)
+            return -1;
+    }
+    return rows;
 }

@@ -8,13 +8,18 @@ manifest reproduces a run byte for byte under the same numpy only;
 ``tests/data/golden/`` pins the artifacts of one such run. All
 randomness flows from the single --seed flag. The series file's format
 belongs to :mod:`tempcast.series`; what is left here is the command
-line: arguments, reading each input once (:func:`_read_text`), the
-report tables' row sources, one CSV writer (:func:`_write_csv`) and one
-manifest writer (:func:`_write_manifest`). Every command turns its
-flags into the library's configurations before it opens any file, so a
-bad flag is a usage error whatever the input; then it checks that no
-artifact would be written over the input file (exit 2), and only then
-reads, runs and writes. The digest is of the bytes the command parsed.
+line: arguments, reading each input's bytes once (:func:`_read_text`,
+and :func:`_read_series_csv`, which hands a series file in the form
+tempcast writes to the compiled library's one-pass reader and decodes
+any other for ``read_csv``), the report tables' row sources, one CSV
+writer (:func:`_write_csv`) and one manifest writer
+(:func:`_write_manifest`). Every command turns its flags into the
+library's configurations before it opens any file, so a bad flag is a
+usage error whatever the input; then it checks that no artifact would
+be written over the input file (exit 2), and only then reads, runs and
+writes. ``backtest`` and ``forecast`` load the compiled library as they
+read, so on a host that cannot build it they fail there, with exit 2.
+The digest is of the bytes the command parsed.
 
 Exit codes: 0 success, 1 usage error (an ``ArgumentError``), 2 data error
 (another ``TempcastError`` or an ``OSError``), 3 internal error.
@@ -46,7 +51,7 @@ from .errors import (
     _whole,
 )
 from .ingest import UNITS, CleanConfig, clean_report, parse_cdo_csv
-from .models import SmoothingParams, hw_fit, hw_forecast
+from .models import SmoothingParams, _parse_series, hw_fit, hw_forecast
 from .series import (
     CSV_HEADER,
     TimeSeries,
@@ -54,6 +59,7 @@ from .series import (
     parse_date,
     read_csv,
     to_csv_rows,
+    validate_series,
 )
 from .tuning import GridSpec, grid_search
 
@@ -120,14 +126,11 @@ def _date_flag(raw: str, flag: str) -> dt.date:
         raise ArgumentError(f"{flag} expects YYYY-MM-DD, got {raw!r}") from None
 
 
-def _read_text(path: Path) -> tuple[str, str]:
-    """A UTF-8 input file's text, without the byte-order mark some editors
-    add and with universal newlines, as ``Path.read_text`` gives it, and
-    the SHA-256 of the bytes that text was decoded from."""
-    data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
+def _decode(data: bytes) -> str:
+    """UTF-8 bytes as text, without the byte-order mark some editors add
+    and with universal newlines, as ``Path.read_text`` gives it."""
     try:
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read(), digest
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     except UnicodeDecodeError as exc:
         # Offsets are into exc.object, which omits a leading mark.
         line = exc.object.count(b"\n", 0, exc.start) + 1
@@ -136,10 +139,26 @@ def _read_text(path: Path) -> tuple[str, str]:
         ) from None
 
 
+def _read_text(path: Path) -> tuple[str, str]:
+    """A UTF-8 input file's text, as :func:`_decode` gives it, and the
+    SHA-256 of the bytes that text was decoded from."""
+    data = path.read_bytes()
+    return _decode(data), hashlib.sha256(data).hexdigest()
+
+
 def _read_series_csv(path: Path) -> tuple[TimeSeries, str]:
-    """The series in a ``date,kelvin`` file and the file's SHA-256."""
-    text, digest = _read_text(path)
-    return read_csv(text), digest
+    """The series in a ``date,kelvin`` file and the file's SHA-256.
+
+    A file in the form that tempcast writes is read from its bytes in one
+    C pass (``models._parse_series``), which loads the smoother's compiled
+    library; any other file is decoded and read by ``read_csv``, with its
+    errors. Both give the same series."""
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    parsed = _parse_series(data)
+    if parsed is None:
+        return read_csv(_decode(data)), digest
+    return validate_series(TimeSeries(*parsed)), digest
 
 
 def build_parser() -> _Parser:

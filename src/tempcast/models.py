@@ -23,7 +23,10 @@ on first use, so running it needs a C compiler once per host. The loop
 takes the days four at a time, each pass over all W columns, and on
 x86-64 with glibc the dynamic loader picks its AVX-512, AVX2 or
 baseline build, whichever is the widest that the CPU runs; all give the
-same bits.
+same bits. The same library holds a second loop, which
+:func:`_parse_series` runs: it reads a series file in the one form that
+tempcast writes, in one pass over its bytes, so the commands that fit
+load the library before they read their series.
 :func:`_sweep` picks one call's winning column and its final state;
 :func:`hw_fit` runs it on one column, and :mod:`tempcast.tuning` on
 whole grids of them. :func:`hw_update` is the same recursion one
@@ -43,6 +46,7 @@ that is not finite (NaN, infinite, or past the float range) raises
 
 from __future__ import annotations
 
+import datetime as dt
 import functools
 import math
 import os
@@ -235,7 +239,8 @@ _kernel_lock = threading.Lock()
 
 @functools.cache
 def _kernel():
-    """``_kernel.c``'s ``one_step_errors`` as a ctypes function.
+    """``_kernel.c``'s shared library, with its two functions,
+    ``one_step_errors`` and ``read_series``, typed for ctypes.
 
     The shared library is built with ``sysconfig``'s ``CC`` (else ``cc``)
     and ``_KERNEL_FLAGS`` into ``$XDG_CACHE_HOME/tempcast/`` (by default
@@ -269,11 +274,15 @@ def _kernel():
         except OSError:
             _build(command, library)
             loaded = ctypes.CDLL(str(library))
-    kernel = loaded.one_step_errors
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    kernel.argtypes = [array, ctypes.c_long, ctypes.c_long, ctypes.c_long, *[array] * 4]
-    kernel.restype = None
-    return kernel
+    long = ctypes.c_long
+    loaded.one_step_errors.argtypes = [array, long, long, long, *[array] * 4]
+    loaded.one_step_errors.restype = None
+    loaded.read_series.argtypes = [
+        ctypes.c_char_p, long, long, array, ctypes.POINTER(long)
+    ]
+    loaded.read_series.restype = long
+    return loaded
 
 
 def _build(command: list[str], library: Path) -> None:
@@ -339,11 +348,43 @@ def _one_step_errors_batch(
     state = np.zeros((3, width))
     state[0], state[1] = start.level, start.trend
     ring = np.empty((L, width))
-    _kernel()(values, n, L, width, coefficients, start.seasonal, state, ring)
+    _kernel().one_step_errors(
+        values, n, L, width, coefficients, start.seasonal, state, ring
+    )
     level, trend, sq_sum = state
     with np.errstate(invalid="ignore"):
         sq_sum /= n - 2 * L
     return np.sqrt(sq_sum, out=sq_sum), level, trend, ring
+
+
+def _parse_series(data: bytes) -> tuple[dt.date, np.ndarray] | None:
+    """The first date and the values of a series file's bytes, read by
+    ``_kernel.c``'s ``read_series`` in one pass, or None where it gives
+    up.
+
+    It takes only the form that ``series.to_csv_rows`` writes under
+    ``series.CSV_HEADER``: the line ``date,kelvin``, then one row per day
+    of the 365-day calendar from a first date that is not February 29,
+    each an ISO date and a number spelled as ``repr`` spells a finite
+    float (a sign, digits, a fraction and an exponent, under 64 bytes),
+    ending in ``\\n`` (the last row may lack it). A byte-order mark, a
+    ``\\r``, a blank line, a space, a quote, a third field, a February 29
+    row, a gap or a repeat make it give up, as does a number that
+    ``strtod`` under the process's locale would not read whole. Where it
+    reads a file, ``series.read_csv`` of the file's text reads the same
+    date and, since ``strtod`` and ``float`` both round correctly, the
+    same value bits; the values are not checked here
+    (:func:`series.validate_series` does that).
+    """
+    import ctypes
+
+    # no more rows than newlines, as the header ends in one
+    values = np.empty(data.count(b"\n"))
+    first = (ctypes.c_long * 3)()
+    rows = _kernel().read_series(data, len(data), values.size, values, first)
+    if rows < 0:
+        return None
+    return dt.date(*first), values[:rows]
 
 
 def _best_of_batch(

@@ -24,7 +24,13 @@ numbers (complex ones included), or have more than one dimension, raise
 On disk a series is a CSV file: the header :data:`CSV_HEADER`
 (``date,kelvin``), then one row per day of an ISO ``YYYY-MM-DD`` date
 and the ``repr`` of the float, which reads back bit for bit. Rows dated
-February 29 are dropped on read (:func:`read_csv`).
+February 29 are dropped on read (:func:`read_csv`). :func:`read_csv`
+reads any such file, with a byte-order mark, other line ends, spaces or
+a differently cased header too. The CLI first hands a file's bytes to
+``models._parse_series``, a C pass that reads only the exact form
+:func:`to_csv_rows` writes and gives up on anything else, and passes
+only the files it gives up on to :func:`read_csv`; both give the same
+series.
 """
 
 from __future__ import annotations

@@ -1,9 +1,14 @@
 import contextlib
 import csv
+import ctypes
 import datetime as dt
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 
 from tempcast import (
     SmoothingParams,
+    TimeSeries,
     clean_report,
     hw_fit,
     hw_forecast,
@@ -22,9 +28,12 @@ from tempcast import (
 )
 from tempcast import cli
 from tempcast.cli import main
-from tempcast.series import iso_dates
+from tempcast.errors import MalformedRowError
+from tempcast.models import _kernel, _parse_series
+from tempcast.series import CSV_HEADER, iso_dates, to_csv_rows
 
 DATA = Path(__file__).parent / "data"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 STATION_CSV = DATA / "synthetic_station_daily.csv"
 GOLDEN_CSV = DATA / "cdo_golden.csv"
 
@@ -635,3 +644,195 @@ class TestArbitraryInput:
         argv = ["backtest", "--series", "INPUT", "--experiments", "1",
                 "--grid", "coarse", "--out-dir", "OUT"]
         assert_not_internal_error(data, argv)
+
+
+# Starts where the 365-day calendar turns: year ends, February 28 of
+# leap and common years, and the last days the calendar can name.
+calendar_turns = st.sampled_from([
+    dt.date(1, 1, 1), dt.date(1999, 12, 31), dt.date(2015, 12, 25),
+    dt.date(2016, 2, 28), dt.date(2017, 2, 28), dt.date(2100, 2, 20),
+    dt.date(9999, 12, 20), dt.date(9999, 12, 31),
+])
+# Values that validate_series accepts, and numbers of every size as repr
+# writes them, signs and exponents included, or as longer decimals of the
+# same shape, some 64 bytes or more.
+plausible = st.floats(170.0, 350.0, exclude_min=True, exclude_max=True).map(repr)
+numbers = st.one_of(
+    st.floats().map(repr),
+    st.from_regex(r"\A-?[0-9]{1,30}(\.[0-9]{1,30})?([eE][-+]?[0-9]{1,3})?\Z"),
+)
+
+
+@st.composite
+def exact_series_files(draw):
+    """Files in the form tempcast writes: the header, then consecutive
+    days of the 365-day calendar, with or without a last newline."""
+    days = _consecutive_days(draw(calendar_turns | st.dates()), draw(st.integers(1, 40)))
+    values = draw(st.sampled_from([plausible, numbers]))
+    rows = [f"{day.isoformat()},{draw(values)}" for day in days]
+    text = "\n".join(["date,kelvin", *rows]) + draw(st.sampled_from(["", "\n"]))
+    return text.encode("ascii")
+
+
+def outcome(read):
+    """The start date and value bytes of the series ``read()`` returns,
+    or the class and message of what it raises."""
+    try:
+        series = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return series.start_date, series.values.tobytes()
+
+
+def read_both(data):
+    """``_read_series_csv`` and ``read_csv`` of a file holding ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(data)
+        return (
+            outcome(lambda: cli._read_series_csv(path)[0]),
+            outcome(lambda: read_csv(cli._read_text(path)[0])),
+        )
+
+
+@pytest.fixture
+def read_csv_calls(monkeypatch):
+    """The texts the CLI hands ``read_csv``, which still reads them."""
+    calls = []
+
+    def spy(text):
+        calls.append(text)
+        return read_csv(text)
+
+    monkeypatch.setattr(cli, "read_csv", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def century_file(tmp_path_factory):
+    """100 years of values near 283 K, written as the CLI writes a series."""
+    gen = np.random.default_rng(100)
+    values = 283.15 + 12 * np.sin(np.arange(36500) * 2 * np.pi / 365)
+    series = TimeSeries(dt.date(1921, 1, 1), values + gen.normal(0, 3, values.size))
+    path = tmp_path_factory.mktemp("century") / "series.csv"
+    cli._write_csv(path, CSV_HEADER, to_csv_rows(series))
+    return path
+
+
+# A file in the form tempcast writes that crosses a year end, and
+# variants of it that the C pass gives up on, whether read_csv reads them
+# or not.
+EXACT = "date,kelvin\n2015-12-30,280.5\n2015-12-31,2.815e+02\n2016-01-01,279.0\n"
+GIVE_UPS = {
+    "byte-order mark": "\ufeff" + EXACT,
+    "crlf line ends": EXACT.replace("\n", "\r\n"),
+    "lone cr": EXACT.replace("280.5\n", "280.5\r"),
+    "cr in a value": EXACT.replace("280.5", "280.5\r"),
+    "quoted value": EXACT.replace("280.5", '"280.5"'),
+    "blank line": EXACT.replace("280.5\n", "280.5\n\n"),
+    "trailing blank line": EXACT + "\n",
+    "space": EXACT.replace(",280.5", ", 280.5"),
+    "non-ascii digit": EXACT.replace("280.5", "28\uff10.5"),  # a fullwidth 0
+    "underscore": EXACT.replace("280.5", "2_80.5"),
+    "no fraction digits": EXACT.replace("280.5", "280."),
+    "64-byte value": EXACT.replace("280.5", "280." + "0" * 60),
+    "nan": EXACT.replace("280.5", "nan"),
+    "third field": EXACT.replace("280.5", "280.5,x"),
+    "capital header": EXACT.replace("date,kelvin", "Date,Kelvin"),
+    "header alone": "date,kelvin\n",
+    "gap": EXACT.replace("2015-12-31", "2016-01-02"),
+    "repeat": EXACT.replace("2016-01-01", "2015-12-31"),
+    "february 29": "date,kelvin\n2016-02-28,280.0\n2016-02-29,281.0\n2016-03-01,282.0\n",
+    "start on february 29": "date,kelvin\n2016-02-29,280.0\n2016-03-01,281.0\n",
+    "year 0": "date,kelvin\n0000-12-31,280.0\n",
+    "past 9999-12-31": "date,kelvin\n9999-12-31,280.0\n10000-01-01,281.0\n",
+}
+
+
+class TestSeriesFileReader:
+    """``_read_series_csv`` reads a file in the form tempcast writes in
+    one C pass and hands every other file to ``read_csv``; either way it
+    returns what ``read_csv`` returns, or raises what it raises."""
+
+    @given(data=st.one_of(input_bytes(series_texts()), exact_series_files()))
+    @settings(max_examples=400, deadline=None)
+    def test_same_series_or_error_as_read_csv(self, data):
+        got, expected = read_both(data)
+        assert got == expected
+        parsed = _parse_series(data)
+        if parsed is not None:  # strtod reads each value as float does
+            cells = [line.split(b",")[1] for line in data.splitlines()[1:]]
+            assert parsed[1].tobytes() == np.array(list(map(float, cells))).tobytes()
+
+    def test_files_tempcast_writes_never_reach_read_csv(
+        self, read_csv_calls, clean_series_file, century_file, tmp_path
+    ):
+        exact = tmp_path / "exact.csv"
+        exact.write_text(EXACT.replace("280.5", "280." + "0" * 59))  # 63 bytes
+        golden = DATA / "golden" / "series.csv"
+        for path in (golden, clean_series_file, century_file, exact):
+            got, expected = read_both(path.read_bytes())
+            assert got == expected
+            assert not isinstance(got[0], type)  # a series, not an error
+        assert read_csv_calls == []
+
+    @pytest.mark.parametrize("case", GIVE_UPS)
+    def test_other_files_reach_read_csv(self, read_csv_calls, case):
+        data = GIVE_UPS[case].encode("utf-8")
+        assert _parse_series(data) is None
+        got, expected = read_both(data)
+        assert got == expected
+        assert len(read_csv_calls) == 1
+
+    def test_comma_decimal_point_gives_up(self, tmp_path):
+        # under such a locale strtod reads "266.34999999999997" as 266:
+        # the pass must give up rather than misread
+        locales = tmp_path / "de_DE.UTF-8"
+        if shutil.which("localedef") is None or subprocess.run(
+            ["localedef", "-i", "de_DE", "-f", "UTF-8", str(locales)],
+            capture_output=True,
+        ).returncode:
+            pytest.skip("cannot build a de_DE locale here")
+        code = (
+            "import locale; from pathlib import Path; "
+            "from tempcast import cli, read_csv; "
+            "from tempcast.models import _parse_series; "
+            "print(locale.setlocale(locale.LC_NUMERIC, 'de_DE.UTF-8')); "
+            f"path = Path({str(DATA / 'golden' / 'series.csv')!r}); "
+            "print(_parse_series(path.read_bytes())); "
+            "print(cli._read_series_csv(path)[0] == read_csv(cli._read_text(path)[0]))"
+        )
+        env = {**os.environ, "LOCPATH": str(tmp_path), "PYTHONPATH": SRC}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout == "de_DE.UTF-8\nNone\nTrue\n"
+
+    def test_buffer_cut_mid_row_gives_up(self, tmp_path):
+        data = (DATA / "golden" / "series.csv").read_bytes()
+        cut = data.index(b"\n2015-01-07,") + len(b"\n2015-01-0")
+        path = tmp_path / "cut.csv"
+        path.write_bytes(data[:cut])
+        assert _parse_series(data[:cut]) is None
+        # a date with no comma after it is one field
+        with pytest.raises(MalformedRowError) as fallback:
+            cli._read_series_csv(path)
+        with pytest.raises(MalformedRowError) as direct:
+            read_csv(cli._read_text(path)[0])
+        assert str(fallback.value) == str(direct.value) == (
+            "malformed row at line 8: expected two fields"
+        )
+
+    def test_reads_no_byte_past_the_length(self):
+        # the bytes past the length would finish the last row's date or
+        # lengthen its value
+        data = (DATA / "golden" / "series.csv").read_bytes()
+        row = data.index(b"\n2015-01-07,") + 1
+        values, first = np.empty(10), (ctypes.c_long * 3)()
+        read_series = _kernel().read_series
+        assert read_series(data, row + len(b"2015-01-0"), 10, values, first) == -1
+        value = data.index(b".", row) + 2
+        assert read_series(data, value, 10, values, first) == 7
+        assert values[6] == float(data[row + 11 : value]) == 266.0
+        assert tuple(first) == (2015, 1, 1)

@@ -137,6 +137,7 @@ class TestCache:
             def __init__(self, path):
                 names.append(Path(path).name)
                 self.one_step_errors = types.SimpleNamespace()
+                self.read_series = types.SimpleNamespace()
 
         monkeypatch.setattr(ctypes, "CDLL", Library)
         for get_platform, machine in [("linux-x86_64", "x86_64"), host]:
@@ -257,7 +258,7 @@ def baseline(tmp_path_factory):
     loaded = ctypes.CDLL(str(library))
     assert not hasattr(loaded, "one_step_errors.resolver")  # no clones in it
     kernel = loaded.one_step_errors
-    kernel.argtypes = _kernel().argtypes
+    kernel.argtypes = _kernel().one_step_errors.argtypes
     kernel.restype = None
     return kernel
 
@@ -279,7 +280,7 @@ def sweep(kernel, values, season, coefficients):
 def test_every_ring_slot_is_written_before_it_is_read(season):
     values = np.loadtxt(SERIES, delimiter=",", skiprows=1, usecols=1)[: 2 * season + 11]
     coefficients = np.array([[0.0, 1.0, 0.3], [0.0, 1.0, 0.1], [0.0, 1.0, 0.2]])
-    rmse, level, trend, ring = sweep(_kernel(), values, season, coefficients)
+    rmse, level, trend, ring = sweep(_kernel().one_step_errors, values, season, coefficients)
     for j, triple in enumerate(coefficients.T):
         params = SmoothingParams(*triple, season_length=season)
         state, sq_sum = _initial_state(values, season), 0.0
@@ -309,6 +310,6 @@ class TestBaselineLoop:
         for n in (2 * season + 1, 2 * season + 11):
             window = values[:n]
             got = sweep(baseline, window, season, coefficients)
-            expected = sweep(_kernel(), window, season, coefficients)
+            expected = sweep(_kernel().one_step_errors, window, season, coefficients)
             for a, b in zip(got, expected):
                 assert a.tobytes() == b.tobytes()
