@@ -24,9 +24,10 @@
    that the CPU runs; every clone gives the same bits, and every other host
    builds the baseline loop alone.
 
-   read_series, for tempcast.models._parse_series, reads a series file in
-   the one form that tempcast writes, in one pass over its bytes, and gives
-   up on anything else; read_csv then reads the file as it reads any other. */
+   read_series, for tempcast.series._read_series_bytes, reads a series file
+   in the one form that tempcast writes, in one pass over its bytes, and
+   gives up on anything else; read_csv then reads the file as it reads any
+   other. */
 
 /* strtod as <stdlib.h> declares it, declared here as C allows: a build
    with __x86_64__ undefined, as the tests make to check the baseline loop

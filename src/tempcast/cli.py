@@ -6,12 +6,10 @@ and digest, and tempcast's version. It does not record numpy's version,
 and backtest origins come from numpy's ``Generator.choice``, so the
 manifest reproduces a run byte for byte under the same numpy only;
 ``tests/data/golden/`` pins the artifacts of one such run. All
-randomness flows from the single --seed flag. The series file's format
-belongs to :mod:`tempcast.series`; what is left here is the command
-line: arguments, reading each input's bytes once (:func:`_read_text`,
-and :func:`_read_series_csv`, which hands a series file in the form
-tempcast writes to the compiled library's one-pass reader and decodes
-any other for ``read_csv``), the report tables' row sources, one CSV
+randomness flows from the single --seed flag. The file formats belong
+to :mod:`tempcast.series` and :mod:`tempcast.ingest`; what is left here
+is the command line: arguments, one file reader (:func:`_read`, which
+reads each input's bytes once), the report tables' row sources, one CSV
 writer (:func:`_write_csv`) and one manifest writer
 (:func:`_write_manifest`). Every command turns its flags into the
 library's configurations before it opens any file, so a bad flag is a
@@ -30,7 +28,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import hashlib
-import io
 import itertools
 import json
 import sys
@@ -44,22 +41,21 @@ from .backtest import MODEL_NAMES, BacktestConfig, BacktestReport, run_backtest
 from .errors import (
     ArgumentError,
     CalendarOverflowError,
-    MalformedRowError,
     OutOfRangeError,
     OutputIsInputError,
     TempcastError,
     _whole,
 )
 from .ingest import UNITS, CleanConfig, clean_report, parse_cdo_csv
-from .models import SmoothingParams, _parse_series, hw_fit, hw_forecast
+from .models import SmoothingParams, hw_fit, hw_forecast
 from .series import (
     CSV_HEADER,
     TimeSeries,
+    _decode,
+    _read_series_bytes,
     iso_dates,
     parse_date,
-    read_csv,
     to_csv_rows,
-    validate_series,
 )
 from .tuning import GridSpec, grid_search
 
@@ -126,39 +122,11 @@ def _date_flag(raw: str, flag: str) -> dt.date:
         raise ArgumentError(f"{flag} expects YYYY-MM-DD, got {raw!r}") from None
 
 
-def _decode(data: bytes) -> str:
-    """UTF-8 bytes as text, without the byte-order mark some editors add
-    and with universal newlines, as ``Path.read_text`` gives it."""
-    try:
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
-    except UnicodeDecodeError as exc:
-        # Offsets are into exc.object, which omits a leading mark.
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise MalformedRowError(
-            line, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
-        ) from None
-
-
-def _read_text(path: Path) -> tuple[str, str]:
-    """A UTF-8 input file's text, as :func:`_decode` gives it, and the
-    SHA-256 of the bytes that text was decoded from."""
-    data = path.read_bytes()
-    return _decode(data), hashlib.sha256(data).hexdigest()
-
-
-def _read_series_csv(path: Path) -> tuple[TimeSeries, str]:
-    """The series in a ``date,kelvin`` file and the file's SHA-256.
-
-    A file in the form that tempcast writes is read from its bytes in one
-    C pass (``models._parse_series``), which loads the smoother's compiled
-    library; any other file is decoded and read by ``read_csv``, with its
-    errors. Both give the same series."""
+def _read(path: Path, parse):
+    """``parse`` of an input file's bytes, and the SHA-256 of the bytes."""
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
-    parsed = _parse_series(data)
-    if parsed is None:
-        return read_csv(_decode(data)), digest
-    return validate_series(TimeSeries(*parsed)), digest
+    return parse(data), digest
 
 
 def build_parser() -> _Parser:
@@ -213,7 +181,7 @@ def _cmd_ingest(args) -> int:
     output = Path(args.output)
     manifest = output.parent / (output.name + ".manifest.json")
     _refuse_overwrite(args.input, [output, manifest])
-    text, input_sha256 = _read_text(Path(args.input))
+    text, input_sha256 = _read(Path(args.input), _decode)
     records = parse_cdo_csv(
         text,
         unit=args.unit,
@@ -294,7 +262,7 @@ def _cmd_backtest(args) -> int:
     _refuse_overwrite(
         args.series, [out_dir / name for name in [*artifacts, "manifest.json"]]
     )
-    series, input_sha256 = _read_series_csv(Path(args.series))
+    series, input_sha256 = _read(Path(args.series), _read_series_bytes)
     report = run_backtest(series, config)
 
     _write_csv(out_dir / "rmse.csv", ("lead", *config.models), _rmse_rows(report))
@@ -355,7 +323,7 @@ def _cmd_forecast(args) -> int:
     output = Path(args.output)
     manifest = output.parent / (output.name + ".manifest.json")
     _refuse_overwrite(args.series, [output, manifest])
-    series, input_sha256 = _read_series_csv(Path(args.series))
+    series, input_sha256 = _read(Path(args.series), _read_series_bytes)
     # Up to a season of observations comes before the leads.
     first = max(len(series) - season, 0)
     try:

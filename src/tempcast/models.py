@@ -23,10 +23,8 @@ on first use, so running it needs a C compiler once per host. The loop
 takes the days four at a time, each pass over all W columns, and on
 x86-64 with glibc the dynamic loader picks its AVX-512, AVX2 or
 baseline build, whichever is the widest that the CPU runs; all give the
-same bits. The same library holds a second loop, which
-:func:`_parse_series` runs: it reads a series file in the one form that
-tempcast writes, in one pass over its bytes, so the commands that fit
-load the library before they read their series.
+same bits. The library also holds :mod:`tempcast.series`' one-pass
+reader of series files.
 :func:`_sweep` picks one call's winning column and its final state;
 :func:`hw_fit` runs it on one column, and :mod:`tempcast.tuning` on
 whole grids of them. :func:`hw_update` is the same recursion one
@@ -46,7 +44,6 @@ that is not finite (NaN, infinite, or past the float range) raises
 
 from __future__ import annotations
 
-import datetime as dt
 import functools
 import math
 import os
@@ -239,8 +236,9 @@ _kernel_lock = threading.Lock()
 
 @functools.cache
 def _kernel():
-    """``_kernel.c``'s shared library, with its two functions,
-    ``one_step_errors`` and ``read_series``, typed for ctypes.
+    """``_kernel.c``'s shared library, with ``one_step_errors`` and
+    ``read_series`` (:mod:`tempcast.series`' one-pass reader of series
+    files) typed for ctypes.
 
     The shared library is built with ``sysconfig``'s ``CC`` (else ``cc``)
     and ``_KERNEL_FLAGS`` into ``$XDG_CACHE_HOME/tempcast/`` (by default
@@ -355,36 +353,6 @@ def _one_step_errors_batch(
     with np.errstate(invalid="ignore"):
         sq_sum /= n - 2 * L
     return np.sqrt(sq_sum, out=sq_sum), level, trend, ring
-
-
-def _parse_series(data: bytes) -> tuple[dt.date, np.ndarray] | None:
-    """The first date and the values of a series file's bytes, read by
-    ``_kernel.c``'s ``read_series`` in one pass, or None where it gives
-    up.
-
-    It takes only the form that ``series.to_csv_rows`` writes under
-    ``series.CSV_HEADER``: the line ``date,kelvin``, then one row per day
-    of the 365-day calendar from a first date that is not February 29,
-    each an ISO date and a number spelled as ``repr`` spells a finite
-    float (a sign, digits, a fraction and an exponent, under 64 bytes),
-    ending in ``\\n`` (the last row may lack it). A byte-order mark, a
-    ``\\r``, a blank line, a space, a quote, a third field, a February 29
-    row, a gap or a repeat make it give up, as does a number that
-    ``strtod`` under the process's locale would not read whole. Where it
-    reads a file, ``series.read_csv`` of the file's text reads the same
-    date and, since ``strtod`` and ``float`` both round correctly, the
-    same value bits; the values are not checked here
-    (:func:`series.validate_series` does that).
-    """
-    import ctypes
-
-    # no more rows than newlines, as the header ends in one
-    values = np.empty(data.count(b"\n"))
-    first = (ctypes.c_long * 3)()
-    rows = _kernel().read_series(data, len(data), values.size, values, first)
-    if rows < 0:
-        return None
-    return dt.date(*first), values[:rows]
 
 
 def _best_of_batch(

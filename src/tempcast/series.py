@@ -26,11 +26,10 @@ On disk a series is a CSV file: the header :data:`CSV_HEADER`
 and the ``repr`` of the float, which reads back bit for bit. Rows dated
 February 29 are dropped on read (:func:`read_csv`). :func:`read_csv`
 reads any such file, with a byte-order mark, other line ends, spaces or
-a differently cased header too. The CLI first hands a file's bytes to
-``models._parse_series``, a C pass that reads only the exact form
-:func:`to_csv_rows` writes and gives up on anything else, and passes
-only the files it gives up on to :func:`read_csv`; both give the same
-series.
+a differently cased header too. :func:`_read_series_bytes` reads a
+file's bytes: the form :func:`to_csv_rows` writes in one C pass, and
+any other file through :func:`_decode` and :func:`read_csv`; both give
+the same series.
 """
 
 from __future__ import annotations
@@ -165,6 +164,15 @@ def parse_date(text: str) -> dt.date:
     except (LookupError, TypeError, ValueError):
         pass
     raise ArgumentError(f"expected YYYY-MM-DD, got {text!r}")
+
+
+def _plain_float(cell: str) -> float:
+    """``float(cell)``, except that a cell holding ``_`` or a character
+    outside ASCII, which ``float`` would also read (``2_80.5``, a
+    fullwidth digit, a no-break space), raises ``ValueError``."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(cell)
+    return float(cell)
 
 
 def next_calendar_day(day: dt.date) -> dt.date:
@@ -367,6 +375,19 @@ def csv_rows(text: str) -> Iterator[Iterator[list[str]]]:
         raise MalformedRowError(reader.line_num, str(exc)) from None
 
 
+def _decode(data: bytes) -> str:
+    """UTF-8 bytes as text, without the byte-order mark some editors add
+    and with universal newlines, as ``Path.read_text`` gives it."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
+    except UnicodeDecodeError as exc:
+        # Offsets are into exc.object, which omits a leading mark.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise MalformedRowError(
+            line, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        ) from None
+
+
 def to_csv_rows(series: TimeSeries) -> Iterator[tuple[str, str]]:
     """The rows of a series file, after :data:`CSV_HEADER`. A ``series``
     that is not a :class:`TimeSeries` raises ``ArgumentError``."""
@@ -380,7 +401,8 @@ def to_csv_rows(series: TimeSeries) -> Iterator[tuple[str, str]]:
 def read_csv(text: str) -> TimeSeries:
     """The series in the text of a series file, through
     :func:`drop_leap_days` and :func:`validate_series`. Blank lines are
-    skipped; a row that cannot be read raises :class:`MalformedRowError`
+    skipped; a row that cannot be read, a value cell that
+    :func:`_plain_float` rejects included, raises :class:`MalformedRowError`
     or :class:`MalformedDateError` naming the row's last line."""
     dates = []
     values = []
@@ -400,11 +422,39 @@ def read_csv(text: str) -> TimeSeries:
             except ValueError:
                 raise MalformedDateError(rows.line_num) from None
             try:
-                values.append(float(row[1]))
+                values.append(_plain_float(row[1]))
             except ValueError:
                 line = rows.line_num
                 raise MalformedRowError(line, f"not a number: {row[1]!r}") from None
     return validate_series(drop_leap_days(dates, values))
+
+
+def _read_series_bytes(data: bytes) -> TimeSeries:
+    """The series in a series file's bytes, as :func:`read_csv` reads
+    the file's text, or what it raises.
+
+    ``_kernel.c``'s ``read_series``, in the smoother's compiled library
+    (``models._kernel``), reads the exact form :func:`to_csv_rows` writes
+    in one pass: the header line, then consecutive days from one that is
+    not February 29, each value as ``repr`` spells a finite float in
+    under 64 bytes, every line but perhaps the last ending in ``\\n``.
+    It gives up on anything else (a byte-order mark, a ``\\r``, a space,
+    a gap, a number that ``strtod`` under the process's locale would not
+    read whole), and such a file goes through :func:`_decode` to
+    :func:`read_csv`, which raises every error. ``strtod`` and ``float``
+    both round correctly, so both paths read the same value bits.
+    """
+    import ctypes
+
+    from .models import _kernel  # models imports this module
+
+    # no more rows than newlines, as the header ends in one
+    values = np.empty(data.count(b"\n"))
+    first = (ctypes.c_long * 3)()
+    rows = _kernel().read_series(data, len(data), values.size, values, first)
+    if rows < 0:
+        return read_csv(_decode(data))
+    return validate_series(TimeSeries(dt.date(*first), values[:rows]))
 
 
 def rmse(predicted, actual) -> float:

@@ -29,8 +29,14 @@ from tempcast import (
 from tempcast import cli
 from tempcast.cli import main
 from tempcast.errors import MalformedRowError
-from tempcast.models import _kernel, _parse_series
-from tempcast.series import CSV_HEADER, iso_dates, to_csv_rows
+from tempcast.models import _kernel
+from tempcast.series import (
+    CSV_HEADER,
+    _decode,
+    _read_series_bytes,
+    iso_dates,
+    to_csv_rows,
+)
 
 DATA = Path(__file__).parent / "data"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -474,6 +480,31 @@ class TestTopLevel:
 
     @pytest.mark.parametrize(
         "command",
+        [["ingest", "--input", "INPUT", "--unit", "celsius", "--output", "OUT"],
+         ["backtest", "--series", "INPUT", "--experiments", "1", "--grid", "coarse",
+          "--out-dir", "OUT"],
+         ["forecast", "--series", "INPUT", "--horizon", "2", "--output", "OUT"]],
+        ids=["ingest", "backtest", "forecast"],
+    )
+    def test_each_command_reads_its_input_once(
+        self, clean_series_file, tmp_path, monkeypatch, command
+    ):
+        source = GOLDEN_CSV if command[0] == "ingest" else clean_series_file
+        _kernel()  # loaded once per process, reading its source for the key
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def spy(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        replace = {"INPUT": str(source), "OUT": str(tmp_path / "out")}
+        assert main([replace.get(arg, arg) for arg in command]) == 0
+        assert reads == [source]
+
+    @pytest.mark.parametrize(
+        "command",
         [["forecast", "--auto", "--horizon", "1", "--output", "f.csv"],
          ["backtest", "--out-dir", "out"]],
     )
@@ -685,26 +716,32 @@ def outcome(read):
 
 
 def read_both(data):
-    """``_read_series_csv`` and ``read_csv`` of a file holding ``data``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "series.csv"
-        path.write_bytes(data)
-        return (
-            outcome(lambda: cli._read_series_csv(path)[0]),
-            outcome(lambda: read_csv(cli._read_text(path)[0])),
-        )
+    """``_read_series_bytes`` and ``read_csv`` of a series file's bytes."""
+    return (
+        outcome(lambda: _read_series_bytes(data)),
+        outcome(lambda: read_csv(_decode(data))),
+    )
+
+
+def c_pass(data):
+    """The rows ``_kernel.c``'s ``read_series`` reads from ``data``, -1
+    where it gives up, and the values it reads."""
+    values, first = np.empty(data.count(b"\n")), (ctypes.c_long * 3)()
+    rows = _kernel().read_series(data, len(data), values.size, values, first)
+    return rows, values[: max(rows, 0)]
 
 
 @pytest.fixture
 def read_csv_calls(monkeypatch):
-    """The texts the CLI hands ``read_csv``, which still reads them."""
+    """The texts ``_read_series_bytes`` hands ``read_csv``, which still
+    reads them."""
     calls = []
 
     def spy(text):
         calls.append(text)
         return read_csv(text)
 
-    monkeypatch.setattr(cli, "read_csv", spy)
+    monkeypatch.setattr("tempcast.series.read_csv", spy)
     return calls
 
 
@@ -750,7 +787,7 @@ GIVE_UPS = {
 
 
 class TestSeriesFileReader:
-    """``_read_series_csv`` reads a file in the form tempcast writes in
+    """``_read_series_bytes`` reads a file in the form tempcast writes in
     one C pass and hands every other file to ``read_csv``; either way it
     returns what ``read_csv`` returns, or raises what it raises."""
 
@@ -759,10 +796,10 @@ class TestSeriesFileReader:
     def test_same_series_or_error_as_read_csv(self, data):
         got, expected = read_both(data)
         assert got == expected
-        parsed = _parse_series(data)
-        if parsed is not None:  # strtod reads each value as float does
+        rows, values = c_pass(data)
+        if rows >= 0:  # strtod reads each value as float does
             cells = [line.split(b",")[1] for line in data.splitlines()[1:]]
-            assert parsed[1].tobytes() == np.array(list(map(float, cells))).tobytes()
+            assert values.tobytes() == np.array(list(map(float, cells))).tobytes()
 
     def test_files_tempcast_writes_never_reach_read_csv(
         self, read_csv_calls, clean_series_file, century_file, tmp_path
@@ -779,7 +816,7 @@ class TestSeriesFileReader:
     @pytest.mark.parametrize("case", GIVE_UPS)
     def test_other_files_reach_read_csv(self, read_csv_calls, case):
         data = GIVE_UPS[case].encode("utf-8")
-        assert _parse_series(data) is None
+        assert c_pass(data)[0] == -1
         got, expected = read_both(data)
         assert got == expected
         assert len(read_csv_calls) == 1
@@ -794,32 +831,32 @@ class TestSeriesFileReader:
         ).returncode:
             pytest.skip("cannot build a de_DE locale here")
         code = (
-            "import locale; from pathlib import Path; "
-            "from tempcast import cli, read_csv; "
-            "from tempcast.models import _parse_series; "
+            "import ctypes, locale; from pathlib import Path; import numpy as np; "
+            "from tempcast import read_csv; "
+            "from tempcast.models import _kernel; "
+            "from tempcast.series import _decode, _read_series_bytes; "
             "print(locale.setlocale(locale.LC_NUMERIC, 'de_DE.UTF-8')); "
-            f"path = Path({str(DATA / 'golden' / 'series.csv')!r}); "
-            "print(_parse_series(path.read_bytes())); "
-            "print(cli._read_series_csv(path)[0] == read_csv(cli._read_text(path)[0]))"
+            f"data = Path({str(DATA / 'golden' / 'series.csv')!r}).read_bytes(); "
+            "values, first = np.empty(data.count(b'\\n')), (ctypes.c_long * 3)(); "
+            "print(_kernel().read_series(data, len(data), values.size, values, first)); "
+            "print(_read_series_bytes(data) == read_csv(_decode(data)))"
         )
         env = {**os.environ, "LOCPATH": str(tmp_path), "PYTHONPATH": SRC}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             check=True,
         )
-        assert done.stdout == "de_DE.UTF-8\nNone\nTrue\n"
+        assert done.stdout == "de_DE.UTF-8\n-1\nTrue\n"
 
-    def test_buffer_cut_mid_row_gives_up(self, tmp_path):
+    def test_buffer_cut_mid_row_gives_up(self):
         data = (DATA / "golden" / "series.csv").read_bytes()
         cut = data.index(b"\n2015-01-07,") + len(b"\n2015-01-0")
-        path = tmp_path / "cut.csv"
-        path.write_bytes(data[:cut])
-        assert _parse_series(data[:cut]) is None
+        assert c_pass(data[:cut])[0] == -1
         # a date with no comma after it is one field
         with pytest.raises(MalformedRowError) as fallback:
-            cli._read_series_csv(path)
+            _read_series_bytes(data[:cut])
         with pytest.raises(MalformedRowError) as direct:
-            read_csv(cli._read_text(path)[0])
+            read_csv(_decode(data[:cut]))
         assert str(fallback.value) == str(direct.value) == (
             "malformed row at line 8: expected two fields"
         )

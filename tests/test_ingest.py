@@ -130,6 +130,29 @@ class TestParse:
             parse_cdo_csv(text, unit="celsius")
         assert excinfo.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            HEADER + "A,2015-01-01,1.0\nA,2015-01-02,CELL\n",
+            "STATION,DATE,TMAX,TMIN\nA,2015-01-01,1.0,0.0\nA,2015-01-02,CELL,0.0\n",
+            "STATION,DATE,TMAX,TMIN\nA,2015-01-01,1.0,0.0\nA,2015-01-02,2.0, CELL\n",
+        ],
+        ids=["tavg", "tmax", "tmin"],
+    )
+    @pytest.mark.parametrize("cell", ["1_0.5", "\uff11"], ids=["underscore", "fullwidth"])
+    def test_value_that_is_not_a_plain_number_is_rejected(self, text, cell):
+        # float() reads these as 10.5 and 1.0
+        with pytest.raises(MalformedRowError) as excinfo:
+            parse_cdo_csv(
+                text.replace("CELL", cell), "celsius", tmax_tmin_fallback="TMAX" in text
+            )
+        assert str(excinfo.value) == f"malformed row at line 3: not a number: {cell!r}"
+
+    def test_non_ascii_or_underscore_elsewhere_leaves_values_alone(self):
+        text = "STATION,NAME,DATE,TAVG\nUS_1,M\u00dcNCHEN,2015-01-01,\xa01.5\n"
+        rs = parse_cdo_csv(text, unit="celsius", station="US_1")
+        assert rs.tavg == (1.5,)
+
     def test_ragged_row_names_line(self):
         text = HEADER + "A,2015-01-01\n"
         with pytest.raises(MalformedRowError) as excinfo:

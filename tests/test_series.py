@@ -253,6 +253,19 @@ class TestSeriesCsv:
             read_csv(text)
         assert excinfo.value.line == 4
 
+    @pytest.mark.parametrize(
+        "cell",
+        ["2_80.5", "28\uff10.5", "\xa0280.5\xa0"],
+        ids=["underscore", "fullwidth digit", "no-break space"],
+    )
+    def test_value_that_is_not_a_plain_number_is_rejected(self, cell):
+        # float() reads each of these as 280.5
+        text = "date,kelvin\n2015-01-01,280.0\n2015-01-02,CELL\n"
+        assert read_csv(text.replace("CELL", " 280.5 ")).values[1] == 280.5
+        with pytest.raises(MalformedRowError) as excinfo:
+            read_csv(text.replace("CELL", cell))
+        assert str(excinfo.value) == f"malformed row at line 3: not a number: {cell!r}"
+
     def test_february_29_rows_are_dropped(self):
         text = "date,kelvin\n2020-02-28,280.0\n2020-02-29,281.0\n2020-03-01,282.0\n"
         series = read_csv(text)
