@@ -153,9 +153,10 @@ def parse_cdo_csv(
 
     Header matching is case-insensitive and order-free; extra columns
     are ignored. DATE cells must read ``YYYY-MM-DD``, checked as
-    :func:`~tempcast.series.parse_date` checks them. Empty TAVG cells
-    become missing values; a value cell is read by ``float``, but one
-    holding ``_`` or a character outside ASCII is not a number. With
+    :func:`~tempcast.series.parse_date` checks them. Cells are read
+    after ``str.strip``, which also takes off a no-break space. Empty
+    TAVG cells become missing values; a value cell is read by ``float``,
+    but one holding ``_`` or a character outside ASCII is not a number. With
     ``tmax_tmin_fallback`` enabled (for exports lacking TAVG), a missing
     TAVG is replaced by the TMAX/TMIN midpoint when both are present,
     and the TAVG column itself becomes optional. Text the csv module
@@ -196,8 +197,6 @@ def parse_cdo_csv(
         rows_read = 0
         n_fields = len(header)
         fromisoformat = dt.date.fromisoformat
-        # One pass over the text spares plain exports a check per cell.
-        number = float if text.isascii() and "_" not in text else _plain_float
         for row in rows:
             if not row:
                 continue
@@ -216,7 +215,7 @@ def parse_cdo_csv(
                 raise MalformedDateError(rows.line_num) from None
             cell = "" if i_tavg is None else row[i_tavg].strip()
             try:
-                value = number(cell) if cell else None
+                value = _plain_float(cell) if cell else None
             except ValueError:
                 raise MalformedRowError(rows.line_num, f"not a number: {cell!r}") from None
             if value is None and tmax_tmin_fallback:

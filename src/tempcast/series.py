@@ -401,9 +401,12 @@ def to_csv_rows(series: TimeSeries) -> Iterator[tuple[str, str]]:
 def read_csv(text: str) -> TimeSeries:
     """The series in the text of a series file, through
     :func:`drop_leap_days` and :func:`validate_series`. Blank lines are
-    skipped; a row that cannot be read, a value cell that
-    :func:`_plain_float` rejects included, raises :class:`MalformedRowError`
-    or :class:`MalformedDateError` naming the row's last line."""
+    skipped; a row that cannot be read raises :class:`MalformedRowError`
+    or :class:`MalformedDateError` naming the row's last line. Both
+    cells are ASCII, with spaces around them allowed: a date cell holding
+    any other character (a no-break space included) is not a date, and
+    a value cell holding one, or ``_``, is not a number
+    (:func:`_plain_float`)."""
     dates = []
     values = []
     with csv_rows(text) as rows:
@@ -418,6 +421,8 @@ def read_csv(text: str) -> TimeSeries:
             if len(row) != 2:
                 raise MalformedRowError(rows.line_num, "expected two fields")
             try:
+                if not row[0].isascii():
+                    raise ValueError
                 dates.append(parse_date(row[0].strip()))
             except ValueError:
                 raise MalformedDateError(rows.line_num) from None

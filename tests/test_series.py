@@ -266,6 +266,14 @@ class TestSeriesCsv:
             read_csv(text.replace("CELL", cell))
         assert str(excinfo.value) == f"malformed row at line 3: not a number: {cell!r}"
 
+    def test_date_that_is_not_ascii_is_rejected(self):
+        # str.strip() would take the no-break spaces off
+        text = "date,kelvin\n2015-01-01,280.0\nCELL,280.5\n"
+        assert read_csv(text.replace("CELL", " 2015-01-02 ")).values[1] == 280.5
+        with pytest.raises(MalformedDateError) as excinfo:
+            read_csv(text.replace("CELL", "\xa02015-01-02\xa0"))
+        assert excinfo.value.line == 3
+
     def test_february_29_rows_are_dropped(self):
         text = "date,kelvin\n2020-02-28,280.0\n2020-02-29,281.0\n2020-03-01,282.0\n"
         series = read_csv(text)
