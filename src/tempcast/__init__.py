@@ -1,7 +1,7 @@
 """Seasonal day-ahead air-temperature forecasting toolkit.
 
 A small numpy library plus CLI that ingests NOAA Climate Data Online
-daily-summary exports, forecasts ground temperature with additive
+daily-summary exports, forecasts air temperature with additive
 seasonal exponential smoothing, and benchmarks the smoother against
 persistence and historical-average baselines under a rolling-origin
 protocol.

@@ -72,7 +72,9 @@ def _one_of(value, choices: tuple, name: str) -> None:
 class ValidationError(TempcastError):
     """A series invariant failed at a specific index.
 
-    ``rule`` is one of ``"nan"``, ``"range"`` or ``"non-consecutive"``.
+    ``rule`` is one of ``"nan"``, ``"range"`` or ``"non-consecutive"``;
+    ``"nan"`` covers every value that is not finite: NaN, ``inf`` and
+    ``-inf``. ``index`` counts series values from 0, not file lines.
     """
 
     def __init__(self, index: int, rule: str, message: str | None = None):

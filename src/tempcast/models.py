@@ -359,18 +359,20 @@ def _best_of_batch(
     scores: np.ndarray, a: np.ndarray, b: np.ndarray, g: np.ndarray
 ) -> tuple[float, float, float, float, int]:
     """``(score, alpha, beta, gamma, column)`` of the first column with
-    the lowest score, column 0 if all are NaN: on a
-    :func:`~tempcast.tuning._mesh` sweep, the smallest such tuple among
-    the lowest scores, NaN ranking last."""
+    the lowest score, column 0 if all are NaN: on the columns that
+    :func:`_sweep` lays out, the smallest such tuple among the lowest
+    scores, NaN ranking last."""
     j = int(np.argmax(scores == np.fmin.reduce(scores)))
     return float(scores[j]), float(a[j]), float(b[j]), float(g[j]), j
 
 
-def _sweep(values, start, alphas, betas, gammas):
-    """The :func:`_best_of_batch` tuple of one
-    :func:`_one_step_errors_batch` call from ``start``, and the
-    :class:`HWState` its winning column ended in. The ring is freed on
-    return, so a thread never holds two sweeps' rings at once."""
+def _sweep(values, start, axes):
+    """The :func:`_best_of_batch` tuple of one :func:`_one_step_errors_batch`
+    call from ``start`` over the alpha, beta and gamma ``axes``' triples,
+    gamma fastest, so that increasing axes give the increasing columns its
+    tie rule relies on, and the :class:`HWState` the winner ended in. The
+    ring is freed on return, so a thread never holds two sweeps' rings at once."""
+    alphas, betas, gammas = np.array(np.meshgrid(*axes, indexing="ij")).reshape(3, -1)
     scores, level, trend, ring = _one_step_errors_batch(
         values, start, alphas, betas, gammas
     )
@@ -397,8 +399,7 @@ def hw_fit(train, params: SmoothingParams) -> HWState:
     if non_finite.size:
         raise NonFiniteError(f"observation is not finite: {float(non_finite[0])!r}")
     start = init_state(values, params)
-    triple = np.reshape([params.alpha, params.beta, params.gamma], (3, 1))
-    _, state = _sweep(values, start, *triple)
+    _, state = _sweep(values, start, [[params.alpha], [params.beta], [params.gamma]])
     return _finite(state, "fitted state")
 
 

@@ -69,7 +69,8 @@ _ONE_DAY = dt.timedelta(days=1)
 
 # Days before the first of each month in a year without February 29.
 _MONTH_STARTS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
-# Looked up once: parse_date runs once per row of a series file.
+# Looked up once: parse_date runs once per row of a series file that
+# _read_series_bytes' C pass gives up on.
 _FROMISOFORMAT = dt.date.fromisoformat
 
 CSV_HEADER = ("date", "kelvin")
@@ -277,8 +278,11 @@ def validate_series(series: TimeSeries) -> TimeSeries:
     Implied dates cannot have gaps (storage is start date plus offset),
     so date consecutiveness is enforced where dated observations enter
     the package: :func:`drop_leap_days` and ``ingest.clean_report``. Here the
-    value invariants are checked, reporting the first offending index;
-    anything but a :class:`TimeSeries` raises ``ArgumentError``.
+    value invariants are checked, reporting the first offending index, a
+    count of values from 0 and not a file line: rule ``"nan"`` for NaN,
+    ``inf`` or ``-inf``, and ``"range"`` for a finite value outside
+    (``KELVIN_MIN``, ``KELVIN_MAX``). Anything but a :class:`TimeSeries`
+    raises ``ArgumentError``.
     """
     values = _instance(series, TimeSeries, "series").values
     finite = np.isfinite(values)
@@ -441,8 +445,11 @@ def _read_series_bytes(data: bytes) -> TimeSeries:
     ``_kernel.c``'s ``read_series``, in the smoother's compiled library
     (``models._kernel``), reads the exact form :func:`to_csv_rows` writes
     in one pass: the header line, then consecutive days from one that is
-    not February 29, each value as ``repr`` spells a finite float in
-    under 64 bytes, every line but perhaps the last ending in ``\\n``.
+    not February 29, each value a plain decimal under 64 bytes (a minus,
+    digits, a fraction and an exponent, all but the digits optional), as
+    ``repr`` spells a float, every line but perhaps the last ending in
+    ``\\n``. A value past the float range, such as ``1e400``, reads as
+    ``inf``, which :func:`validate_series` rejects.
     It gives up on anything else (a byte-order mark, a ``\\r``, a space,
     a gap, a number that ``strtod`` under the process's locale would not
     read whole), and such a file goes through :func:`_decode` to

@@ -4,7 +4,8 @@ The objective replays the training window: after initialization, every
 observation is forecast one day ahead before being consumed, and the
 forecasts made once the first two seasons have passed are scored against
 the actuals. Coefficients are picked by exhaustive grid evaluation
-followed by a few rounds of local re-gridding around the incumbent.
+followed by a few rounds of local re-gridding, each across ±half the
+last round's spacing around the incumbent.
 
 Additive Holt-Winters is a linear innovations state-space model, so
 every coefficient triple is an independent column of one recursion.
@@ -20,8 +21,8 @@ the search: the grid, its refinement and the order between rounds.
 
 A window's winner is the smallest ``(score, alpha, beta, gamma)``: the
 lowest score, exact ties going to the smallest triple. That one order
-decides between rounds; within a sweep, whose triples :func:`_mesh`
-lists in increasing order, it picks the first column with the lowest score.
+decides between rounds; within a sweep, whose triples :func:`_sweep`
+lays out in increasing order, it picks the first column with the lowest score.
 :func:`one_step_rmse` is the one-triple :func:`grid_search`.
 """
 
@@ -46,19 +47,18 @@ from .series import _vector
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Candidate values per coefficient axis, plus refinement policy.
+    """Candidate values per coefficient axis, plus refinement rounds.
 
     After the full grid is scored, each refinement round lays a grid of
-    the same per-axis cardinality across ±(axis spacing × refine_shrink)
-    around the incumbent, clipped to [0, 1]; duplicate points collapse.
-    Axis values are stored as floats, ``-0.0`` as ``0.0``.
+    the same per-axis cardinality across ±half the axis spacing around
+    the incumbent, clipped to [0, 1]; duplicate points collapse. Axis
+    values are stored as floats, ``-0.0`` as ``0.0``.
     """
 
     alpha_grid: tuple[float, ...]
     beta_grid: tuple[float, ...]
     gamma_grid: tuple[float, ...]
     refine_rounds: int = 0
-    refine_shrink: float = 0.5
 
     def __post_init__(self):
         for name in ("alpha_grid", "beta_grid", "gamma_grid"):
@@ -79,28 +79,24 @@ class GridSpec:
                 raise ArgumentError(f"{name} must be strictly increasing")
         rounds = _whole(self.refine_rounds, "refine_rounds", minimum=0)
         object.__setattr__(self, "refine_rounds", rounds)
-        shrink = _real(self.refine_shrink, "refine_shrink")
-        if not 0.0 < shrink < 1.0:
-            raise ArgumentError("refine_shrink must lie strictly in (0, 1)")
-        object.__setattr__(self, "refine_shrink", shrink)
 
     @classmethod
     def default(cls) -> "GridSpec":
         """Eleven points per axis (step 0.1), two refinement rounds."""
         axis = tuple(round(0.1 * i, 1) for i in range(11))
-        return cls(axis, axis, axis, refine_rounds=2, refine_shrink=0.5)
+        return cls(axis, axis, axis, refine_rounds=2)
 
     @classmethod
     def coarse(cls) -> "GridSpec":
         """Six points per axis (step 0.2), one refinement round."""
         axis = tuple(round(0.2 * i, 1) for i in range(6))
-        return cls(axis, axis, axis, refine_rounds=1, refine_shrink=0.5)
+        return cls(axis, axis, axis, refine_rounds=1)
 
     @classmethod
     def fine(cls) -> "GridSpec":
         """Twenty-one points per axis (step 0.05), three refinement rounds."""
         axis = tuple(round(0.05 * i, 2) for i in range(21))
-        return cls(axis, axis, axis, refine_rounds=3, refine_shrink=0.5)
+        return cls(axis, axis, axis, refine_rounds=3)
 
 
 @dataclass(frozen=True)
@@ -133,22 +129,16 @@ class FitResult:
         _instance(self.state, HWState, "state")
 
 
-def _mesh(axis_a, axis_b, axis_g) -> np.ndarray:
-    """The axes' triples as a (3, W) array, gamma fastest: strictly
-    increasing axes give strictly increasing triples."""
-    return np.array(np.meshgrid(axis_a, axis_b, axis_g, indexing="ij")).reshape(3, -1)
-
-
-def _refine(center, cardinalities, spacings, shrink):
+def _refine(center, cardinalities, spacings):
     """Axes of the next refinement round around ``center``, and their
     unclipped spacings: each axis's cardinality of points across
-    ±(spacing × shrink), clipped to [0, 1], or the center alone for a
+    ±half its spacing, clipped to [0, 1], or the center alone for a
     zero-spacing axis, as every one-point axis is. Clipping keeps the
     points sorted, so equal ones are neighbours and only the first of
     each run is kept."""
     axes, refined_spacings = [], []
     for point, n_points, spacing in zip(center, cardinalities, spacings):
-        half = spacing * shrink
+        half = spacing * 0.5
         points = np.clip(np.linspace(point - half, point + half, n_points), 0.0, 1.0)
         axes.append(points[np.r_[True, points[1:] != points[:-1]]])
         refined_spacings.append(2.0 * half / (n_points - 1) if n_points > 1 else 0.0)
@@ -184,11 +174,10 @@ def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
     if bad.size:
         raise NonFiniteError(f"value {bad[0]} is not finite: {float(window[bad[0]])!r}")
 
-    grids = spec.alpha_grid, spec.beta_grid, spec.gamma_grid
-    axes = [np.asarray(grid, dtype=np.float64) for grid in grids]
-    cardinalities = [axis.size for axis in axes]
+    axes = spec.alpha_grid, spec.beta_grid, spec.gamma_grid
+    cardinalities = [len(axis) for axis in axes]
     spacings = [
-        float(axis[-1] - axis[0]) / (axis.size - 1) if axis.size > 1 else 0.0
+        (axis[-1] - axis[0]) / (len(axis) - 1) if len(axis) > 1 else 0.0
         for axis in axes
     ]
     start = _initial_state(window, season_length)
@@ -198,14 +187,11 @@ def grid_search(train, spec: GridSpec, season_length: int = 365) -> FitResult:
     best = state = None
     for round_index in range(spec.refine_rounds + 1):
         if round_index:
-            axes, spacings = _refine(
-                best[1:4], cardinalities, spacings, spec.refine_shrink
-            )
-        sweep = _mesh(*axes)
+            axes, spacings = _refine(best[1:4], cardinalities, spacings)
         # Finite values near the float limit may overflow to an inf
         # or NaN score, which ranks as _best_of_batch says.
-        candidate, candidate_state = _sweep(window, start, *sweep)
-        evaluations += sweep.shape[1]
+        candidate, candidate_state = _sweep(window, start, axes)
+        evaluations += math.prod(map(len, axes))
         if best is None or candidate < best:
             best, state = candidate, candidate_state
 

@@ -410,8 +410,6 @@ _PARAMS = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
         lambda: SmoothingParams(0.5, math.nan, 0.5, season_length=7),
         lambda: GridSpec((0.5,), (0.5, 1.5), (0.5,)),
         lambda: GridSpec((0.5,), (0.5,), (math.nan,)),
-        lambda: GridSpec((0.5,), (0.5,), (0.5,), refine_shrink=0.0),
-        lambda: GridSpec((0.5,), (0.5,), (0.5,), refine_shrink=1.0),
         lambda: GridSpec((), (0.5,), (0.5,)),
         lambda: GridSpec((0.5, 0.2), (0.5,), (0.5,)),
         lambda: RawRecordSet(("A",), (_DAY,), (1.0,), "kelvin"),
@@ -438,7 +436,7 @@ _PARAMS = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
     ids=[
         "season_length", "n_experiments", "seed", "train_length", "refine_rounds",
         "max_gap", "rows_read", "params-coefficient", "params-nan", "grid-coefficient",
-        "grid-nan", "refine_shrink-0", "refine_shrink-1", "empty-axis",
+        "grid-nan", "empty-axis",
         "unsorted-axis", "record-unit", "parse-unit", "unknown-model",
         "repeated-model", "no-models", "lead-zero", "no-leads", "lead-fraction",
         "leads-decreasing", "clean-dates", "record-columns", "persistence-2d",

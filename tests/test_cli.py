@@ -28,7 +28,7 @@ from tempcast import (
 )
 from tempcast import cli
 from tempcast.cli import main
-from tempcast.errors import MalformedRowError
+from tempcast.errors import MalformedRowError, ValidationError
 from tempcast.models import _kernel
 from tempcast.series import (
     CSV_HEADER,
@@ -811,6 +811,20 @@ class TestSeriesFileReader:
             got, expected = read_both(path.read_bytes())
             assert got == expected
             assert not isinstance(got[0], type)  # a series, not an error
+        assert read_csv_calls == []
+
+    def test_value_past_the_float_range_is_rule_nan_in_both_readers(
+        self, read_csv_calls
+    ):
+        # strtod and float both read 1e400 as inf, which validate_series
+        # reports as rule "nan" at its index among the values (the row is
+        # on line 3)
+        data = EXACT.replace("2.815e+02", "1e400").encode()
+        assert c_pass(data)[0] == 3
+        got, expected = read_both(data)
+        assert got == expected == (
+            ValidationError, "series invariant 'nan' violated at index 1"
+        )
         assert read_csv_calls == []
 
     @pytest.mark.parametrize("case", GIVE_UPS)

@@ -301,11 +301,6 @@ class TestWronglyTypedArguments:
         with pytest.raises(ArgumentError, match="must be a whole number"):
             iso_dates(JAN1, first, stop)
 
-    @pytest.mark.parametrize("shrink", ["x", None], ids=["str", "none"])
-    def test_refine_shrink_must_be_real(self, shrink):
-        with pytest.raises(ArgumentError, match="^refine_shrink must be a real number"):
-            GridSpec((0.5,), (0.5,), (0.5,), refine_shrink=shrink)
-
     def test_one_step_rmse_params_must_be_smoothing_params(self):
         with pytest.raises(ArgumentError, match="^params must be a SmoothingParams, got 'p'$"):
             one_step_rmse(np.full(30, 280.0), "p")

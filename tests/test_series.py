@@ -73,6 +73,14 @@ class TestValidateSeries:
         assert excinfo.value.index == 2
         assert excinfo.value.rule == "nan"
 
+    @pytest.mark.parametrize("infinity", ["inf", "-inf"])
+    def test_infinity_reports_nan_rule(self, make_series, infinity):
+        # rule "nan" covers every value that is not finite
+        with pytest.raises(ValidationError) as excinfo:
+            validate_series(make_series([280.0, float(infinity)]))
+        assert excinfo.value.index == 1
+        assert excinfo.value.rule == "nan"
+
     def test_bounds_are_exclusive(self, make_series):
         for bad in (170.0, 350.0):
             with pytest.raises(ValidationError) as excinfo:

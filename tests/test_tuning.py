@@ -88,7 +88,7 @@ def initial_state_calls(monkeypatch):
 
 def refined_search(values, spec, season_length):
     """Plain-Python oracle for every round: each round after the first
-    lays each axis's cardinality of points across ±(spacing × shrink)
+    lays each axis's cardinality of points across ±half the spacing
     around the incumbent, clipped to [0, 1] and deduplicated, or the
     incumbent alone for a one-point or zero-spacing axis; the spacing
     then becomes the refined grid's. Triples are scored by the hw_update
@@ -105,14 +105,14 @@ def refined_search(values, spec, season_length):
         if round_index:
             axes = []
             for center, size, spacing in zip(best[1:], sizes, spacings):
-                half = spacing * spec.refine_shrink
+                half = spacing * 0.5
                 if size == 1 or half == 0.0:
                     axes.append([center])
                 else:
                     points = np.linspace(center - half, center + half, size)
                     axes.append(np.unique(np.clip(points, 0.0, 1.0)).tolist())
             spacings = [
-                2.0 * (spacing * spec.refine_shrink) / (size - 1) if size > 1 else 0.0
+                2.0 * (spacing * 0.5) / (size - 1) if size > 1 else 0.0
                 for spacing, size in zip(spacings, sizes)
             ]
         for a in axes[0]:
@@ -269,8 +269,6 @@ class TestGridSpec:
             GridSpec((0.5, 1.2), (0.5,), (0.5,))
         with pytest.raises(ValueError):
             GridSpec((0.5,), (0.5,), (0.5,), refine_rounds=-1)
-        with pytest.raises(ValueError):
-            GridSpec((0.5,), (0.5,), (0.5,), refine_shrink=1.0)
 
     def test_negative_zero_is_stored_as_zero(self):
         spec = GridSpec((-0.0, 0.5), (-0.0,), (-0.0,), refine_rounds=1)
@@ -345,21 +343,34 @@ class TestGridSearch:
         season_length=st.integers(min_value=2, max_value=4),
         axes=st.tuples(thousandths_axis, thousandths_axis, thousandths_axis),
         refine_rounds=st.integers(min_value=1, max_value=3),
-        shrink=st.sampled_from([0.25, 0.5, 0.9]),
         extra=st.integers(min_value=1, max_value=10),
         seed=st.integers(min_value=0, max_value=9999),
     )
     @settings(max_examples=60, deadline=None)
     def test_refinement_rounds_match_plain_oracle(
-        self, season_length, axes, refine_rounds, shrink, extra, seed
+        self, season_length, axes, refine_rounds, extra, seed
     ):
         gen = np.random.default_rng(seed)
         n = 2 * season_length + extra
         cycle = 4 * np.sin(np.arange(n) * 2 * np.pi / season_length)
         values = 280.0 + cycle + gen.normal(0, 2, n)
-        spec = GridSpec(*axes, refine_rounds=refine_rounds, refine_shrink=shrink)
+        spec = GridSpec(*axes, refine_rounds=refine_rounds)
         result = grid_search(values, spec, season_length)
         (score, a, b, g), count = refined_search(values, spec, season_length)
+        assert result.in_sample_rmse == score
+        assert (result.params.alpha, result.params.beta, result.params.gamma) == (a, b, g)
+        assert result.evaluations == count
+
+    @pytest.mark.parametrize("preset", ["coarse", "default", "fine"])
+    def test_shipped_presets_match_plain_oracle(self, preset):
+        # the presets' own spacings, 0.2, 0.1 and 0.05, each round spanning
+        # ±half the last spacing and clipped where a coefficient sits on
+        # the grid's edge: here gamma ends at 0, and beta at 1 from the
+        # default preset on
+        values = [280.7, 281.6, 280.7, 277.4, 281.8, 280.9, 278.9]
+        spec = getattr(GridSpec, preset)()
+        result = grid_search(values, spec, season_length=2)
+        (score, a, b, g), count = refined_search(values, spec, 2)
         assert result.in_sample_rmse == score
         assert (result.params.alpha, result.params.beta, result.params.gamma) == (a, b, g)
         assert result.evaluations == count
@@ -437,15 +448,12 @@ class TestRefine:
             st.integers(min_value=2, max_value=25),
             st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0),
         ),
-        shrink=st.floats(min_value=0.01, max_value=0.99),
     )
     @settings(max_examples=200, deadline=None)
-    def test_axis_is_the_unique_clipped_points(self, center, n_points_spacing, shrink):
+    def test_axis_is_the_unique_clipped_points(self, center, n_points_spacing):
         n_points, spacing = n_points_spacing
-        (axis,), (next_spacing,) = tuning._refine(
-            [center], [n_points], [spacing], shrink
-        )
-        half = spacing * shrink
+        (axis,), (next_spacing,) = tuning._refine([center], [n_points], [spacing])
+        half = spacing * 0.5
         points = np.linspace(center - half, center + half, n_points)
         assert axis.tobytes() == np.unique(np.clip(points, 0.0, 1.0)).tobytes()
         if spacing == 0.0:
@@ -491,7 +499,8 @@ class TestBestOfBatch:
     )
     @settings(max_examples=200, deadline=None)
     def test_first_lowest_column_is_the_smallest_tied_triple(self, axes, data):
-        a, b, g = tuning._mesh(*axes)
+        # the columns _sweep lays out: gamma fastest
+        a, b, g = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
         # few distinct scores, so ties, NaN and infinities are common
         scores = np.array(data.draw(st.lists(
             st.sampled_from([0.5, 1.0, math.nan, math.inf, -math.inf]),
