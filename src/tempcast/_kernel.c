@@ -1,5 +1,5 @@
-/* The shared library behind tempcast.models._kernel: two loops in one
-   source, so one build and one load serve both.
+/* The shared library behind tempcast.models._kernel: three loops in one
+   source, so one build and one load serve all three.
 
    one_step_errors, for tempcast.models._one_step_errors_batch, steps one
    window of n values through the additive Holt-Winters recursion
@@ -27,7 +27,8 @@
    read_series, for tempcast.series._read_series_bytes, reads a series file
    in the one form that tempcast writes, in one pass over its bytes, and
    gives up on anything else; read_csv then reads the file as it reads any
-   other. */
+   other. read_export, for tempcast.ingest._read_export_bytes, does the same
+   for a plain daily-summaries export, and parse_cdo_csv reads any other. */
 
 /* strtod as <stdlib.h> declares it, declared here as C allows: a build
    with __x86_64__ undefined, as the tests make to check the baseline loop
@@ -141,6 +142,45 @@ static long digits(const unsigned char *data, long i, long length)
     return i;
 }
 
+/* The index just past the plain decimal -?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?
+   that starts at i, or -1 if none starts there. */
+static long decimal(const unsigned char *data, long i, long length)
+{
+    const long integer = i + (i < length && data[i] == '-');
+    i = digits(data, integer, length);
+    if (i == integer)
+        return -1;
+    if (i < length && data[i] == '.') {
+        const long fraction = i + 1;
+        i = digits(data, fraction, length);
+        if (i == fraction)
+            return -1;
+    }
+    if (i < length && (data[i] == 'e' || data[i] == 'E')) {
+        long exponent = i + 1;
+        exponent += exponent < length && (data[exponent] == '-' || data[exponent] == '+');
+        i = digits(data, exponent, length);
+        if (i == exponent)
+            return -1;
+    }
+    return i;
+}
+
+/* Stores strtod's reading of the `size` bytes at p in *value and returns 1
+   if they are shorter than 64 bytes and strtod reads them whole; returns 0
+   otherwise. */
+static int read_decimal(const unsigned char *p, long size, double *value)
+{
+    char text[64], *end;
+    if (size >= (long)sizeof text)
+        return 0;
+    for (long k = 0; k < size; k++)
+        text[k] = (char)p[k];
+    text[size] = '\0';
+    *value = strtod(text, &end);
+    return end == text + size;
+}
+
 /* The rows of the `length` bytes at `bytes`, if they are exactly the line
    date,kelvin and then one or more lines YYYY-MM-DD,V, each ended by \n but
    the last, which may lack it, where V matches
@@ -192,36 +232,161 @@ long read_series(const char *bytes, long length, long capacity, double *values,
         }
 
         const long start = i + 11;
-        const long integer = start + (start < length && data[start] == '-');
-        i = digits(data, integer, length);
-        if (i == integer)
-            return -1;
-        if (i < length && data[i] == '.') {
-            const long fraction = i + 1;
-            i = digits(data, fraction, length);
-            if (i == fraction)
-                return -1;
-        }
-        if (i < length && (data[i] == 'e' || data[i] == 'E')) {
-            long exponent = i + 1;
-            exponent += exponent < length && (data[exponent] == '-' || data[exponent] == '+');
-            i = digits(data, exponent, length);
-            if (i == exponent)
-                return -1;
-        }
-        if (i < length && data[i] != '\n')
-            return -1;
-
-        char text[64], *end;
-        const long size = i - start;
-        if (size >= (long)sizeof text || rows == capacity)
-            return -1;
-        for (long k = 0; k < size; k++)
-            text[k] = (char)data[start + k];
-        text[size] = '\0';
-        values[rows++] = strtod(text, &end);
-        if (end != text + size)
+        i = decimal(data, start, length);
+        if (i < 0 || (i < length && data[i] != '\n') || rows == capacity ||
+            !read_decimal(data + start, i - start, values + rows++))
             return -1;
     }
     return rows;
+}
+
+
+/* Whether year y of the Gregorian calendar has a February 29. */
+static int leap(long y)
+{
+    return y % 4 == 0 && (y % 100 != 0 || y % 400 == 0);
+}
+
+/* One field of a CSV record: its bytes from start to end, without the
+   quotes of a quoted field. */
+struct cell {
+    long start, end;
+};
+
+/* Whether a field starts or ends with a space, which str.strip would take
+   off. */
+static int padded(const unsigned char *data, struct cell c)
+{
+    return c.end > c.start && (data[c.start] == ' ' || data[c.end - 1] == ' ');
+}
+
+/* date.toordinal() of the YYYY-MM-DD date a field spells, or -1 if it
+   spells no real Gregorian date of a year from 1 on. */
+static long ordinal(const unsigned char *data, struct cell c)
+{
+    static const long before[13] = {0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334};
+    const unsigned char *p = data + c.start;
+    if (c.end - c.start != 10 || p[4] != '-' || p[7] != '-')
+        return -1;
+    const long y = number(p, 4), m = number(p + 5, 2), d = number(p + 8, 2);
+    if (y < 1 || m < 1 || m > 12 || d < 1 || d > month_days[m] + (m == 2 && leap(y)))
+        return -1;
+    const long past = y - 1;
+    return past * 365 + past / 4 - past / 100 + past / 400 + before[m] +
+           (m > 2 && leap(y)) + d;
+}
+
+/* The number of fields in the record that starts at data[*at], as the csv
+   module splits it, with *at moved to the record's \n or to length, and
+   field wanted[k] stored in cells[k] for k < 3. Returns -1 for a record
+   that is not plainly in that form: a blank line, a byte outside
+   0x20-0x7e, a " that does not open a field, a \n or " inside quotes, text
+   after a closing quote, or a field longer than field_limit. */
+static long record(const unsigned char *data, long *at, long length, long field_limit,
+                   const long *wanted, struct cell *cells)
+{
+    long i = *at, fields = 0;
+    if (i == length || data[i] == '\n')
+        return -1;
+    for (;;) {
+        struct cell c = {i, i};
+        if (i < length && data[i] == '"') {
+            c.start = ++i;
+            while (i < length && data[i] != '"') {
+                if (data[i] < 0x20 || data[i] > 0x7e)
+                    return -1;
+                i++;
+            }
+            if (i == length)
+                return -1;
+            c.end = i++;
+            if (i < length && data[i] != ',' && data[i] != '\n')
+                return -1;
+        } else {
+            while (i < length && data[i] != ',' && data[i] != '\n') {
+                if (data[i] < 0x20 || data[i] > 0x7e || data[i] == '"')
+                    return -1;
+                i++;
+            }
+            c.end = i;
+        }
+        if (c.end - c.start > field_limit)
+            return -1;
+        for (int k = 0; k < 3; k++)
+            if (fields == wanted[k])
+                cells[k] = c;
+        fields++;
+        if (i == length || data[i] == '\n')
+            break;
+        i++; /* past the comma */
+    }
+    *at = i;
+    return fields;
+}
+
+/* The kept rows of the `length` bytes at `bytes`, if they are a plain
+   export: a header line the caller has read, of n_fields fields, then
+   data rows of n_fields fields each, each line ended by \n but the last,
+   which may lack it, and every record of the form that record() reads.
+   In every data row the fields i_station, i_date and i_tavg must not
+   start or end with a space; the date must be a real YYYY-MM-DD date of a
+   year from 1 on, and the value empty or of the form of V in read_series,
+   and shorter than 64 bytes in a kept row. A row is kept if its station
+   field equals the station_length bytes at station; with station NULL,
+   the first data row's station is the one kept, and any other gives up.
+   Stores each kept row's
+   date.toordinal() in ordinals and its value as strtod reads it in
+   values, NaN for an empty field; stores the number of data rows in
+   counts[0] and, with station NULL, the offset and length of the kept
+   station's field in counts[1] and counts[2]. Returns the number of rows
+   kept, or -1 for any other bytes, also if more than `capacity` rows are
+   kept or strtod stops short of the end of a kept value. Reads no byte
+   past `length`. */
+long read_export(const char *bytes, long length, long n_fields, long i_station,
+                 long i_date, long i_tavg, const char *station, long station_length,
+                 long field_limit, long capacity, long *ordinals, double *values,
+                 long *counts)
+{
+    const unsigned char *data = (const unsigned char *)bytes;
+    const unsigned char *name = (const unsigned char *)station;
+    const int adopt = station == 0;
+    const long wanted[3] = {i_station, i_date, i_tavg};
+    struct cell cells[3];
+    long i = 0, rows = 0, kept = 0;
+    if (record(data, &i, length, field_limit, wanted, cells) != n_fields)
+        return -1;
+    for (i++; i < length; i++) { /* i++ steps past each record's \n */
+        if (record(data, &i, length, field_limit, wanted, cells) != n_fields)
+            return -1;
+        rows++;
+        const struct cell s = cells[0], d = cells[1], t = cells[2];
+        if (padded(data, s) || padded(data, d) || padded(data, t))
+            return -1;
+        const long day = ordinal(data, d), size = t.end - t.start;
+        if (day < 0 || (size && decimal(data, t.start, t.end) != t.end))
+            return -1;
+
+        if (name == 0) {
+            name = data + s.start;
+            station_length = s.end - s.start;
+            counts[1] = s.start;
+            counts[2] = station_length;
+        }
+        int match = s.end - s.start == station_length;
+        for (long k = 0; match && k < station_length; k++)
+            match = data[s.start + k] == name[k];
+        if (!match) {
+            if (adopt)
+                return -1;
+            continue;
+        }
+        if (kept == capacity)
+            return -1;
+        values[kept] = __builtin_nan("");
+        if (size && !read_decimal(data + t.start, size, values + kept))
+            return -1;
+        ordinals[kept++] = day;
+    }
+    counts[0] = rows;
+    return kept;
 }

@@ -15,8 +15,9 @@ writer (:func:`_write_csv`) and one manifest writer
 library's configurations before it opens any file, so a bad flag is a
 usage error whatever the input; then it checks that no artifact would
 be written over the input file (exit 2), and only then reads, runs and
-writes. ``backtest`` and ``forecast`` load the compiled library as they
-read, so on a host that cannot build it they fail there, with exit 2.
+writes. ``ingest``, ``backtest`` and ``forecast`` load the compiled
+library as they read, so on a host that cannot build it they fail there,
+with exit 2.
 The digest is of the bytes the command parsed.
 
 Exit codes: 0 success, 1 usage error (an ``ArgumentError``), 2 data error
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import hashlib
 import itertools
 import json
@@ -46,12 +48,11 @@ from .errors import (
     TempcastError,
     _whole,
 )
-from .ingest import UNITS, CleanConfig, clean_report, parse_cdo_csv
+from .ingest import UNITS, CleanConfig, _read_export_bytes, clean_report
 from .models import SmoothingParams, hw_fit, hw_forecast
 from .series import (
     CSV_HEADER,
     TimeSeries,
-    _decode,
     _read_series_bytes,
     iso_dates,
     parse_date,
@@ -181,18 +182,16 @@ def _cmd_ingest(args) -> int:
     output = Path(args.output)
     manifest = output.parent / (output.name + ".manifest.json")
     _refuse_overwrite(args.input, [output, manifest])
-    text, input_sha256 = _read(Path(args.input), _decode)
-    records = parse_cdo_csv(
-        text,
+    parse = functools.partial(
+        _read_export_bytes,
         unit=args.unit,
         tmax_tmin_fallback=args.tmax_tmin_fallback,
         station=args.station,
     )
-    # Neither the export's text nor the kept station's parsed rows is
-    # needed past the stage that reads it; freeing each before the next
-    # stage lowers the command's peak memory.
-    del text
+    records, input_sha256 = _read(Path(args.input), parse)
     series, stats = clean_report(records, config)
+    # The parsed rows are not needed past cleaning; freeing them before
+    # the series is written lowers the command's peak memory.
     del records
 
     _write_csv(output, CSV_HEADER, to_csv_rows(series))

@@ -6,7 +6,11 @@ RFC-4180 quoting, empty cells for missing values. Parsing checks every
 row and stores the rows as columns (:class:`RawRecordSet`); given a
 station, it stores only that station's rows, so memory follows the kept
 station rather than the export, though rows of other stations are still
-checked. The cleaning pass works on whole arrays: it filters by date,
+checked. :func:`parse_cdo_csv` parses an export's text;
+:func:`_read_export_bytes` parses its bytes, a plain export in one C
+pass (``_kernel.c``'s ``read_export``) and any other through
+:func:`parse_cdo_csv`, and both give the same records or the same
+error. The cleaning pass works on whole arrays: it filters by date,
 sorts and rejects duplicate dates, converts the declared unit to
 Kelvin, linearly fills short interior gaps, drops February 29, and
 returns a validated series.
@@ -18,6 +22,8 @@ safe.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import datetime as dt
 import itertools
 import math
@@ -43,6 +49,7 @@ from .errors import (
 )
 from .series import (
     TimeSeries,
+    _decode,
     _ordinals,
     _plain_float,
     _series_from_ordinals,
@@ -65,8 +72,9 @@ class RawRecordSet:
     being None when the cell was empty. ``rows_read`` counts the
     non-blank data rows the parser read, kept or not; it defaults to the
     number of rows held and may not be smaller. A column that is not a
-    sequence raises ``ArgumentError``. :func:`parse_cdo_csv` builds one;
-    the package reads the export format but never writes it.
+    sequence raises ``ArgumentError``. :func:`parse_cdo_csv` builds one,
+    as does :func:`_read_export_bytes`; the package reads the export
+    format but never writes it.
     """
 
     stations: tuple[str, ...]
@@ -143,6 +151,31 @@ def _parse_temperature(cell: str, line: int) -> float | None:
         raise MalformedRowError(line, f"not a number: {cell!r}") from None
 
 
+def _columns(header: list[str], tmax_tmin_fallback: bool) -> tuple[int | None, ...]:
+    """The indices of the STATION, DATE, TAVG, TMAX and TMIN columns in
+    an export's header row, matched after ``str.strip`` and
+    ``str.upper``; the last of equal names wins. TMAX and TMIN are None
+    without ``tmax_tmin_fallback``, and TAVG is None if it is missing
+    with it. A missing required column raises :class:`MissingColumnError`
+    naming it, STATION first."""
+    columns = {name.strip().upper(): i for i, name in enumerate(header)}
+
+    def column(name: str, required: bool) -> int | None:
+        if name in columns:
+            return columns[name]
+        if required:
+            raise MissingColumnError(name)
+        return None
+
+    return (
+        column("STATION", required=True),
+        column("DATE", required=True),
+        column("TAVG", required=not tmax_tmin_fallback),
+        column("TMAX", required=True) if tmax_tmin_fallback else None,
+        column("TMIN", required=True) if tmax_tmin_fallback else None,
+    )
+
+
 def parse_cdo_csv(
     text: str,
     unit: str,
@@ -172,24 +205,8 @@ def parse_cdo_csv(
     if station is not None:
         _instance(station, str, "station")
     with csv_rows(text) as rows:
-        try:
-            header = next(rows)
-        except StopIteration:
-            raise MissingColumnError("STATION") from None
-        columns = {name.strip().upper(): i for i, name in enumerate(header)}
-
-        def column(name: str, required: bool) -> int | None:
-            if name in columns:
-                return columns[name]
-            if required:
-                raise MissingColumnError(name)
-            return None
-
-        i_station = column("STATION", required=True)
-        i_date = column("DATE", required=True)
-        i_tavg = column("TAVG", required=not tmax_tmin_fallback)
-        i_tmax = column("TMAX", required=True) if tmax_tmin_fallback else None
-        i_tmin = column("TMIN", required=True) if tmax_tmin_fallback else None
+        header = next(rows, [])
+        i_station, i_date, i_tavg, i_tmax, i_tmin = _columns(header, tmax_tmin_fallback)
 
         stations: list[str] = []
         dates: list[dt.date] = []
@@ -230,6 +247,72 @@ def parse_cdo_csv(
             dates.append(date)
             tavg.append(value)
     return RawRecordSet(stations, dates, tavg, unit, rows_read)
+
+
+def _read_export_bytes(
+    data: bytes,
+    unit: str,
+    tmax_tmin_fallback: bool = False,
+    station: str | None = None,
+) -> RawRecordSet:
+    """The records in an export's bytes, as :func:`parse_cdo_csv` reads
+    the export's text, or what it raises.
+
+    The header line is read here by the csv module and :func:`_columns`;
+    ``_kernel.c``'s ``read_export``, in the smoother's compiled library
+    (``models._kernel``), then checks every line and reads the kept rows
+    in one pass. It reads a plain export: ASCII with ``\\n`` line ends
+    and no other control byte, no blank line, every row with the header's
+    field count, each field unquoted or quoted with no ``"`` or newline
+    inside and no longer than ``csv.field_size_limit()``, no space at
+    either end of a STATION, DATE or TAVG cell, every date a real
+    ``YYYY-MM-DD`` date of a year from 1 on, and every value empty or a
+    plain decimal as :func:`~tempcast.series._read_series_bytes` reads
+    one, under 64 bytes if its row is kept. Without ``station``, all rows
+    must share one station.
+    It gives up on anything else, on ``tmax_tmin_fallback`` and on a
+    ``station`` that is not an ASCII ``str``, and such an export goes
+    through :func:`~tempcast.series._decode` to :func:`parse_cdo_csv`,
+    which raises every error.
+    """
+    import ctypes
+
+    from .models import _kernel  # models imports series, which this imports
+
+    read_export = _kernel().read_export
+    end = data.find(b"\n")
+    line = data[: len(data) if end < 0 else end]
+    header = columns = None
+    if not tmax_tmin_fallback and line.isascii() and (
+        station is None or isinstance(station, str) and station.isascii()
+    ):
+        with contextlib.suppress(csv.Error, MissingColumnError):
+            header = next(csv.reader([line.decode("ascii")]))
+            columns = _columns(header, False)
+    kept = -1
+    if columns is not None:
+        # no more rows than newlines, as the header ends in one
+        capacity = data.count(b"\n")
+        ordinals = np.empty(capacity, dtype=ctypes.c_long)
+        values = np.empty(capacity)
+        counts = (ctypes.c_long * 3)()
+        kept = read_export(
+            data, len(data), len(header), *columns[:3],
+            None if station is None else station.encode("ascii"),
+            -1 if station is None else len(station),
+            csv.field_size_limit(), capacity, ordinals, values, counts,
+        )
+    if kept < 0:
+        return parse_cdo_csv(_decode(data), unit, tmax_tmin_fallback, station)
+    if station is None:
+        station = data[counts[1] : counts[1] + counts[2]].decode("ascii")
+    return RawRecordSet(
+        (station,) * kept,
+        list(map(dt.date.fromordinal, ordinals[:kept].tolist())),
+        [None if value != value else value for value in values[:kept].tolist()],
+        unit,
+        counts[0],
+    )
 
 
 def _kelvin(value, unit: str):

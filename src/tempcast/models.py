@@ -23,8 +23,9 @@ on first use, so running it needs a C compiler once per host. The loop
 takes the days four at a time, each pass over all W columns, and on
 x86-64 with glibc the dynamic loader picks its AVX-512, AVX2 or
 baseline build, whichever is the widest that the CPU runs; all give the
-same bits. The library also holds :mod:`tempcast.series`' one-pass
-reader of series files.
+same bits. The library also holds the one-pass readers of series files
+(:mod:`tempcast.series`) and of plain exports (:mod:`tempcast.ingest`),
+``read_series`` and ``read_export``.
 :func:`_sweep` picks one call's winning column and its final state;
 :func:`hw_fit` runs it on one column, and :mod:`tempcast.tuning` on
 whole grids of them. :func:`hw_update` is the same recursion one
@@ -236,9 +237,10 @@ _kernel_lock = threading.Lock()
 
 @functools.cache
 def _kernel():
-    """``_kernel.c``'s shared library, with ``one_step_errors`` and
+    """``_kernel.c``'s shared library, with ``one_step_errors``,
     ``read_series`` (:mod:`tempcast.series`' one-pass reader of series
-    files) typed for ctypes.
+    files) and ``read_export`` (:mod:`tempcast.ingest`'s one-pass reader
+    of plain exports) typed for ctypes.
 
     The shared library is built with ``sysconfig``'s ``CC`` (else ``cc``)
     and ``_KERNEL_FLAGS`` into ``$XDG_CACHE_HOME/tempcast/`` (by default
@@ -280,6 +282,12 @@ def _kernel():
         ctypes.c_char_p, long, long, array, ctypes.POINTER(long)
     ]
     loaded.read_series.restype = long
+    longs = np.ctypeslib.ndpointer(long, flags="C_CONTIGUOUS")
+    loaded.read_export.argtypes = [
+        ctypes.c_char_p, *[long] * 5, ctypes.c_char_p, *[long] * 3, longs, array,
+        ctypes.POINTER(long),
+    ]
+    loaded.read_export.restype = long
     return loaded
 
 

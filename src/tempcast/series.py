@@ -18,8 +18,8 @@ values, a training window, a seasonal ring, dated observations, parsed
 temperatures or the two sides of :func:`rmse`, is read by one rule,
 :func:`_vector`: a one-dimensional float64 array, a :class:`TimeSeries`
 giving its values and a scalar one value. Values that are not real
-numbers (complex ones included), or have more than one dimension, raise
-``ArgumentError``.
+numbers (complex ones and booleans included), or have more than one
+dimension, raise ``ArgumentError``.
 
 On disk a series is a CSV file: the header :data:`CSV_HEADER`
 (``date,kelvin``), then one row per day of an ISO ``YYYY-MM-DD`` date
@@ -188,9 +188,10 @@ def next_calendar_day(day: dt.date) -> dt.date:
 def _vector(values, name: str) -> np.ndarray:
     """``values`` as a 1-D float64 array, not a copy if it is one: a
     :class:`TimeSeries` gives its values and a scalar one value. Values
-    that are not real numbers, complex ones included, integers too large
-    for a float, or more dimensions raise ArgumentError. The process's
-    warning filters are not touched, so threads may call it at once."""
+    that are not real numbers, complex ones and booleans included,
+    integers too large for a float, or more dimensions raise
+    ArgumentError. The process's warning filters are not touched, so
+    threads may call it at once."""
     values = values.values if isinstance(values, TimeSeries) else values
     try:
         array = np.asarray(values)
@@ -201,6 +202,14 @@ def _vector(values, name: str) -> np.ndarray:
         kind = array.dtype.kind
         if kind == "c" or (kind == "O" and any(map(np.iscomplexobj, array.flat))):
             raise TypeError("got complex numbers")
+        # numpy reads [1.5, True] as float64, so a list's or a tuple's
+        # elements are checked too, not only the array's dtype.
+        if kind == "b" or (
+            isinstance(values, (list, tuple))
+            and array.ndim == 1
+            and {bool, np.bool_} & set(map(type, values))
+        ):
+            raise TypeError("got booleans")
         values = array.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ArgumentError(f"{name} must hold real numbers: {exc}") from exc

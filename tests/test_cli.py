@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from tempcast import (
 )
 from tempcast import cli
 from tempcast.cli import main
-from tempcast.errors import MalformedRowError, ValidationError
+from tempcast.errors import MalformedDateError, MalformedRowError, ValidationError
+from tempcast.ingest import _read_export_bytes
 from tempcast.models import _kernel
 from tempcast.series import (
     CSV_HEADER,
@@ -836,8 +838,8 @@ class TestSeriesFileReader:
         assert len(read_csv_calls) == 1
 
     def test_comma_decimal_point_gives_up(self, tmp_path):
-        # under such a locale strtod reads "266.34999999999997" as 266:
-        # the pass must give up rather than misread
+        # under such a locale strtod reads "266.34999999999997" as 266 and
+        # "-6.0" as -6: both passes must give up rather than misread
         locales = tmp_path / "de_DE.UTF-8"
         if shutil.which("localedef") is None or subprocess.run(
             ["localedef", "-i", "de_DE", "-f", "UTF-8", str(locales)],
@@ -853,14 +855,22 @@ class TestSeriesFileReader:
             f"data = Path({str(DATA / 'golden' / 'series.csv')!r}).read_bytes(); "
             "values, first = np.empty(data.count(b'\\n')), (ctypes.c_long * 3)(); "
             "print(_kernel().read_series(data, len(data), values.size, values, first)); "
-            "print(_read_series_bytes(data) == read_csv(_decode(data)))"
+            "print(_read_series_bytes(data) == read_csv(_decode(data))); "
+            "import csv; from tempcast import parse_cdo_csv; "
+            "from tempcast.ingest import _read_export_bytes; "
+            f"data = Path({str(GOLDEN_CSV)!r}).read_bytes(); "
+            "ordinals, values = np.empty(40, dtype=ctypes.c_long), np.empty(40); "
+            "print(_kernel().read_export(data, len(data), 4, 0, 2, 3, b'USW00099999', "
+            "11, csv.field_size_limit(), 40, ordinals, values, (ctypes.c_long * 3)())); "
+            "print(_read_export_bytes(data, 'celsius', station='USW00099999') "
+            "== parse_cdo_csv(_decode(data), 'celsius', station='USW00099999'))"
         )
         env = {**os.environ, "LOCPATH": str(tmp_path), "PYTHONPATH": SRC}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             check=True,
         )
-        assert done.stdout == "de_DE.UTF-8\n-1\nTrue\n"
+        assert done.stdout == "de_DE.UTF-8\n-1\nTrue\n-1\nTrue\n"
 
     def test_buffer_cut_mid_row_gives_up(self):
         data = (DATA / "golden" / "series.csv").read_bytes()
@@ -887,3 +897,336 @@ class TestSeriesFileReader:
         assert read_series(data, value, 10, values, first) == 7
         assert values[6] == float(data[row + 11 : value]) == 266.0
         assert tuple(first) == (2015, 1, 1)
+
+
+def export_outcome(read):
+    """The columns of the records ``read()`` returns, each value by its
+    ``repr`` so that 0.0 and -0.0 differ, or the class and message of
+    what it raises."""
+    try:
+        records = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    tavg = tuple(map(repr, records.tavg))
+    return records.stations, records.dates, tavg, records.unit, records.rows_read
+
+
+def read_both_exports(data, station="USW1", fallback=False):
+    """``_read_export_bytes`` and ``parse_cdo_csv`` of an export's bytes."""
+    return (
+        export_outcome(lambda: _read_export_bytes(data, "celsius", fallback, station)),
+        export_outcome(lambda: parse_cdo_csv(_decode(data), "celsius", fallback, station)),
+    )
+
+
+def export_pass(data, length, station=b"USW1"):
+    """The rows ``_kernel.c``'s ``read_export`` keeps from the first
+    ``length`` bytes of an export with the columns STATION, NAME, DATE and
+    TAVG (-1 where it gives up), the data rows it read and the ``repr`` of
+    each kept value."""
+    ordinals, values = np.empty(10, dtype=ctypes.c_long), np.empty(10)
+    counts = (ctypes.c_long * 3)()
+    kept = _kernel().read_export(
+        data, length, 4, 0, 2, 3, station, len(station), csv.field_size_limit(), 10,
+        ordinals, values, counts,
+    )
+    return kept, counts[0], list(map(repr, values[: max(kept, 0)].tolist()))
+
+
+@pytest.fixture
+def parse_cdo_csv_calls():
+    """A spy on the ``parse_cdo_csv`` that ``_read_export_bytes`` calls,
+    which still parses."""
+    with mock.patch("tempcast.ingest.parse_cdo_csv", wraps=parse_cdo_csv) as spy:
+        yield spy
+
+
+# Cells that the C pass gives up on, that parse_cdo_csv rejects, or both.
+export_junk = st.one_of(
+    junk,
+    st.sampled_from([
+        " USW1", "USW1 ", '" USW1"', "2015-02-29", "1900-02-29", "0000-01-01",
+        "2015-1-01", "20150101", "2015-W01-1", "1e400", "-0", ".5", "+1.5", "1.",
+        "1_5", "inf", '""', '"a"b', 'a"b', '"a""b"', '"a\nb"', "\r", "\x0c",
+        "\x1f", "\x7f", " ", "1.5 ", "\n",
+    ]),
+)
+
+
+# Drawn once per cell and per row, so built once here.
+sixteenths = st.integers(0, 15)
+plain_values = st.just("") | st.floats(-40.0, 40.0).map(repr)
+any_values = plain_values | numbers
+
+
+def export_cell(draw, cell, messy):
+    """``cell``, quoted one time in four and always if it holds a comma,
+    or in a messy export one time in sixteen something arbitrary in its
+    place."""
+    pick = draw(sixteenths)
+    if messy and pick == 0:
+        return draw(export_junk)
+    return f'"{cell}"' if "," in cell or pick % 4 == 1 else cell
+
+
+@st.composite
+def plain_exports(draw):
+    """Exports in the form the C pass reads: a shuffled header, then
+    consecutive Gregorian days of one station or two, each cell quoted or
+    not, some values empty. A messy export also holds cells that the
+    pass gives up on or that ``parse_cdo_csv`` rejects, values of any
+    form, perhaps CRLF line ends and a byte-order mark. Returns the bytes
+    and whether the export is messy and holds two stations."""
+    messy, two = draw(st.booleans()), draw(st.booleans())
+    columns = draw(st.permutations(["STATION", "NAME", "DATE", "TAVG"]))
+    start = draw(calendar_turns | st.dates())
+    count = min(draw(st.integers(0, 30)), (dt.date.max - start).days + 1)
+    values = any_values if messy else plain_values
+    lines = [",".join(export_cell(draw, column, messy) for column in columns)]
+    for k in range(count):
+        row = {
+            "STATION": "USW2" if two and draw(sixteenths) < 4 else "USW1",
+            "NAME": "X, Y",
+            "DATE": (start + dt.timedelta(days=k)).isoformat(),
+            "TAVG": draw(values),
+        }
+        lines.append(",".join(export_cell(draw, row[c], messy) for c in columns))
+    newline = draw(st.sampled_from(["\n", "\r\n"])) if messy else "\n"
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    mark = draw(st.sampled_from(["", "\ufeff"])) if messy else ""
+    return (mark + text).encode("utf-8"), messy, two
+
+
+def bench_shaped_export(path):
+    """An export shaped as the benchmark's: three stations of three years
+    one after the other, a NAME the csv writer quotes, some days absent
+    and some values empty."""
+    gen = np.random.default_rng(5)
+    days = [dt.date(2018, 1, 1) + dt.timedelta(days=k) for k in range(1096)]
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["STATION", "NAME", "DATE", "TAVG"])
+        for k in range(3):
+            for day in days:
+                draw = gen.random()
+                if draw >= 0.01:
+                    value = "" if draw < 0.02 else f"{gen.normal(10, 8):.1f}"
+                    writer.writerow([f"USW0002000{k}", f"BENCH {k}, XX US", day, value])
+    return path
+
+
+# A plain export that crosses a year end, with a quoted NAME, an empty
+# value, an exponent and a second station, read with station USW1; and
+# variants that the C pass gives up on, one per reason, whether
+# parse_cdo_csv reads them or not, each with the keyword arguments that
+# read_both_exports takes.
+EXPORT = (
+    "STATION,NAME,DATE,TAVG\n"
+    'USW1,"TOWN, XX US",2015-12-31,1.5\n'
+    'USW2,"TOWN, XX US",2015-12-31,2.5\n'
+    'USW1,"TOWN, XX US",2016-01-01,\n'
+    'USW1,"TOWN, XX US",2016-01-02,-2.5e+00\n'
+)
+EXPORT_GIVE_UPS = {
+    "byte-order mark": ("\ufeff" + EXPORT, {}),
+    "non-ascii name": (EXPORT.replace("TOWN", "TÖWN", 1), {}),
+    "delete byte": (EXPORT.replace("TOWN", "TO\x7fWN", 1), {}),
+    "crlf line ends": (EXPORT.replace("\n", "\r\n"), {}),
+    "lone cr": (EXPORT.replace("1.5\n", "1.5\r"), {}),
+    "tab": (EXPORT.replace(",1.5", ",\t1.5"), {}),
+    "nul": (EXPORT.replace("TOWN", "TO\x00WN", 1), {}),
+    "vertical tab": (EXPORT.replace(",1.5", ",1.5\x0b"), {}),
+    "form feed": (EXPORT.replace(",1.5", ",\x0c1.5"), {}),
+    "file separator": (EXPORT.replace(",1.5", ",1.5\x1c"), {}),
+    "unit separator": (EXPORT.replace(",1.5", ",\x1f1.5"), {}),
+    "blank line": (EXPORT.replace("2.5\n", "2.5\n\n"), {}),
+    "trailing blank line": (EXPORT + "\n", {}),
+    "quote inside a field": (EXPORT.replace("USW2", 'USW"2'), {}),
+    "quote inside quotes": (EXPORT.replace("TOWN,", 'TOWN ""X"",', 1), {}),
+    "newline inside quotes": (EXPORT.replace("TOWN, XX", "TOWN,\nXX", 1), {}),
+    # the "x" takes the place of a comma, so that the csv module reads
+    # one field too few
+    "text after a closing quote": (
+        EXPORT.replace('"TOWN, XX US",2015-12-31,1.5', '"TOWN"x2015-12-31,1.5', 1), {}
+    ),
+    "space before a station": (EXPORT.replace("USW1,", " USW1,", 1), {}),
+    "space after a station": (EXPORT.replace("USW1,", "USW1 ,", 1), {}),
+    "space inside a quoted station": (EXPORT.replace("USW1,", '" USW1",', 1), {}),
+    "space before a date": (EXPORT.replace(",2015-12-31", ", 2015-12-31", 1), {}),
+    "space after a value": (EXPORT.replace(",1.5\n", ",1.5 \n"), {}),
+    "space as a value": (EXPORT.replace(",\n", ", \n"), {}),
+    "a field too many": (EXPORT.replace("1.5\n", "1.5,x\n"), {}),
+    "a field too few": (EXPORT.replace(",2016-01-01,\n", ",2016-01-01\n"), {}),
+    "field over the size limit": (
+        EXPORT.replace("TOWN, XX US", "T" * (csv.field_size_limit() + 1), 1), {}
+    ),
+    "non-ascii header": (EXPORT.replace("NAME", "NÄME"), {}),
+    "header lacks a column": (EXPORT.replace("TAVG", "TEMP"), {}),
+    "blank header line": ("\n" + EXPORT, {}),
+    "empty file": ("", {}),
+    "tmax-tmin fallback": (
+        "STATION,DATE,TAVG,TMAX,TMIN\nUSW1,2015-12-31,,3.0,1.0\n", {"fallback": True}
+    ),
+    "nan": (EXPORT.replace("1.5", "nan"), {}),
+    "inf": (EXPORT.replace("1.5", "inf"), {}),
+    "leading point": (EXPORT.replace("1.5", ".5"), {}),
+    "plus sign": (EXPORT.replace("1.5", "+1.5"), {}),
+    "no fraction digits": (EXPORT.replace("1.5", "1."), {}),
+    "no exponent digits": (EXPORT.replace("1.5", "1e"), {}),
+    "underscore": (EXPORT.replace("1.5", "1_5"), {}),
+    "non-ascii digit": (EXPORT.replace("1.5", "１.5"), {}),
+    "64-byte value": (EXPORT.replace("1.5", "1." + "5" * 62), {}),
+    "bad value of another station": (EXPORT.replace(",2.5\n", ",warm\n"), {}),
+    "february 29 of a common year": (EXPORT.replace("2015-12-31", "2015-02-29", 1), {}),
+    "february 29 of 1900": (EXPORT.replace("2015-12-31", "1900-02-29", 1), {}),
+    "april 31": (EXPORT.replace("2015-12-31", "2015-04-31", 1), {}),
+    "month 13": (EXPORT.replace("2015-12-31", "2015-13-01", 1), {}),
+    "year 0": (EXPORT.replace("2015-12-31", "0000-12-31", 1), {}),
+    "five-digit year": (EXPORT.replace("2015-12-31", "10000-12-31", 1), {}),
+    "week date": (EXPORT.replace("2015-12-31", "2015-W53-4", 1), {}),
+    "date without dashes": (EXPORT.replace("2015-12-31", "20151231", 1), {}),
+    "bad date of another station": (EXPORT.replace("2015-12-31,2.5", "2015-12-32,2.5"), {}),
+    "station that is not ascii": (EXPORT, {"station": "USWé1"}),
+    "two stations and no station named": (EXPORT, {"station": None}),
+}
+# Variants of the plain export that the C pass reads.
+EXPORT_FAST_FORMS = {
+    "plain": (EXPORT, {}),
+    "one station and no station named": (
+        EXPORT.replace('USW2,"TOWN, XX US",2015-12-31,2.5\n', ""), {"station": None}
+    ),
+    "another station": (EXPORT, {"station": "USW2"}),
+    "no such station": (EXPORT, {"station": "NOPE"}),
+    "header alone": ("STATION,NAME,DATE,TAVG\n", {}),
+    "header alone without a newline": ("STATION,NAME,DATE,TAVG", {}),
+    "no last newline": (EXPORT[:-1], {}),
+    "every cell quoted": (
+        "\n".join(
+            ",".join(f'"{cell}"' for cell in next(csv.reader([line])))
+            for line in EXPORT.splitlines()
+        ),
+        {},
+    ),
+    "empty quoted value": (EXPORT.replace(",\n", ',""\n'), {}),
+    "header in another case and order": (
+        EXPORT.replace("STATION,NAME,DATE,TAVG", "station,NAME, Date ,tavg"), {}
+    ),
+    "space inside a station": (EXPORT.replace("USW1", "USW 1"), {"station": "USW 1"}),
+    "field at the size limit": (
+        EXPORT.replace("TOWN, XX US", "T" * csv.field_size_limit(), 1), {}
+    ),
+    "63-byte value": (EXPORT.replace("1.5", "1." + "5" * 61), {}),
+    "64-byte value of another station": (
+        EXPORT.replace(",2.5\n", ",2." + "5" * 62 + "\n"), {}
+    ),
+    "negative zero": (EXPORT.replace("1.5", "-0"), {}),
+    "value past the float range": (EXPORT.replace("1.5", "1e400"), {}),
+    "february 29 of 2000": (EXPORT.replace("2015-12-31", "2000-02-29", 1), {}),
+    "first and last days": (
+        EXPORT.replace("2015-12-31", "0001-01-01", 1).replace("2016-01-02", "9999-12-31"),
+        {},
+    ),
+}
+
+
+class TestExportReader:
+    """``_read_export_bytes`` reads a plain export in one C pass and
+    hands every other export to ``parse_cdo_csv``; either way it returns
+    what ``parse_cdo_csv`` returns, or raises what it raises."""
+
+    @given(
+        drawn=plain_exports(),
+        station=st.sampled_from([None, "USW1", "USW2", "NOPE", "", "USWé1"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_records_or_error_as_parse_cdo_csv(self, drawn, station):
+        data, messy, two = drawn
+        with mock.patch("tempcast.ingest.parse_cdo_csv", wraps=parse_cdo_csv) as spy:
+            got, expected = read_both_exports(data, station)
+        assert got == expected
+        # an ASCII station, or none when the export holds only one
+        plain_station = not two if station is None else station.isascii()
+        if not messy and plain_station:
+            assert spy.call_count == 0
+
+    def test_bundled_and_bench_shaped_exports_never_reach_parse_cdo_csv(
+        self, parse_cdo_csv_calls, tmp_path
+    ):
+        bench = bench_shaped_export(tmp_path / "bench.csv")
+        reads = [
+            (STATION_CSV, [None, "USW00010001"]),
+            (GOLDEN_CSV, [None, "USW00099999"]),
+            (DATA / "cdo_duplicate.csv", [None, "USW00099999"]),
+            (bench, ["USW00020000", "USW00020001", "USW00020002", "NOPE"]),
+        ]
+        for path, stations in reads:
+            for station in stations:
+                got, expected = read_both_exports(path.read_bytes(), station)
+                assert got == expected
+                assert not isinstance(got[0], type)  # records, not an error
+        # no row of NOPE is kept, but every row is read
+        assert got[0] == () and got[-1] == bench.read_bytes().count(b"\n") - 1
+        assert parse_cdo_csv_calls.call_count == 0
+
+    @pytest.mark.parametrize("case", EXPORT_FAST_FORMS)
+    def test_plain_forms_never_reach_parse_cdo_csv(self, parse_cdo_csv_calls, case):
+        text, kwargs = EXPORT_FAST_FORMS[case]
+        got, expected = read_both_exports(text.encode("utf-8"), **kwargs)
+        assert got == expected
+        assert parse_cdo_csv_calls.call_count == 0
+
+    @pytest.mark.parametrize("case", EXPORT_GIVE_UPS)
+    def test_other_exports_reach_parse_cdo_csv(self, parse_cdo_csv_calls, case):
+        data, kwargs = EXPORT_GIVE_UPS[case]
+        got, expected = read_both_exports(data.encode("utf-8"), **kwargs)
+        assert got == expected
+        assert parse_cdo_csv_calls.call_count == 1
+
+    def test_first_bad_row_is_still_the_one_reported(self, parse_cdo_csv_calls):
+        # the bad date of USW2 comes before the bad value of USW1
+        data = EXPORT.replace("2015-12-31,2.5", "2015-13-31,2.5").replace("-2.5e+00", "warm")
+        got, expected = read_both_exports(data.encode())
+        message = "malformed date at line 3 (expected YYYY-MM-DD)"
+        assert got == expected == (MalformedDateError, message)
+        assert parse_cdo_csv_calls.call_count == 1
+
+    def test_export_that_is_not_utf8_raises_as_decoding_does(self, parse_cdo_csv_calls):
+        # a byte above 0x7e gives up; decoding then fails before parsing
+        data = EXPORT.encode().replace(b"2.5\n", b"2.5\xd6\n")
+        got, expected = read_both_exports(data)
+        assert got == expected == (MalformedRowError, (
+            "malformed row at line 3: not UTF-8 text (byte 0xd6)"
+        ))
+        assert parse_cdo_csv_calls.call_count == 0
+
+    def test_ingest_writes_the_same_series_from_either_path(self, tmp_path, capsys):
+        plain = STATION_CSV.read_bytes()
+        rows = csv.reader(io.StringIO(plain.decode("ascii")))
+        variants = {
+            "plain": plain,
+            "crlf": b"\xef\xbb\xbf" + plain.replace(b"\n", b"\r\n"),
+            "quoted": "".join(
+                ",".join(f'"{cell}"' for cell in row) + "\n" for row in rows
+            ).encode("ascii"),
+        }
+        written = {}
+        for name, data in variants.items():
+            export, out = tmp_path / f"{name}.csv", tmp_path / name / "s.csv"
+            export.write_bytes(data)
+            assert main(["ingest", "--input", str(export), "--unit", "celsius",
+                         "--station", "USW00010001", "--output", str(out)]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            written[name] = out.read_bytes(), printed
+        assert written["crlf"] == written["quoted"] == written["plain"]
+
+    def test_reads_no_byte_past_the_length(self):
+        # the bytes past the length would finish the last row's date or
+        # lengthen its value
+        data = EXPORT.encode()
+        date = data.index(b"2016-01-02")
+        assert export_pass(data, date + len(b"2016-01-0")) == (-1, 0, [])
+        value = data.index(b"-2.5e+00")
+        assert export_pass(data, value) == (3, 4, ["1.5", "nan", "nan"])
+        assert export_pass(data, value + len(b"-2.5")) == (3, 4, ["1.5", "nan", "-2.5"])
+        assert export_pass(data, value + len(b"-2.5e"))[0] == -1
+        assert export_pass(data, len(data)) == (3, 4, ["1.5", "nan", "-2.5"])

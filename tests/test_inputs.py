@@ -117,6 +117,32 @@ class TestValueRule:
         with pytest.raises(ArgumentError, match="^values must hold real numbers"):
             TimeSeries(JAN1, values)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([True, False]), [1.5, True], (280.0, np.bool_(False)),
+            [np.True_], True, np.bool_(True),
+        ],
+        ids=[
+            "array", "list-mixed", "tuple-of-numpy-bool", "list-of-numpy-bool",
+            "scalar", "numpy-scalar",
+        ],
+    )
+    def test_boolean_values_raise(self, values):
+        with pytest.raises(ArgumentError, match="^values must hold real numbers: got booleans$"):
+            TimeSeries(JAN1, values)
+
+    def test_integers_and_floats_in_a_list_are_not_booleans(self):
+        assert TimeSeries(JAN1, [280, 281.5, np.int64(282)]).values.tolist() == [
+            280.0, 281.5, 282.0,
+        ]
+
+    def test_boolean_temperature_is_not_read_as_a_number(self):
+        # True would clean to 274.15 K, as 1 degree Celsius
+        records = RawRecordSet(("A",), (JAN1,), (True,), "celsius")
+        with pytest.raises(ArgumentError, match="^tavg must hold real numbers: got booleans$"):
+            clean_report(records)
+
     def test_integers_too_large_for_a_float_raise(self):
         with pytest.raises(ArgumentError, match="^values must hold real numbers"):
             TimeSeries(JAN1, [280.0, 10**400])

@@ -138,6 +138,7 @@ class TestCache:
                 names.append(Path(path).name)
                 self.one_step_errors = types.SimpleNamespace()
                 self.read_series = types.SimpleNamespace()
+                self.read_export = types.SimpleNamespace()
 
         monkeypatch.setattr(ctypes, "CDLL", Library)
         for get_platform, machine in [("linux-x86_64", "x86_64"), host]:
