@@ -1,5 +1,5 @@
-/* The shared library behind tempcast.models._kernel: three loops in one
-   source, so one build and one load serve all three.
+/* The shared library behind tempcast.models._kernel: two loops in one
+   source, so one build and one load serve both.
 
    one_step_errors, for tempcast.models._one_step_errors_batch, steps one
    window of n values through the additive Holt-Winters recursion
@@ -24,11 +24,10 @@
    that the CPU runs; every clone gives the same bits, and every other host
    builds the baseline loop alone.
 
-   read_series, for tempcast.series._read_series_bytes, reads a series file
-   in the one form that tempcast writes, in one pass over its bytes, and
-   gives up on anything else; read_csv then reads the file as it reads any
-   other. read_export, for tempcast.ingest._read_export_bytes, does the same
-   for a plain daily-summaries export, and parse_cdo_csv reads any other. */
+   read_export, for tempcast.series._plain_rows, reads a plain CSV file in
+   one pass over its bytes and gives up on anything else: a daily-summaries
+   export for tempcast.ingest, whose parse_cdo_csv then reads any other, and
+   a series file for tempcast.series, whose read_csv reads any other. */
 
 /* strtod as <stdlib.h> declares it, declared here as C allows: a build
    with __x86_64__ undefined, as the tests make to check the baseline loop
@@ -118,7 +117,7 @@ void one_step_errors(const double *restrict values, long n, long season, long wi
 }
 
 
-/* Days in each month of the 365-day calendar, January at 1. */
+/* Days in each month of a common year, January at 1. */
 static const long month_days[13] = {0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
 
 /* The number that the `count` decimal digits at p spell, or -1 if one of
@@ -180,66 +179,6 @@ static int read_decimal(const unsigned char *p, long size, double *value)
     *value = strtod(text, &end);
     return end == text + size;
 }
-
-/* The rows of the `length` bytes at `bytes`, if they are exactly the line
-   date,kelvin and then one or more lines YYYY-MM-DD,V, each ended by \n but
-   the last, which may lack it, where V matches
-   -?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)? and is shorter than 64 bytes, the
-   first date is a real date of a year from 1 on that is not February 29,
-   and each later date is the day after its row's predecessor in the
-   365-day calendar. Stores each row's V, as strtod reads it, in values
-   and the first date's year, month and day in first, and returns the
-   number of rows. Returns -1 for anything else, and also if there are more
-   than `capacity` rows or strtod stops short of the end of a V, as it does
-   under a locale whose decimal point is not ".". Reads no byte past
-   `length`. */
-long read_series(const char *bytes, long length, long capacity, double *values,
-                 long *first)
-{
-    static const char header[] = "date,kelvin\n";
-    const long header_length = sizeof header - 1;
-    const unsigned char *data = (const unsigned char *)bytes;
-    if (length <= header_length)
-        return -1;
-    for (long k = 0; k < header_length; k++)
-        if (data[k] != (unsigned char)header[k])
-            return -1;
-
-    long year = 0, month = 0, day = 0, rows = 0;
-    for (long i = header_length; i < length; i++) {
-        if (length - i < 11 || data[i + 4] != '-' || data[i + 7] != '-' ||
-            data[i + 10] != ',')
-            return -1;
-        const long y = number(data + i, 4), m = number(data + i + 5, 2),
-                   d = number(data + i + 8, 2);
-        if (rows == 0) {
-            if (y < 1 || m < 1 || m > 12 || d < 1 || d > month_days[m])
-                return -1;
-            first[0] = year = y;
-            first[1] = month = m;
-            first[2] = day = d;
-        } else {
-            if (++day > month_days[month]) {
-                day = 1;
-                if (++month > 12) {
-                    month = 1;
-                    year++;
-                }
-            }
-            /* after 9999-12-31 comes year 10000, which four digits never spell */
-            if (y != year || m != month || d != day)
-                return -1;
-        }
-
-        const long start = i + 11;
-        i = decimal(data, start, length);
-        if (i < 0 || (i < length && data[i] != '\n') || rows == capacity ||
-            !read_decimal(data + start, i - start, values + rows++))
-            return -1;
-    }
-    return rows;
-}
-
 
 /* Whether year y of the Gregorian calendar has a February 29. */
 static int leap(long y)
@@ -325,23 +264,24 @@ static long record(const unsigned char *data, long *at, long length, long field_
 }
 
 /* The kept rows of the `length` bytes at `bytes`, if they are a plain
-   export: a header line the caller has read, of n_fields fields, then
+   CSV file: a header line the caller has read, of n_fields fields, then
    data rows of n_fields fields each, each line ended by \n but the last,
    which may lack it, and every record of the form that record() reads.
    In every data row the fields i_station, i_date and i_tavg must not
    start or end with a space; the date must be a real YYYY-MM-DD date of a
-   year from 1 on, and the value empty or of the form of V in read_series,
-   and shorter than 64 bytes in a kept row. A row is kept if its station
-   field equals the station_length bytes at station; with station NULL,
-   the first data row's station is the one kept, and any other gives up.
-   Stores each kept row's
-   date.toordinal() in ordinals and its value as strtod reads it in
-   values, NaN for an empty field; stores the number of data rows in
-   counts[0] and, with station NULL, the offset and length of the kept
-   station's field in counts[1] and counts[2]. Returns the number of rows
-   kept, or -1 for any other bytes, also if more than `capacity` rows are
-   kept or strtod stops short of the end of a kept value. Reads no byte
-   past `length`. */
+   year from 1 on, and the value empty or a plain decimal as decimal()
+   reads one, shorter than 64 bytes in a kept row. A field index of -1
+   names no field, and its cell reads as empty. A row is kept if its
+   station field equals the station_length bytes at station; with station
+   NULL, the first data row's station is the one kept, and any other gives
+   up. Stores each kept row's date.toordinal() in ordinals and its value
+   as strtod reads it in values, NaN for an empty field; stores the number
+   of data rows in counts[0] and, with station NULL, the offset and length
+   of the kept station's field in counts[1] and counts[2]. Returns the
+   number of rows kept, or -1 for any other bytes, also if more than
+   `capacity` rows are kept or strtod stops short of the end of a kept
+   value, as it does under a locale whose decimal point is not ".". Reads
+   no byte past `length`. */
 long read_export(const char *bytes, long length, long n_fields, long i_station,
                  long i_date, long i_tavg, const char *station, long station_length,
                  long field_limit, long capacity, long *ordinals, double *values,
@@ -351,7 +291,8 @@ long read_export(const char *bytes, long length, long n_fields, long i_station,
     const unsigned char *name = (const unsigned char *)station;
     const int adopt = station == 0;
     const long wanted[3] = {i_station, i_date, i_tavg};
-    struct cell cells[3];
+    /* record() sets each wanted cell on every row; one wanted as -1 stays empty */
+    struct cell cells[3] = {{0, 0}, {0, 0}, {0, 0}};
     long i = 0, rows = 0, kept = 0;
     if (record(data, &i, length, field_limit, wanted, cells) != n_fields)
         return -1;

@@ -8,12 +8,12 @@ station, it stores only that station's rows, so memory follows the kept
 station rather than the export, though rows of other stations are still
 checked. :func:`parse_cdo_csv` parses an export's text;
 :func:`_read_export_bytes` parses its bytes, a plain export in one C
-pass (``_kernel.c``'s ``read_export``) and any other through
-:func:`parse_cdo_csv`, and both give the same records or the same
-error. The cleaning pass works on whole arrays: it filters by date,
-sorts and rejects duplicate dates, converts the declared unit to
-Kelvin, linearly fills short interior gaps, drops February 29, and
-returns a validated series.
+pass (:func:`~tempcast.series._plain_rows`, which reads series files
+too) and any other through :func:`parse_cdo_csv`, and both give the
+same records or the same error. The cleaning pass works on whole
+arrays: it filters by date, sorts and rejects duplicate dates, converts
+the declared unit to Kelvin, linearly fills short interior gaps, drops
+February 29, and returns a validated series.
 
 Units are declared by the caller rather than sniffed: Celsius and
 Fahrenheit overlap too much across a temperate year for guessing to be
@@ -22,8 +22,6 @@ safe.
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import datetime as dt
 import itertools
 import math
@@ -52,9 +50,11 @@ from .series import (
     _decode,
     _ordinals,
     _plain_float,
+    _plain_rows,
     _series_from_ordinals,
     _vector,
     csv_rows,
+    parse_date,
     validate_series,
 )
 
@@ -213,7 +213,6 @@ def parse_cdo_csv(
         tavg: list[float | None] = []
         rows_read = 0
         n_fields = len(header)
-        fromisoformat = dt.date.fromisoformat
         for row in rows:
             if not row:
                 continue
@@ -222,19 +221,13 @@ def parse_cdo_csv(
                 raise MalformedRowError(
                     rows.line_num, f"{len(row)} fields where the header has {n_fields}"
                 )
-            # parse_date inlined, guard and all; tests hold the two equal.
-            cell = row[i_date].strip()
             try:
-                if len(cell) != 10 or cell[4] != "-" or cell[7] != "-":
-                    raise ValueError
-                date = fromisoformat(cell)
+                date = parse_date(row[i_date].strip())
             except ValueError:
                 raise MalformedDateError(rows.line_num) from None
-            cell = "" if i_tavg is None else row[i_tavg].strip()
-            try:
-                value = _plain_float(cell) if cell else None
-            except ValueError:
-                raise MalformedRowError(rows.line_num, f"not a number: {cell!r}") from None
+            value = None
+            if i_tavg is not None:
+                value = _parse_temperature(row[i_tavg], rows.line_num)
             if value is None and tmax_tmin_fallback:
                 tmax = _parse_temperature(row[i_tmax], rows.line_num)
                 tmin = _parse_temperature(row[i_tmin], rows.line_num)
@@ -258,58 +251,28 @@ def _read_export_bytes(
     """The records in an export's bytes, as :func:`parse_cdo_csv` reads
     the export's text, or what it raises.
 
-    The header line is read here by the csv module and :func:`_columns`;
-    ``_kernel.c``'s ``read_export``, in the smoother's compiled library
-    (``models._kernel``), then checks every line and reads the kept rows
-    in one pass. It reads a plain export: ASCII with ``\\n`` line ends
-    and no other control byte, no blank line, every row with the header's
-    field count, each field unquoted or quoted with no ``"`` or newline
-    inside and no longer than ``csv.field_size_limit()``, no space at
-    either end of a STATION, DATE or TAVG cell, every date a real
-    ``YYYY-MM-DD`` date of a year from 1 on, and every value empty or a
-    plain decimal as :func:`~tempcast.series._read_series_bytes` reads
-    one, under 64 bytes if its row is kept. Without ``station``, all rows
-    must share one station.
-    It gives up on anything else, on ``tmax_tmin_fallback`` and on a
-    ``station`` that is not an ASCII ``str``, and such an export goes
-    through :func:`~tempcast.series._decode` to :func:`parse_cdo_csv`,
-    which raises every error.
+    A plain export (:func:`~tempcast.series._plain_rows`, with the
+    STATION, DATE and TAVG columns that :func:`_columns` finds) is read in
+    one C pass. Any other export, and any read with ``tmax_tmin_fallback``
+    or a ``station`` that is not an ASCII ``str``, goes through
+    :func:`~tempcast.series._decode` to :func:`parse_cdo_csv`, which
+    raises every error.
     """
-    import ctypes
-
-    from .models import _kernel  # models imports series, which this imports
-
-    read_export = _kernel().read_export
-    end = data.find(b"\n")
-    line = data[: len(data) if end < 0 else end]
-    header = columns = None
-    if not tmax_tmin_fallback and line.isascii() and (
+    rows = None
+    if not tmax_tmin_fallback and (
         station is None or isinstance(station, str) and station.isascii()
     ):
-        with contextlib.suppress(csv.Error, MissingColumnError):
-            header = next(csv.reader([line.decode("ascii")]))
-            columns = _columns(header, False)
-    kept = -1
-    if columns is not None:
-        # no more rows than newlines, as the header ends in one
-        capacity = data.count(b"\n")
-        ordinals = np.empty(capacity, dtype=ctypes.c_long)
-        values = np.empty(capacity)
-        counts = (ctypes.c_long * 3)()
-        kept = read_export(
-            data, len(data), len(header), *columns[:3],
-            None if station is None else station.encode("ascii"),
-            -1 if station is None else len(station),
-            csv.field_size_limit(), capacity, ordinals, values, counts,
-        )
-    if kept < 0:
+        name = None if station is None else station.encode("ascii")
+        rows = _plain_rows(data, lambda header: _columns(header, False)[:3], name)
+    if rows is None:
         return parse_cdo_csv(_decode(data), unit, tmax_tmin_fallback, station)
+    ordinals, values, counts = rows
     if station is None:
         station = data[counts[1] : counts[1] + counts[2]].decode("ascii")
     return RawRecordSet(
-        (station,) * kept,
-        list(map(dt.date.fromordinal, ordinals[:kept].tolist())),
-        [None if value != value else value for value in values[:kept].tolist()],
+        (station,) * len(ordinals),
+        list(map(dt.date.fromordinal, ordinals.tolist())),
+        [None if value != value else value for value in values.tolist()],
         unit,
         counts[0],
     )

@@ -23,9 +23,9 @@ on first use, so running it needs a C compiler once per host. The loop
 takes the days four at a time, each pass over all W columns, and on
 x86-64 with glibc the dynamic loader picks its AVX-512, AVX2 or
 baseline build, whichever is the widest that the CPU runs; all give the
-same bits. The library also holds the one-pass readers of series files
-(:mod:`tempcast.series`) and of plain exports (:mod:`tempcast.ingest`),
-``read_series`` and ``read_export``.
+same bits. The library also holds ``read_export``, the one-pass reader
+of plain CSV files, exports and series files alike
+(:func:`tempcast.series._plain_rows`).
 :func:`_sweep` picks one call's winning column and its final state;
 :func:`hw_fit` runs it on one column, and :mod:`tempcast.tuning` on
 whole grids of them. :func:`hw_update` is the same recursion one
@@ -237,10 +237,9 @@ _kernel_lock = threading.Lock()
 
 @functools.cache
 def _kernel():
-    """``_kernel.c``'s shared library, with ``one_step_errors``,
-    ``read_series`` (:mod:`tempcast.series`' one-pass reader of series
-    files) and ``read_export`` (:mod:`tempcast.ingest`'s one-pass reader
-    of plain exports) typed for ctypes.
+    """``_kernel.c``'s shared library, with ``one_step_errors`` and
+    ``read_export`` (the one-pass reader of plain CSV files behind
+    :func:`tempcast.series._plain_rows`) typed for ctypes.
 
     The shared library is built with ``sysconfig``'s ``CC`` (else ``cc``)
     and ``_KERNEL_FLAGS`` into ``$XDG_CACHE_HOME/tempcast/`` (by default
@@ -278,10 +277,6 @@ def _kernel():
     long = ctypes.c_long
     loaded.one_step_errors.argtypes = [array, long, long, long, *[array] * 4]
     loaded.one_step_errors.restype = None
-    loaded.read_series.argtypes = [
-        ctypes.c_char_p, long, long, array, ctypes.POINTER(long)
-    ]
-    loaded.read_series.restype = long
     longs = np.ctypeslib.ndpointer(long, flags="C_CONTIGUOUS")
     loaded.read_export.argtypes = [
         ctypes.c_char_p, *[long] * 5, ctypes.c_char_p, *[long] * 3, longs, array,

@@ -27,9 +27,10 @@ and the ``repr`` of the float, which reads back bit for bit. Rows dated
 February 29 are dropped on read (:func:`read_csv`). :func:`read_csv`
 reads any such file, with a byte-order mark, other line ends, spaces or
 a differently cased header too. :func:`_read_series_bytes` reads a
-file's bytes: the form :func:`to_csv_rows` writes in one C pass, and
-any other file through :func:`_decode` and :func:`read_csv`; both give
-the same series.
+file's bytes: a plain file, as :func:`to_csv_rows` writes one, in one C
+pass (:func:`_plain_rows`, which reads plain exports for
+:mod:`tempcast.ingest` too), and any other file through :func:`_decode`
+and :func:`read_csv`; both give the same series.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import csv
 import datetime as dt
 import io
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,6 +54,7 @@ from .errors import (
     MalformedRowError,
     NonFiniteError,
     OutOfRangeError,
+    TempcastError,
     ValidationError,
     _date,
     _instance,
@@ -69,8 +71,8 @@ _ONE_DAY = dt.timedelta(days=1)
 
 # Days before the first of each month in a year without February 29.
 _MONTH_STARTS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
-# Looked up once: parse_date runs once per row of a series file that
-# _read_series_bytes' C pass gives up on.
+# Looked up once: parse_date runs once per row of a series file or an
+# export that the one-pass reader gives up on.
 _FROMISOFORMAT = dt.date.fromisoformat
 
 CSV_HEADER = ("date", "kelvin")
@@ -156,8 +158,6 @@ def parse_date(text: str) -> dt.date:
     week dates such as ``2020-W01-5``; of its forms only ``YYYY-MM-DD``
     has ten characters with dashes at offsets 4 and 7, a check cheap
     enough to run per row. ``fromisoformat`` then checks the digits.
-    ``ingest.parse_cdo_csv``'s row loop inlines this guard and call;
-    tests compare that loop's dates and errors against this function.
     """
     try:
         if len(text) == 10 and text[4] == "-" and text[7] == "-":
@@ -320,15 +320,20 @@ def drop_leap_days(dates, values) -> TimeSeries:
         raise LengthMismatchError(
             f"{ordinals.size} dates but {arr.size} values"
         )
-    if not arr.size:
-        raise EmptyInputError("no dated observations")
+    return _consecutive(ordinals, arr)
 
+
+def _consecutive(ordinals: np.ndarray, values: np.ndarray) -> TimeSeries:
+    """What :func:`drop_leap_days` returns or raises for observations
+    dated by day ordinals (``date.toordinal()``), one per value."""
+    if not values.size:
+        raise EmptyInputError("no dated observations")
     step = np.diff(ordinals)
     skips_leap_day = (step == 2) & _leap_day_mask(ordinals[:-1] + 1)
     bad = np.flatnonzero((step != 1) & ~skips_leap_day)
     if bad.size:
         raise ValidationError(int(bad[0]) + 1, "non-consecutive")
-    return _series_from_ordinals(ordinals, arr)
+    return _series_from_ordinals(ordinals, values)
 
 
 def _ordinals(dates) -> np.ndarray:
@@ -423,11 +428,7 @@ def read_csv(text: str) -> TimeSeries:
     dates = []
     values = []
     with csv_rows(text) as rows:
-        header = next(rows, None)
-        if header is None:
-            raise MalformedRowError(1, "empty series file")
-        if tuple(c.strip().lower() for c in header) != CSV_HEADER:
-            raise MalformedRowError(1, f"expected header {','.join(CSV_HEADER)!r}")
+        _series_fields(next(rows, None))  # raises for any other header
         for row in rows:
             if not row:
                 continue
@@ -447,35 +448,83 @@ def read_csv(text: str) -> TimeSeries:
     return validate_series(drop_leap_days(dates, values))
 
 
-def _read_series_bytes(data: bytes) -> TimeSeries:
-    """The series in a series file's bytes, as :func:`read_csv` reads
-    the file's text, or what it raises.
+def _series_fields(header: list[str] | None) -> tuple[int, int, int]:
+    """The station, date and value fields of a series file whose header
+    row is ``header``: none (-1), 0 and 1. A header that is not
+    :data:`CSV_HEADER` after ``str.strip`` and ``str.lower``, or no
+    header, raises :class:`MalformedRowError` at line 1."""
+    if header is None:
+        raise MalformedRowError(1, "empty series file")
+    if tuple(c.strip().lower() for c in header) != CSV_HEADER:
+        raise MalformedRowError(1, f"expected header {','.join(CSV_HEADER)!r}")
+    return -1, 0, 1
 
-    ``_kernel.c``'s ``read_series``, in the smoother's compiled library
-    (``models._kernel``), reads the exact form :func:`to_csv_rows` writes
-    in one pass: the header line, then consecutive days from one that is
-    not February 29, each value a plain decimal under 64 bytes (a minus,
-    digits, a fraction and an exponent, all but the digits optional), as
-    ``repr`` spells a float, every line but perhaps the last ending in
-    ``\\n``. A value past the float range, such as ``1e400``, reads as
-    ``inf``, which :func:`validate_series` rejects.
-    It gives up on anything else (a byte-order mark, a ``\\r``, a space,
-    a gap, a number that ``strtod`` under the process's locale would not
-    read whole), and such a file goes through :func:`_decode` to
-    :func:`read_csv`, which raises every error. ``strtod`` and ``float``
-    both round correctly, so both paths read the same value bits.
+
+def _plain_rows(
+    data: bytes, columns: Callable[[list[str]], tuple[int, int, int]],
+    station: bytes | None,
+) -> tuple | None:
+    """The rows that ``_kernel.c``'s ``read_export``, in the smoother's
+    compiled library (``models._kernel``), keeps from a plain CSV file's
+    bytes in one pass, or None if the file is not plain. Its comment there
+    says which files are plain: ASCII with ``\\n`` line ends, no blank
+    line, no space around a station, date or value cell, and so on.
+
+    The header line is read here by the csv module, and
+    ``columns(header)`` gives the indices of its station, date and value
+    fields, -1 for a field the file lacks, or raises a ``TempcastError``
+    for a header the caller cannot read. A row is kept if its station
+    cell is ``station``; with ``station`` None, every row must have the
+    first row's station. ``strtod`` and ``float`` both round correctly,
+    so both read the same value bits.
+
+    Returns the kept rows' ``date.toordinal()`` and values, NaN for an
+    empty cell, and ``read_export``'s counts: the number of data rows,
+    then, with ``station`` None, the offset and length of the kept
+    station's cell in ``data``.
     """
     import ctypes
 
     from .models import _kernel  # models imports this module
 
+    read_export = _kernel().read_export  # first: every file read here needs it
+    end = data.find(b"\n")
+    line = data[: len(data) if end < 0 else end]
+    if not line.isascii():
+        return None
+    try:
+        header = next(csv.reader([line.decode("ascii")]), [])
+        wanted = columns(header)
+    except (csv.Error, TempcastError):
+        return None
     # no more rows than newlines, as the header ends in one
-    values = np.empty(data.count(b"\n"))
-    first = (ctypes.c_long * 3)()
-    rows = _kernel().read_series(data, len(data), values.size, values, first)
-    if rows < 0:
+    capacity = data.count(b"\n")
+    ordinals = np.empty(capacity, dtype=ctypes.c_long)
+    values = np.empty(capacity)
+    counts = (ctypes.c_long * 3)()
+    kept = read_export(
+        data, len(data), len(header), *wanted, station,
+        -1 if station is None else len(station),
+        csv.field_size_limit(), capacity, ordinals, values, counts,
+    )
+    return None if kept < 0 else (ordinals[:kept], values[:kept], counts)
+
+
+def _read_series_bytes(data: bytes) -> TimeSeries:
+    """The series in a series file's bytes, as :func:`read_csv` reads
+    the file's text, or what it raises.
+
+    A plain file (:func:`_plain_rows`), as :func:`to_csv_rows` writes
+    one, is read in one C pass, and its dates are checked as
+    :func:`drop_leap_days` checks them. Any other file, such as one with
+    a byte-order mark, a ``\\r``, a space or an empty value, goes through
+    :func:`_decode` to :func:`read_csv`, which raises every error.
+    """
+    rows = _plain_rows(data, _series_fields, b"")
+    if rows is None or np.isnan(rows[1]).any():
         return read_csv(_decode(data))
-    return validate_series(TimeSeries(dt.date(*first), values[:rows]))
+    ordinals, values, _ = rows
+    return validate_series(_consecutive(ordinals, values))
 
 
 def rmse(predicted, actual) -> float:

@@ -725,12 +725,19 @@ def read_both(data):
     )
 
 
-def c_pass(data):
-    """The rows ``_kernel.c``'s ``read_series`` reads from ``data``, -1
-    where it gives up, and the values it reads."""
-    values, first = np.empty(data.count(b"\n")), (ctypes.c_long * 3)()
-    rows = _kernel().read_series(data, len(data), values.size, values, first)
-    return rows, values[: max(rows, 0)]
+def c_pass(data, length=None, fields=(-1, 0, 1)):
+    """The rows ``_kernel.c``'s ``read_export`` reads from the first
+    ``length`` bytes of a series file, all by default, with the station,
+    date and value fields that ``_read_series_bytes`` gives it (no
+    station field, then 0 and 1): their number, -1 where it gives up, and
+    the ordinals and values it reads."""
+    capacity = data.count(b"\n")
+    ordinals, values = np.empty(capacity, dtype=ctypes.c_long), np.empty(capacity)
+    rows = _kernel().read_export(
+        data, len(data) if length is None else length, 2, *fields, b"", 0,
+        csv.field_size_limit(), capacity, ordinals, values, (ctypes.c_long * 3)(),
+    )
+    return rows, ordinals[: max(rows, 0)], values[: max(rows, 0)]
 
 
 @pytest.fixture
@@ -767,7 +774,6 @@ GIVE_UPS = {
     "crlf line ends": EXACT.replace("\n", "\r\n"),
     "lone cr": EXACT.replace("280.5\n", "280.5\r"),
     "cr in a value": EXACT.replace("280.5", "280.5\r"),
-    "quoted value": EXACT.replace("280.5", '"280.5"'),
     "blank line": EXACT.replace("280.5\n", "280.5\n\n"),
     "trailing blank line": EXACT + "\n",
     "space": EXACT.replace(",280.5", ", 280.5"),
@@ -777,31 +783,37 @@ GIVE_UPS = {
     "64-byte value": EXACT.replace("280.5", "280." + "0" * 60),
     "nan": EXACT.replace("280.5", "nan"),
     "third field": EXACT.replace("280.5", "280.5,x"),
+    "year 0": "date,kelvin\n0000-12-31,280.0\n",
+    "past 9999-12-31": "date,kelvin\n9999-12-31,280.0\n10000-01-01,281.0\n",
+}
+# Variants that the C pass reads, whether read_csv reads them or not: the
+# rows' dates are checked in Python, as drop_leap_days checks them.
+ONE_PASS_FORMS = {
+    "quoted value": EXACT.replace("280.5", '"280.5"'),
     "capital header": EXACT.replace("date,kelvin", "Date,Kelvin"),
     "header alone": "date,kelvin\n",
     "gap": EXACT.replace("2015-12-31", "2016-01-02"),
     "repeat": EXACT.replace("2016-01-01", "2015-12-31"),
     "february 29": "date,kelvin\n2016-02-28,280.0\n2016-02-29,281.0\n2016-03-01,282.0\n",
     "start on february 29": "date,kelvin\n2016-02-29,280.0\n2016-03-01,281.0\n",
-    "year 0": "date,kelvin\n0000-12-31,280.0\n",
-    "past 9999-12-31": "date,kelvin\n9999-12-31,280.0\n10000-01-01,281.0\n",
 }
 
 
 class TestSeriesFileReader:
-    """``_read_series_bytes`` reads a file in the form tempcast writes in
-    one C pass and hands every other file to ``read_csv``; either way it
-    returns what ``read_csv`` returns, or raises what it raises."""
+    """``_read_series_bytes`` reads a plain file, as tempcast writes one,
+    in one C pass and hands every other file to ``read_csv``; either way
+    it returns what ``read_csv`` returns, or raises what it raises."""
 
     @given(data=st.one_of(input_bytes(series_texts()), exact_series_files()))
     @settings(max_examples=400, deadline=None)
     def test_same_series_or_error_as_read_csv(self, data):
         got, expected = read_both(data)
         assert got == expected
-        rows, values = c_pass(data)
-        if rows >= 0:  # strtod reads each value as float does
-            cells = [line.split(b",")[1] for line in data.splitlines()[1:]]
-            assert values.tobytes() == np.array(list(map(float, cells))).tobytes()
+        rows, _, values = c_pass(data)
+        if rows >= 0:  # strtod reads each value as float does, and "" as NaN
+            cells = [row[1] for row in csv.reader(io.StringIO(data.decode("ascii")))]
+            expected = [repr(float(cell)) if cell else "nan" for cell in cells[1:]]
+            assert list(map(repr, values.tolist())) == expected
 
     def test_files_tempcast_writes_never_reach_read_csv(
         self, read_csv_calls, clean_series_file, century_file, tmp_path
@@ -829,6 +841,14 @@ class TestSeriesFileReader:
         )
         assert read_csv_calls == []
 
+    @pytest.mark.parametrize("case", ONE_PASS_FORMS)
+    def test_one_pass_forms_never_reach_read_csv(self, read_csv_calls, case):
+        data = ONE_PASS_FORMS[case].encode("ascii")
+        assert c_pass(data)[0] >= 0
+        got, expected = read_both(data)
+        assert got == expected
+        assert read_csv_calls == []
+
     @pytest.mark.parametrize("case", GIVE_UPS)
     def test_other_files_reach_read_csv(self, read_csv_calls, case):
         data = GIVE_UPS[case].encode("utf-8")
@@ -836,6 +856,27 @@ class TestSeriesFileReader:
         got, expected = read_both(data)
         assert got == expected
         assert len(read_csv_calls) == 1
+
+    def test_empty_value_reaches_read_csv(self, read_csv_calls):
+        # the C pass reads an empty cell as NaN, and read_csv rejects it
+        data = EXACT.replace("280.5", "").encode()
+        rows, _, values = c_pass(data)
+        assert rows == 3 and np.isnan(values[0])
+        got, expected = read_both(data)
+        assert got == expected == (
+            MalformedRowError, "malformed row at line 2: not a number: ''"
+        )
+        assert len(read_csv_calls) == 1
+
+    def test_missing_field_reads_as_empty_and_keeps_every_row(self):
+        # with no station field, station b"" keeps every row; with no
+        # value field either, every value reads as empty
+        first = dt.date(2015, 12, 30).toordinal()
+        for fields, expected in [((-1, 0, 1), "[280.5, 281.5, 279.0]"),
+                                 ((-1, 0, -1), "[nan, nan, nan]")]:
+            rows, ordinals, values = c_pass(EXACT.encode(), fields=fields)
+            assert rows == 3 and ordinals.tolist() == [first, first + 1, first + 2]
+            assert repr(values.tolist()) == expected
 
     def test_comma_decimal_point_gives_up(self, tmp_path):
         # under such a locale strtod reads "266.34999999999997" as 266 and
@@ -853,10 +894,12 @@ class TestSeriesFileReader:
             "from tempcast.series import _decode, _read_series_bytes; "
             "print(locale.setlocale(locale.LC_NUMERIC, 'de_DE.UTF-8')); "
             f"data = Path({str(DATA / 'golden' / 'series.csv')!r}).read_bytes(); "
-            "values, first = np.empty(data.count(b'\\n')), (ctypes.c_long * 3)(); "
-            "print(_kernel().read_series(data, len(data), values.size, values, first)); "
+            "import csv; n = data.count(b'\\n'); "
+            "ordinals, values = np.empty(n, dtype=ctypes.c_long), np.empty(n); "
+            "print(_kernel().read_export(data, len(data), 2, -1, 0, 1, b'', 0, "
+            "csv.field_size_limit(), n, ordinals, values, (ctypes.c_long * 3)())); "
             "print(_read_series_bytes(data) == read_csv(_decode(data))); "
-            "import csv; from tempcast import parse_cdo_csv; "
+            "from tempcast import parse_cdo_csv; "
             "from tempcast.ingest import _read_export_bytes; "
             f"data = Path({str(GOLDEN_CSV)!r}).read_bytes(); "
             "ordinals, values = np.empty(40, dtype=ctypes.c_long), np.empty(40); "
@@ -890,13 +933,12 @@ class TestSeriesFileReader:
         # lengthen its value
         data = (DATA / "golden" / "series.csv").read_bytes()
         row = data.index(b"\n2015-01-07,") + 1
-        values, first = np.empty(10), (ctypes.c_long * 3)()
-        read_series = _kernel().read_series
-        assert read_series(data, row + len(b"2015-01-0"), 10, values, first) == -1
+        assert c_pass(data, row + len(b"2015-01-0"))[0] == -1
         value = data.index(b".", row) + 2
-        assert read_series(data, value, 10, values, first) == 7
+        rows, ordinals, values = c_pass(data, value)
+        assert rows == 7
         assert values[6] == float(data[row + 11 : value]) == 266.0
-        assert tuple(first) == (2015, 1, 1)
+        assert ordinals[0] == dt.date(2015, 1, 1).toordinal()
 
 
 def export_outcome(read):

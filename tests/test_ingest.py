@@ -262,7 +262,8 @@ class TestParse:
     )
     @settings(max_examples=400, deadline=None)
     def test_date_cells_read_as_parse_date_reads_them(self, cell):
-        """The row loop's inlined date check agrees with parse_date."""
+        """A DATE cell reads as parse_date reads it, after str.strip, and a
+        cell it rejects is a malformed date at the row's line."""
         text = f"STATION,DATE,TAVG\nA,{cell},1.0\n"
         try:
             expected = parse_date(cell.strip())

@@ -137,7 +137,6 @@ class TestCache:
             def __init__(self, path):
                 names.append(Path(path).name)
                 self.one_step_errors = types.SimpleNamespace()
-                self.read_series = types.SimpleNamespace()
                 self.read_export = types.SimpleNamespace()
 
         monkeypatch.setattr(ctypes, "CDLL", Library)

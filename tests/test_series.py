@@ -380,6 +380,12 @@ class TestDropLeapDays:
         series = drop_leap_days(dates, np.full(len(dates), 280.0))
         assert len(series) == 2190
 
+    def test_no_observations_is_not_all_february_29(self):
+        with pytest.raises(EmptyInputError, match="^no dated observations$"):
+            drop_leap_days([], [])
+        with pytest.raises(EmptyInputError, match="^every observation fell on"):
+            drop_leap_days([dt.date(2016, 2, 29)], [280.0])
+
     def test_duplicate_date_reports_non_consecutive_at_index(self):
         dates = daily_dates(JAN1, 4)
         dates[2] = dates[1]
