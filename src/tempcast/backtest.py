@@ -140,10 +140,12 @@ def select_origins(series_length: int, config: BacktestConfig) -> np.ndarray:
 
     Uniform without replacement over the feasible range, from a
     generator seeded by ``config.seed``; deterministic for fixed inputs.
-    A ``series_length`` that is not a whole number, or a ``config`` that
-    is not a :class:`BacktestConfig`, raises ``ArgumentError``.
+    A ``series_length`` that is not a whole number below 2**63, or a
+    ``config`` that is not a :class:`BacktestConfig`, raises ``ArgumentError``.
     """
     series_length = _whole(series_length, "series_length", minimum=0)
+    if series_length > np.iinfo(np.int64).max:  # Generator.choice takes a C long
+        raise ArgumentError(f"series_length must be below 2**63, got {series_length}")
     _instance(config, BacktestConfig, "config")
     lo = config.train_length
     hi = series_length - max(config.leads)

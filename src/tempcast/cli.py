@@ -15,9 +15,10 @@ writer (:func:`_write_csv`) and one manifest writer
 library's configurations before it opens any file, so a bad flag is a
 usage error whatever the input; then it checks that no artifact would
 be written over the input file (exit 2), and only then reads, runs and
-writes. ``ingest``, ``backtest`` and ``forecast`` load the compiled
+writes. ``backtest``, ``forecast`` and ``ingest`` load the compiled
 library as they read, so on a host that cannot build it they fail there,
-with exit 2.
+with exit 2; an ingest with ``--tmax-tmin-fallback`` or a ``--station``
+outside ASCII never loads it, since only the Python reader reads those.
 The digest is of the bytes the command parsed.
 
 Exit codes: 0 success, 1 usage error (an ``ArgumentError``), 2 data error

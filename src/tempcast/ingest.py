@@ -47,11 +47,11 @@ from .errors import (
 )
 from .series import (
     TimeSeries,
+    _consecutive,
     _decode,
     _ordinals,
     _plain_float,
     _plain_rows,
-    _series_from_ordinals,
     _vector,
     csv_rows,
     parse_date,
@@ -372,7 +372,7 @@ def clean_report(
         )
 
     span = first + np.arange(day_count, dtype=np.int64)
-    series = _series_from_ordinals(span, filled)
+    series = _consecutive(span, filled)
     stats = CleanStats(
         raw_rows=records.rows_read,
         kept_rows=int(rows.size),

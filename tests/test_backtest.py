@@ -22,6 +22,7 @@ from tempcast import (
 from tempcast.backtest import collect_report, run_experiment, select_origins
 from tempcast.cli import main
 from tempcast.errors import (
+    ArgumentError,
     EmptyInputError,
     InsufficientDataError,
     NonFiniteError,
@@ -124,6 +125,13 @@ class TestSelectOrigins:
             select_origins(1830, config)
         assert excinfo.value.available == 1830
         assert excinfo.value.required == 1825 + 4 + 50 - 1
+
+    def test_length_past_the_int64_range_is_an_argument_error(self):
+        # once an OverflowError from Generator.choice
+        select_origins(2**63 - 1, BacktestConfig())
+        message = r"^series_length must be below 2\*\*63, got 10000000000000000000$"
+        with pytest.raises(ArgumentError, match=message):
+            select_origins(10**19, BacktestConfig())
 
 
 class TestRunExperiment:

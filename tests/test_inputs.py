@@ -101,6 +101,29 @@ class TestValueRule:
         assert series.values.tolist() == [280.0]
         assert series.end_date == JAN1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ["280.5"], "280.5", b"280.5", np.array(["280.5"]), [280.0, "281.5"],
+            np.array([280.0, b"281.5"], dtype=object),
+        ],
+        ids=["list", "scalar", "bytes", "numpy-str-array", "list-mixed", "object-array"],
+    )
+    @pytest.mark.parametrize(
+        "read, name",
+        [
+            (lambda v: TimeSeries(JAN1, v), "values"),
+            (lambda v: drop_leap_days([JAN1], v), "values"),
+            (lambda v: rmse(v, v), "predicted"),
+            (lambda v: HWState(1.0, 0.0, v, 0), "seasonal"),
+        ],
+        ids=["series", "dated", "rmse", "ring"],
+    )
+    def test_numeric_text_raises(self, read, name, text):
+        # the cast to float64 would read each of these as numbers
+        with pytest.raises(ArgumentError, match=f"^{name} must hold real numbers: got text$"):
+            read(text)
+
     def test_dated_values_that_are_not_numbers_raise(self):
         with pytest.raises(ArgumentError, match="^values must hold real numbers"):
             drop_leap_days([JAN1], ["a"])
@@ -198,9 +221,10 @@ class TestWronglyTypedArguments:
             clean_report(records)
 
     def test_record_values_must_be_numbers(self):
-        records = RawRecordSet(("A",), (JAN1,), ("warm",), "celsius")
-        with pytest.raises(ArgumentError, match="^tavg must hold real numbers"):
-            clean_report(records)
+        for tavg in ("warm", "1.0"):
+            records = RawRecordSet(("A",), (JAN1,), (tavg,), "celsius")
+            with pytest.raises(ArgumentError, match="^tavg must hold real numbers: got text$"):
+                clean_report(records)
 
     @pytest.mark.parametrize(
         "stations, bad", [(("A", None), "None"), ((["A"], ["A"]), r"\['A'\]"), ((1, 1), "1")],
@@ -406,10 +430,10 @@ class TestWronglyTypedArguments:
         fit = FitResult(_PARAMS, np.float64(0.5), np.int64(3), _STATE)
         assert type(fit.in_sample_rmse) is float and type(fit.evaluations) is int
 
-    @pytest.mark.parametrize("name", ["leap_day_mask", "series_from_ordinals"])
+    @pytest.mark.parametrize("name", ["leap_day_mask", "consecutive"])
     def test_unchecked_ordinal_helpers_are_private(self, name):
-        # neither checks its arguments, and both once failed with an
-        # AttributeError or TypeError on a list
+        # neither checks its arguments: on a list each fails with an
+        # AttributeError or a TypeError
         assert not hasattr(series_module, name)
         assert hasattr(series_module, f"_{name}")
 

@@ -202,6 +202,16 @@ class TestClosedFormCalendar:
         expected = [is_leap_day(dt.date.fromordinal(o)) for o in ordinals]
         assert mask.tolist() == expected
 
+    def test_leap_day_mask_on_every_ordinal(self):
+        # the ordinal of every date, and the one after the last
+        ordinals = np.arange(1, dt.date.max.toordinal() + 2, dtype=np.int64)
+        feb_29 = [
+            dt.date(year, 2, 29).toordinal()
+            for year in range(dt.MINYEAR, dt.MAXYEAR + 1)
+            if calendar.isleap(year)
+        ]
+        np.testing.assert_array_equal(np.flatnonzero(_leap_day_mask(ordinals)) + 1, feb_29)
+
 
 class TestSeriesCsv:
     @given(
