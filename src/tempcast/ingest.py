@@ -3,17 +3,17 @@
 Handles the export format as downloaded: a header row naming columns in
 any order (STATION, DATE and TAVG are used, anything else ignored),
 RFC-4180 quoting, empty cells for missing values. Parsing checks every
-row and stores the rows as columns (:class:`RawRecordSet`); given a
-station, it stores only that station's rows, so memory follows the kept
-station rather than the export, though rows of other stations are still
-checked. :func:`parse_cdo_csv` parses an export's text;
-:func:`_read_export_bytes` parses its bytes, a plain export in one C
-pass (:func:`~tempcast.series._plain_rows`, which reads series files
-too) and any other through :func:`parse_cdo_csv`, and both give the
-same records or the same error. The cleaning pass works on whole
-arrays: it filters by date, sorts and rejects duplicate dates, converts
-the declared unit to Kelvin, linearly fills short interior gaps, drops
-February 29, and returns a validated series.
+row and stores the rows as arrays of day ordinals and values, NaN for
+an empty cell (:class:`RawRecordSet`); given a station, only its rows,
+so memory follows the kept station rather than the export, though rows
+of other stations are still checked. :func:`parse_cdo_csv` parses an
+export's text; :func:`_read_export_bytes` parses its bytes, a plain
+export in one C pass (:func:`~tempcast.series._plain_rows`, which reads
+series files too) and any other through :func:`parse_cdo_csv`, and both
+give the same records or the same error. The cleaning pass works on
+those arrays: it filters by date, sorts and rejects duplicate dates,
+converts the declared unit to Kelvin, linearly fills short interior
+gaps, drops February 29, and returns a validated series.
 
 Units are declared by the caller rather than sniffed: Celsius and
 Fahrenheit overlap too much across a temperate year for guessing to be
@@ -47,9 +47,9 @@ from .errors import (
 )
 from .series import (
     TimeSeries,
+    _ByValue,
     _consecutive,
     _decode,
-    _ordinals,
     _plain_float,
     _plain_rows,
     _vector,
@@ -64,43 +64,58 @@ UNIT_TENTHS_CELSIUS = "tenths-celsius"
 UNITS = (UNIT_CELSIUS, UNIT_FAHRENHEIT, UNIT_TENTHS_CELSIUS)
 
 
-@dataclass(frozen=True)
-class RawRecordSet:
+@dataclass(frozen=True, eq=False)
+class RawRecordSet(_ByValue):
     """Parsed rows as three equal-length columns, plus their unit.
 
-    Row ``i`` is ``stations[i]``, ``dates[i]`` and ``tavg[i]``, the last
-    being None when the cell was empty. ``rows_read`` counts the
+    Row ``i`` is ``stations[i]``, ``ordinals[i]`` (``date.toordinal()``)
+    and ``tavg[i]``, NaN when the cell was empty, in read-only arrays;
+    record sets holding equal values are equal. ``rows_read`` counts the
     non-blank data rows the parser read, kept or not; it defaults to the
     number of rows held and may not be smaller. A column that is not a
-    sequence raises ``ArgumentError``. :func:`parse_cdo_csv` builds one,
-    as does :func:`_read_export_bytes`; the package reads the export
-    format but never writes it.
+    one-dimensional sequence, an ordinal that is not an integer from 1 to
+    ``date.max.toordinal()`` and ``tavg`` values that
+    :func:`~tempcast.series._vector` rejects raise ``ArgumentError``.
+    :func:`parse_cdo_csv` builds one, as does :func:`_read_export_bytes`;
+    the package reads the export format but never writes it.
     """
 
     stations: tuple[str, ...]
-    dates: tuple[dt.date, ...]
-    tavg: tuple[float | None, ...]
+    ordinals: np.ndarray
+    tavg: np.ndarray
     unit: str
     rows_read: int | None = None
 
     def __post_init__(self):
-        for name in ("stations", "dates", "tavg"):
+        for name in ("stations", "ordinals", "tavg"):
             column = getattr(self, name)
             try:
-                object.__setattr__(self, name, tuple(column))
+                if name == "stations" or not isinstance(column, np.ndarray):
+                    object.__setattr__(self, name, tuple(column))
             except TypeError:
                 raise ArgumentError(f"{name} must be a sequence, got {column!r}") from None
-        if not len(self.stations) == len(self.dates) == len(self.tavg):
+        ordinals = _vector(self.ordinals, "ordinals")
+        last = dt.date.max.toordinal()
+        if ordinals.size and not (  # numpy reads [] as float64
+            np.asarray(self.ordinals).dtype.kind in "iu"
+            and 1 <= ordinals.min() <= ordinals.max() <= last
+        ):
+            raise ArgumentError(f"ordinals must be integers from 1 to {last}")
+        tavg = np.array(_vector(self.tavg, "tavg"))
+        for name, column in (("ordinals", ordinals.astype(np.int64)), ("tavg", tavg)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not len(self.stations) == len(self.ordinals) == len(self.tavg):
             raise ArgumentError(
                 f"column lengths differ: {len(self.stations)} stations, "
-                f"{len(self.dates)} dates, {len(self.tavg)} values"
+                f"{len(self.ordinals)} ordinals, {len(self.tavg)} values"
             )
         _one_of(self.unit, UNITS, "unit")
         read = len(self) if self.rows_read is None else self.rows_read
         object.__setattr__(self, "rows_read", _whole(read, "rows_read", len(self)))
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.ordinals)
 
 
 @dataclass(frozen=True)
@@ -188,13 +203,14 @@ def parse_cdo_csv(
     are ignored. DATE cells must read ``YYYY-MM-DD``, checked as
     :func:`~tempcast.series.parse_date` checks them. Cells are read
     after ``str.strip``, which also takes off a no-break space. Empty
-    TAVG cells become missing values; a value cell is read by ``float``,
-    but one holding ``_`` or a character outside ASCII is not a number. With
-    ``tmax_tmin_fallback`` enabled (for exports lacking TAVG), a missing
-    TAVG is replaced by the TMAX/TMIN midpoint when both are present,
-    and the TAVG column itself becomes optional. Text the csv module
-    cannot read raises :class:`MalformedRowError`. An error in a row
-    names the row's last line, as a quoted field may span lines.
+    TAVG cells become missing values, NaN; a value cell is read by
+    ``float``, but one holding ``_`` or a character outside ASCII is not a
+    number. With ``tmax_tmin_fallback`` enabled (for exports lacking
+    TAVG), a missing TAVG is replaced by the TMAX/TMIN midpoint when both
+    are present, and the TAVG column itself becomes optional. A TAVG or
+    midpoint that reads as NaN raises :class:`NonFiniteError`. Text the
+    csv module cannot read raises :class:`MalformedRowError`. An error in
+    a row names the row's last line, as a quoted field may span lines.
 
     With ``station`` given, only rows whose stripped STATION cell equals
     it are stored. Every row is still checked first, whatever its
@@ -209,8 +225,8 @@ def parse_cdo_csv(
         i_station, i_date, i_tavg, i_tmax, i_tmin = _columns(header, tmax_tmin_fallback)
 
         stations: list[str] = []
-        dates: list[dt.date] = []
-        tavg: list[float | None] = []
+        ordinals: list[int] = []
+        tavg: list[float] = []
         rows_read = 0
         n_fields = len(header)
         for row in rows:
@@ -233,13 +249,15 @@ def parse_cdo_csv(
                 tmin = _parse_temperature(row[i_tmin], rows.line_num)
                 if tmax is not None and tmin is not None:
                     value = (tmax + tmin) / 2.0
+            if value != value:  # NaN marks an empty cell, so a NaN cell is an error
+                raise NonFiniteError(f"temperature is not finite: {value!r}")
             name = row[i_station].strip()
             if station is not None and name != station:
                 continue
             stations.append(name)
-            dates.append(date)
-            tavg.append(value)
-    return RawRecordSet(stations, dates, tavg, unit, rows_read)
+            ordinals.append(date.toordinal())
+            tavg.append(math.nan if value is None else value)
+    return RawRecordSet(stations, ordinals, tavg, unit, rows_read)
 
 
 def _read_export_bytes(
@@ -253,10 +271,10 @@ def _read_export_bytes(
 
     A plain export (:func:`~tempcast.series._plain_rows`, with the
     STATION, DATE and TAVG columns that :func:`_columns` finds) is read in
-    one C pass. Any other export, and any read with ``tmax_tmin_fallback``
-    or a ``station`` that is not an ASCII ``str``, goes through
-    :func:`~tempcast.series._decode` to :func:`parse_cdo_csv`, which
-    raises every error.
+    one C pass, whose arrays become the columns as they are. Any other
+    export, and any read with ``tmax_tmin_fallback`` or a ``station`` that
+    is not an ASCII ``str``, goes through :func:`~tempcast.series._decode`
+    to :func:`parse_cdo_csv`, which raises every error.
     """
     rows = None
     if not tmax_tmin_fallback and (
@@ -269,13 +287,7 @@ def _read_export_bytes(
     ordinals, values, counts = rows
     if station is None:
         station = data[counts[1] : counts[1] + counts[2]].decode("ascii")
-    return RawRecordSet(
-        (station,) * len(ordinals),
-        list(map(dt.date.fromordinal, ordinals.tolist())),
-        [None if value != value else value for value in values.tolist()],
-        unit,
-        counts[0],
-    )
+    return RawRecordSet((station,) * len(ordinals), ordinals, values, unit, counts[0])
 
 
 def _kelvin(value, unit: str):
@@ -306,18 +318,16 @@ def clean_report(
     records: RawRecordSet, config: CleanConfig | None = None
 ) -> tuple[TimeSeries, CleanStats]:
     """Like :func:`clean`, also returning the pass's bookkeeping. Records
-    or a config of another type, a station that is not a ``str``, a date
-    that is not a ``datetime.date`` and a value that is not a real number
-    raise ``ArgumentError``."""
+    or a config of another type and a station that is not a ``str`` raise
+    ``ArgumentError``."""
     _instance(records, RawRecordSet, "records")
     config = CleanConfig() if config is None else config
     _instance(config, CleanConfig, "config")
-    ordinals = _ordinals(records.dates)
     keep = np.ones(len(records), dtype=bool)
     if config.start is not None:
-        keep &= ordinals >= config.start.toordinal()
+        keep &= records.ordinals >= config.start.toordinal()
     if config.end is not None:
-        keep &= ordinals <= config.end.toordinal()
+        keep &= records.ordinals <= config.end.toordinal()
     rows = np.flatnonzero(keep)
     if not rows.size:
         raise EmptyAfterFilterError("no rows left after station/date filtering")
@@ -330,23 +340,21 @@ def clean_report(
     if len(stations) > 1:
         raise MultipleStationsError(stations)
 
-    rows = rows[np.argsort(ordinals[rows], kind="stable")]
-    ordinals = ordinals[rows]
+    rows = rows[np.argsort(records.ordinals[rows], kind="stable")]
+    ordinals = records.ordinals[rows]
     duplicate = np.flatnonzero(ordinals[1:] == ordinals[:-1])
     if duplicate.size:
-        raise DuplicateDateError(records.dates[rows[duplicate[0] + 1]])
+        raise DuplicateDateError(dt.date.fromordinal(int(ordinals[duplicate[0] + 1])))
 
-    # An empty cell is missing; a NaN cell is present, so it is rejected
-    # here instead of becoming a gap.
-    tavg = [records.tavg[i] for i in rows.tolist()]
-    present = np.array([value is not None for value in tavg])
+    # NaN marks an empty cell, which is missing; an infinite value is
+    # present, so it is rejected here instead of becoming a gap.
+    present = ~np.isnan(records.tavg[rows])
     if not present.any():
         raise EmptyAfterFilterError("no usable temperature values after filtering")
-    values = _vector([value for value in tavg if value is not None], "tavg")
-    non_finite = np.flatnonzero(~np.isfinite(values))
-    if non_finite.size:
-        value = float(values[non_finite[0]])
-        raise NonFiniteError(f"temperature is not finite: {value!r}")
+    values = records.tavg[rows[present]]
+    infinite = values[np.isinf(values)]
+    if infinite.size:
+        raise NonFiniteError(f"temperature is not finite: {float(infinite[0])!r}")
 
     # Leading/trailing missing days are trimmed here by spanning only the
     # observed range; anything missing inside it is an interior gap.

@@ -472,9 +472,9 @@ def _plain_rows(
     so both read the same value bits.
 
     Returns the kept rows' ``date.toordinal()`` and values, NaN for an
-    empty cell, and ``read_export``'s counts: the number of data rows,
-    then, with ``station`` None, the offset and length of the kept
-    station's cell in ``data``.
+    empty cell, as :class:`~tempcast.ingest.RawRecordSet` holds them, and
+    ``read_export``'s counts: data rows read, then, with ``station`` None,
+    the offset and length of the kept station's cell in ``data``.
     """
     import ctypes
 

@@ -405,14 +405,14 @@ _PARAMS = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
         lambda: _small_backtest(train_length=14),
         lambda: GridSpec((0.5,), (0.5,), (0.5,), refine_rounds=-1),
         lambda: CleanConfig(max_gap=-1),
-        lambda: RawRecordSet(("A",), (_DAY,), (1.0,), "celsius", rows_read=0),
+        lambda: RawRecordSet(("A",), (_DAY.toordinal(),), (1.0,), "celsius", rows_read=0),
         lambda: SmoothingParams(1.5, 0.5, 0.5, season_length=7),
         lambda: SmoothingParams(0.5, math.nan, 0.5, season_length=7),
         lambda: GridSpec((0.5,), (0.5, 1.5), (0.5,)),
         lambda: GridSpec((0.5,), (0.5,), (math.nan,)),
         lambda: GridSpec((), (0.5,), (0.5,)),
         lambda: GridSpec((0.5, 0.2), (0.5,), (0.5,)),
-        lambda: RawRecordSet(("A",), (_DAY,), (1.0,), "kelvin"),
+        lambda: RawRecordSet(("A",), (_DAY.toordinal(),), (1.0,), "kelvin"),
         lambda: parse_cdo_csv("STATION,DATE,TAVG\nA,2015-01-01,1.0\n", unit="kelvin"),
         lambda: _small_backtest(models=("nonsense",)),
         lambda: _small_backtest(models=("average", "average")),
@@ -422,7 +422,7 @@ _PARAMS = SmoothingParams(0.5, 0.5, 0.5, season_length=7)
         lambda: _small_backtest(leads=(1.5,)),
         lambda: _small_backtest(leads=(2, 1)),
         lambda: CleanConfig(start=dt.date(2020, 1, 1), end=dt.date(2019, 1, 1)),
-        lambda: RawRecordSet(("A", "A"), (_DAY,), (1.0,), "celsius"),
+        lambda: RawRecordSet(("A", "A"), (_DAY.toordinal(),), (1.0,), "celsius"),
         lambda: persistence_forecast(np.full((2, 3), 280.0)),
         lambda: grid_search(np.full((2, 30), 280.0), _POINT, 7),
         lambda: TimeSeries(_DAY, np.full((2, 3), 280.0)),

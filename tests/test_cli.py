@@ -204,6 +204,18 @@ class TestIngestCommand:
         assert "malformed date at line 3 (expected YYYY-MM-DD)" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_nan_cell_of_another_station_is_data_error(self, tmp_path, capsys):
+        # NaN marks an empty cell, so a cell that reads as NaN is an error
+        # in a row of any station
+        export = tmp_path / "export.csv"
+        export.write_text("STATION,DATE,TAVG\nA,2015-01-01,1.0\nB,2015-01-02,nan\n"
+                          "A,2015-01-02,2.0\n")
+        code = main(["ingest", "--input", str(export), "--unit", "celsius",
+                     "--station", "A", "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: temperature is not finite: nan\n"
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--from", "--to"])
     @pytest.mark.parametrize("value", ["20160301", "2016-W09-2"])
     def test_date_flag_not_yyyy_mm_dd_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -949,8 +961,8 @@ def export_outcome(read):
         records = read()
     except Exception as exc:
         return type(exc), str(exc)
-    tavg = tuple(map(repr, records.tavg))
-    return records.stations, records.dates, tavg, records.unit, records.rows_read
+    tavg = tuple(map(repr, records.tavg.tolist()))
+    return records.stations, records.ordinals.tolist(), tavg, records.unit, records.rows_read
 
 
 def read_both_exports(data, station="USW1", fallback=False):

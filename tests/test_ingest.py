@@ -1,7 +1,9 @@
 import csv
 import datetime as dt
 import io
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +31,11 @@ from tempcast.errors import (
     TempcastError,
     ValidationError,
 )
-from tempcast.ingest import clean, to_kelvin
+from tempcast.ingest import _read_export_bytes, clean, to_kelvin
 from tempcast.series import parse_date
 
 HEADER = "STATION,DATE,TAVG\n"
+JAN1 = dt.date(2015, 1, 1).toordinal()
 
 
 def export_csv(records):
@@ -44,8 +47,10 @@ def export_csv(records):
     writer = csv.writer(out, lineterminator="\r\n")
     writer.writerow(["STATION", "DATE", "TAVG"])
     writer.writerows(
-        (station, date.isoformat(), "" if value is None else repr(value))
-        for station, date, value in zip(records.stations, records.dates, records.tavg)
+        (station, dt.date.fromordinal(day).isoformat(), "" if math.isnan(value) else repr(value))
+        for station, day, value in zip(
+            records.stations, records.ordinals.tolist(), records.tavg.tolist()
+        )
     )
     return out.getvalue()
 
@@ -53,8 +58,8 @@ def export_csv(records):
 def record_set(*rows, unit="celsius"):
     return RawRecordSet(
         stations=("USW00099999",) * len(rows),
-        dates=tuple(dt.date.fromisoformat(d) for d, _ in rows),
-        tavg=tuple(v for _, v in rows),
+        ordinals=tuple(dt.date.fromisoformat(d).toordinal() for d, _ in rows),
+        tavg=tuple(math.nan if v is None else v for _, v in rows),
         unit=unit,
     )
 
@@ -74,12 +79,12 @@ class TestParse:
         rs = parse_cdo_csv(HEADER + "USW00094849,2015-01-01,-8.2\n", unit="celsius")
         assert len(rs) == 1
         assert rs.stations[0] == "USW00094849"
-        assert rs.dates[0] == dt.date(2015, 1, 1)
+        assert rs.ordinals.tolist() == [dt.date(2015, 1, 1).toordinal()]
         assert rs.tavg[0] == -8.2
 
     def test_empty_tavg_becomes_missing(self):
         rs = parse_cdo_csv(HEADER + "USW00094849,2015-01-02,\n", unit="celsius")
-        assert rs.tavg[0] is None
+        assert math.isnan(rs.tavg[0])
 
     def test_missing_tavg_column(self):
         with pytest.raises(MissingColumnError) as excinfo:
@@ -151,7 +156,7 @@ class TestParse:
     def test_non_ascii_or_underscore_elsewhere_leaves_values_alone(self):
         text = "STATION,NAME,DATE,TAVG\nUS_1,M\u00dcNCHEN,2015-01-01,\xa01.5\n"
         rs = parse_cdo_csv(text, unit="celsius", station="US_1")
-        assert rs.tavg == (1.5,)
+        assert rs.tavg.tolist() == [1.5]
 
     def test_ragged_row_names_line(self):
         text = HEADER + "A,2015-01-01\n"
@@ -196,7 +201,7 @@ class TestParse:
     def test_fallback_partial_minmax_stays_missing(self):
         text = "STATION,DATE,TAVG,TMAX,TMIN\nA,2015-01-01,,10.0,\n"
         rs = parse_cdo_csv(text, unit="celsius", tmax_tmin_fallback=True)
-        assert rs.tavg[0] is None
+        assert math.isnan(rs.tavg[0])
 
     def test_round_trip_through_serializer(self):
         text = HEADER + "A,2015-01-01,-8.2\nA,2015-01-02,\nA,2015-01-03,3.75\n"
@@ -222,8 +227,8 @@ class TestParse:
     def test_round_trip_property(self, rows, unit):
         rs = RawRecordSet(
             stations=[station for station, _, _ in rows],
-            dates=[date for _, date, _ in rows],
-            tavg=[value for _, _, value in rows],
+            ordinals=[date.toordinal() for _, date, _ in rows],
+            tavg=[math.nan if value is None else value for _, _, value in rows],
             unit=unit,
         )
         assert parse_cdo_csv(export_csv(rs), rs.unit) == rs
@@ -231,24 +236,50 @@ class TestParse:
     @pytest.mark.parametrize("rows_read", [0, 1.5, True, "2"])
     def test_rows_read_is_a_whole_number_no_smaller_than_the_rows(self, rows_read):
         with pytest.raises(ValueError):
-            RawRecordSet(("A",), (dt.date(2015, 1, 1),), (1.0,), "celsius", rows_read)
+            RawRecordSet(("A",), (JAN1,), (1.0,), "celsius", rows_read)
 
     def test_rows_read_defaults_to_the_rows_held(self):
-        rs = RawRecordSet(("A",), (dt.date(2015, 1, 1),), (1.0,), "celsius")
+        rs = RawRecordSet(("A",), (JAN1,), (1.0,), "celsius")
         assert rs.rows_read == 1
         assert RawRecordSet((), (), (), "celsius", rows_read=5).rows_read == 5
 
     def test_columns_must_have_equal_lengths(self):
-        with pytest.raises(ValueError):
-            RawRecordSet(("A", "A"), (dt.date(2015, 1, 1),), (1.0,), "celsius")
+        with pytest.raises(ValueError, match="^column lengths differ"):
+            RawRecordSet(("A", "A"), (JAN1,), (1.0,), "celsius")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_cell_is_rejected_not_a_gap(self, cell):
         text = HEADER + f"A,2015-01-01,1.0\nA,2015-01-02,{cell}\nA,2015-01-03,2.0\n"
-        rs = parse_cdo_csv(text, unit="celsius")
-        with pytest.raises(NonFiniteError) as excinfo:
-            clean(rs)
+        if cell == "nan":  # NaN marks an empty cell, so the parse rejects a NaN cell
+            with pytest.raises(NonFiniteError) as excinfo:
+                parse_cdo_csv(text, unit="celsius")
+        else:
+            rs = parse_cdo_csv(text, unit="celsius")
+            with pytest.raises(NonFiniteError) as excinfo:
+                clean(rs)
         assert str(excinfo.value) == f"temperature is not finite: {float(cell)!r}"
+
+    def test_nan_cell_of_another_station_is_rejected(self):
+        text = HEADER + "A,2015-01-01,1.0\nB,2015-01-02,nan\nA,2015-01-02,2.0\n"
+        for station in (None, "A"):
+            with pytest.raises(NonFiniteError, match="^temperature is not finite: nan$"):
+                parse_cdo_csv(text, "celsius", station=station)
+
+    @pytest.mark.parametrize(
+        "tmax, tmin", [("1e400", "-1e400"), ("nan", "1.0"), ("1.0", "nan")],
+        ids=["inf-and-minus-inf", "nan-tmax", "nan-tmin"],
+    )
+    def test_midpoint_that_is_nan_is_rejected(self, tmax, tmin):
+        text = f"STATION,DATE,TMAX,TMIN\nB,2015-01-01,{tmax},{tmin}\nA,2015-01-01,1.0,0.0\n"
+        for station in (None, "A"):
+            with pytest.raises(NonFiniteError, match="^temperature is not finite: nan$"):
+                parse_cdo_csv(text, "celsius", tmax_tmin_fallback=True, station=station)
+
+    def test_nan_beside_an_empty_cell_stays_missing(self):
+        # no midpoint is taken, so nothing reads as NaN
+        text = "STATION,DATE,TMAX,TMIN\nA,2015-01-01,nan,\n"
+        rs = parse_cdo_csv(text, "celsius", tmax_tmin_fallback=True)
+        assert math.isnan(rs.tavg[0])
 
     @given(
         cell=st.tuples(
@@ -272,7 +303,65 @@ class TestParse:
                 parse_cdo_csv(text, "celsius")
             assert excinfo.value.line == 2
         else:
-            assert parse_cdo_csv(text, "celsius").dates == (expected,)
+            assert parse_cdo_csv(text, "celsius").ordinals.tolist() == [expected.toordinal()]
+
+
+class TestRecordSet:
+    @pytest.mark.parametrize(
+        "ordinals",
+        [
+            [1.5], [True], [dt.date(2015, 1, 1)], ["x"], np.full((1, 1), JAN1), [0],
+            [dt.date.max.toordinal() + 1], [-1],
+            [JAN1, True], np.array([float(JAN1)]), np.array([2**64 - 1], dtype=np.uint64),
+        ],
+        ids=[
+            "float", "bool", "date", "str", "two-dimensional", "zero", "past-date-max",
+            "negative", "int-and-bool", "float-array", "uint64-past-date-max",
+        ],
+    )
+    def test_ordinals_must_be_integers_from_1_to_date_max(self, ordinals):
+        n = len(ordinals)
+        with pytest.raises(ArgumentError):
+            RawRecordSet(("A",) * n, ordinals, (1.0,) * n, "celsius")
+
+    def test_first_and_last_ordinals_and_unsigned_ones_are_kept(self):
+        days = np.array([1, dt.date.max.toordinal()], dtype=np.uint32)
+        rs = RawRecordSet(("A", "A"), days, (1.0, 2.0), "celsius")
+        assert rs.ordinals.dtype == np.int64
+        assert rs.ordinals.tolist() == [1, dt.date.max.toordinal()]
+
+    @pytest.mark.parametrize(
+        "empty", [(), [], np.empty(0), np.empty(0, dtype=np.int64)],
+        ids=["tuple", "list", "float-array", "int-array"],
+    )
+    def test_empty_columns_construct(self, empty):
+        rs = RawRecordSet(empty, empty, empty, "celsius", rows_read=5)
+        assert (len(rs), rs.rows_read) == (0, 5)
+        assert (rs.ordinals.dtype, rs.tavg.dtype) == (np.int64, np.float64)
+
+    def test_columns_are_read_only_copies(self):
+        days, values = np.array([JAN1, JAN1 + 1]), np.array([1.0, math.nan])
+        rs = RawRecordSet(("A", "A"), days, values, "celsius")
+        days[0], values[0] = 1, 5.0
+        assert rs.ordinals.tolist() == [JAN1, JAN1 + 1]
+        assert rs.tavg[0] == 1.0
+        for column in (rs.ordinals, rs.tavg):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_record_sets_are_equal_when_their_values_are(self):
+        data = (Path(__file__).parent / "data" / "synthetic_station_daily.csv").read_bytes()
+        first = _read_export_bytes(data, "celsius")
+        again = _read_export_bytes(data, "celsius")
+        parsed = parse_cdo_csv(data.decode("utf-8"), "celsius")
+        assert first == again == parsed
+        assert hash(first) == hash(again) == hash(parsed)
+        assert np.isnan(first.tavg).any()  # empty cells compare equal too
+        changed = first.tavg.copy()
+        changed[0] += 0.5
+        other = RawRecordSet(first.stations, first.ordinals, changed, "celsius", first.rows_read)
+        assert other != first
+        assert RawRecordSet(first.stations, first.ordinals, first.tavg, "fahrenheit") != first
 
 
 def spoil(cells, kind):
@@ -326,8 +415,8 @@ class TestStationFilter:
         kept = parse_cdo_csv(text, "celsius", station=station)
         where = [i for i, sid in enumerate(every.stations) if sid == station]
         assert kept.stations == tuple(every.stations[i] for i in where)
-        assert kept.dates == tuple(every.dates[i] for i in where)
-        assert kept.tavg == tuple(every.tavg[i] for i in where)
+        assert kept.ordinals.tolist() == every.ordinals[where].tolist()
+        np.testing.assert_array_equal(kept.tavg, every.tavg[where])
         assert kept.rows_read == every.rows_read == len(every) == len(rows)
 
     @given(
@@ -500,7 +589,7 @@ class TestClean:
     def test_multiple_stations_need_filter(self):
         rs = RawRecordSet(
             stations=("A", "B"),
-            dates=(dt.date(2015, 1, 1), dt.date(2015, 1, 2)),
+            ordinals=(JAN1, JAN1 + 1),
             tavg=(1.0, 2.0),
             unit="celsius",
         )
@@ -582,18 +671,18 @@ class TestCleaningProperty:
             max_size=80,
         ),
         max_gap=st.integers(min_value=0, max_value=6),
-        bad=st.none() | st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        bad=st.none() | st.sampled_from([float("inf"), float("-inf")]),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
     def test_gaps_fill_or_raise_like_a_scan(self, start, cells, max_gap, bad, data):
         days = [start + dt.timedelta(days=i) for i in range(len(cells))]
         rows = [
-            (day, value if kind == "value" else None)
+            (day, value if kind == "value" else math.nan)
             for day, (kind, value) in zip(days, cells)
             if kind != "absent"
         ]
-        observed = {day: value for day, value in rows if value is not None}
+        observed = {day: value for day, value in rows if not math.isnan(value)}
         if not observed:
             return
         if bad is not None:
@@ -602,7 +691,7 @@ class TestCleaningProperty:
         rows = data.draw(st.permutations(rows))
         rs = RawRecordSet(
             stations=["S"] * len(rows),
-            dates=[day for day, _ in rows],
+            ordinals=[day.toordinal() for day, _ in rows],
             tavg=[value for _, value in rows],
             unit="celsius",
         )

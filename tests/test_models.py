@@ -787,6 +787,7 @@ class TestArbitraryInput:
         dates = data.draw(st.sampled_from(
             [_days(n), _days(n)[::-1], [_START] * n, ["2015-01-01"] * n, [None] * n]
         ))
+        ordinals = [day.toordinal() if isinstance(day, dt.date) else day for day in dates]
         tavg = values if isinstance(values, list) else [values]
         stations = data.draw(st.sampled_from(
             [["A"] * n, ["A"] * (n - 1) + [None], [1] * n, [["A"]] * n, None, 7]
@@ -805,7 +806,7 @@ class TestArbitraryInput:
                 "STATION,DATE,TAVG\n" + "".join("A," + row for row in rows), unit
             )),
             lambda: clean_report(parse_cdo_csv(text, unit)),
-            lambda: clean_report(RawRecordSet(stations, dates, column, unit)),
+            lambda: clean_report(RawRecordSet(stations, ordinals, column, unit)),
         ]
         for call in calls:
             # as under python -W error
